@@ -14,7 +14,7 @@ multiplication, which makes differentials of complexes literal matrices over
 the algebra.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fields import Field
 

@@ -134,8 +134,7 @@ def cmd_lattice(args):
             raise ValueError("--t expects three comma-separated integers")
         lattice = build_tdiagram(*parts)
     else:
-        form = json.loads(args.matrix)
-        lattice = IntersectionLattice(tuple(tuple(row) for row in form))
+        lattice = IntersectionLattice(json.loads(args.matrix))
     report = definiteness(lattice)
     data = {"lattice": lattice.to_dict(), "definiteness": report.to_dict()}
     lines = [

@@ -302,10 +302,10 @@ def cone(f):
     """Mapping cone of a chain map f: M -> K.
 
     Terms are M[1] (+) K; the differential is
-    [[-d_M, f], [0, d_K]] in block form.
+    [[-d_M, f], [0, d_K]] in block form.  ``f`` is trusted to commute with
+    the differentials: ``ChainMap(..., check=True)`` validates maps at the
+    API boundary, and the internal builders construct chain maps directly.
     """
-    if isinstance(f, ChainMap) and not f.commutes():
-        raise ValueError("cone requires a chain map")
     M, K = f.source, f.target
     alg = M.algebra
     terms = {}
@@ -345,74 +345,65 @@ def cone(f):
 # homotopy minimization
 
 
-def minimize(M, pivot_order="forward"):
+def minimize(M):
     """Gaussian-elimination reduction to the minimal model of M.
 
-    Repeatedly cancels differential entries that are invertible in the
-    algebra (nonzero idempotent coefficient, which forces equal vertex and
-    equal internal shift), applying the two-term update
-    d <- d - (column) . pivot^{-1} . (row) to the same differential.
-    The result has all entries in the span of arrows and loops.
-
-    ``pivot_order`` selects the deterministic scan direction ("forward" or
-    "reverse"); any order yields isomorphic output.
+    Cancels differential entries that are invertible in the algebra (nonzero
+    idempotent coefficient, which forces equal vertex and equal internal
+    shift), applying the two-term update
+    d <- d - (column) . pivot^{-1} . (row) to the same differential.  Pivots
+    are taken in the order of the first invertible entry by (degree, row,
+    column).  The result has all entries in the span of arrows and loops.
     """
     alg = M.algebra
     terms = {t: list(row) for t, row in M.terms.items()}
     diffs = {t: M.mat(t) for t in M.diffs}
 
-    def find_pivot():
-        ts = sorted(diffs)
-        if pivot_order == "reverse":
-            ts = list(reversed(ts))
-        for t in ts:
-            mat = diffs[t]
-            rows = range(len(mat))
-            if pivot_order == "reverse":
-                rows = reversed(rows)
-            for r in rows:
-                cols = range(len(mat[r]))
-                if pivot_order == "reverse":
-                    cols = reversed(cols)
-                for c in cols:
-                    inv = alg.invert_local(mat[r][c])
-                    if inv is not None:
-                        return t, r, c, inv
-        return None
-
-    while True:
-        found = find_pivot()
-        if found is None:
-            break
-        t, r, c, inv = found
-        mat = diffs[t]
-        col_entries = [mat[rr][c] for rr in range(len(mat))]
-        row_entries = list(mat[r])
-        for rr in range(len(mat)):
-            if rr == r or col_entries[rr].is_zero():
+    # One sweep suffices.  A cancellation at (t, r, c) changes entries of
+    # degree t only, by (entry in column c) . pivot^{-1} . (entry in row r);
+    # earlier degrees merely lose a column.  Every entry already passed is in
+    # the radical (arrows and loops), so its column-c factor is too, and the
+    # radical is an ideal: nothing passed can become invertible, and the scan
+    # resumes at the same row index with the same pivots a full rescan finds.
+    for t in sorted(diffs):
+        mat = diffs.get(t)
+        r = 0
+        while mat is not None and r < len(mat):
+            for c, x in enumerate(mat[r]):
+                inv = alg.invert_local(x)
+                if inv is not None:
+                    break
+            else:
+                r += 1
                 continue
-            factor = col_entries[rr] * inv
-            for cc in range(len(mat[rr])):
-                if cc == c or row_entries[cc].is_zero():
+            col_entries = [mat[rr][c] for rr in range(len(mat))]
+            row_entries = list(mat[r])
+            for rr in range(len(mat)):
+                if rr == r or col_entries[rr].is_zero():
                     continue
-                mat[rr][cc] = mat[rr][cc] - factor * row_entries[cc]
-        # drop summand r in degree t and summand c in degree t+1
-        del terms[t][r]
-        del terms[t + 1][c]
-        for row in mat:
-            del row[c]
-        del mat[r]
-        if t - 1 in diffs:
-            for row in diffs[t - 1]:
-                del row[r]
-        if t + 1 in diffs:
-            del diffs[t + 1][c]
-        for tt in (t - 1, t, t + 1):
-            if tt in diffs and (not diffs[tt] or not diffs[tt][0]):
-                del diffs[tt]
-        for tt in (t, t + 1):
-            if not terms[tt]:
-                del terms[tt]
+                factor = col_entries[rr] * inv
+                for cc in range(len(mat[rr])):
+                    if cc == c or row_entries[cc].is_zero():
+                        continue
+                    mat[rr][cc] = mat[rr][cc] - factor * row_entries[cc]
+            # drop summand r in degree t and summand c in degree t+1
+            del terms[t][r]
+            del terms[t + 1][c]
+            for row in mat:
+                del row[c]
+            del mat[r]
+            if t - 1 in diffs:
+                for row in diffs[t - 1]:
+                    del row[r]
+            if t + 1 in diffs:
+                del diffs[t + 1][c]
+            for tt in (t - 1, t, t + 1):
+                if tt in diffs and (not diffs[tt] or not diffs[tt][0]):
+                    del diffs[tt]
+            for tt in (t, t + 1):
+                if not terms[tt]:
+                    del terms[tt]
+            mat = diffs.get(t)
     return ProjComplex(alg, terms, diffs, check=False)
 
 

@@ -81,7 +81,15 @@ class IntersectionLattice:
     form: tuple
 
     def __post_init__(self):
-        form = tuple(tuple(int(x) for x in row) for row in self.form)
+        if not isinstance(self.form, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in self.form
+        ):
+            raise ValueError("form matrix must be a list of rows")
+        for row in self.form:
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ValueError("form entry %r is not an integer" % (x,))
+        form = tuple(tuple(row) for row in self.form)
         r = len(form)
         if any(len(row) != r for row in form):
             raise ValueError("form matrix must be square")

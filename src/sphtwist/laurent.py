@@ -90,10 +90,6 @@ class LaurentPoly:
         """Serialize as a sorted list of (exponent, coefficient) pairs."""
         return [[e, self.coeffs[e]] for e in sorted(self.coeffs)]
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls({int(e): int(c) for e, c in pairs})
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

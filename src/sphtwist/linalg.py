@@ -1,20 +1,26 @@
 """Dense exact linear algebra over the engine's scalar fields.
 
 Matrices are lists of lists of scalars (Fraction or Fp).  Everything here is
-plain Gaussian elimination; sizes stay small because complexes are kept
-minimal, so there is no need for anything fancier.
+one forward Gaussian elimination; sizes stay small because complexes are
+kept minimal, so there is no need for anything fancier.
 """
 
 
-def mat_rank(rows):
-    """Rank of a matrix, destructively computed on a copy."""
-    if not rows:
-        return 0
+def _eliminate(rows, ncols):
+    """Forward elimination on a copy of ``rows``.
+
+    Returns ``(echelon, pivots, product)``: the nonzero echelon rows, their
+    pivot columns, and the product of the pivots times the sign of the row
+    swaps.  Only rows below each pivot are cleared and nothing is
+    normalized.
+    """
     m = [list(r) for r in rows]
-    ncols = len(m[0])
-    rank = 0
-    row = 0
+    pivots = []
+    product = 1
     for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
         pivot = None
         for r in range(row, len(m)):
             if m[r][col]:
@@ -22,57 +28,53 @@ def mat_rank(rows):
                 break
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
+        if pivot != row:
+            m[row], m[pivot] = m[pivot], m[row]
+            product = -product
+        pivot_row = m[row]
+        pv = pivot_row[col]
+        product = product * pv
         for r in range(row + 1, len(m)):
-            if m[r][col]:
-                factor = m[r][col] / pv
+            target = m[r]
+            if target[col]:
+                factor = target[col] / pv
                 for c in range(col, ncols):
-                    m[r][c] = m[r][c] - factor * m[row][c]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
+                    target[c] = target[c] - factor * pivot_row[c]
+        pivots.append(col)
+    return m[: len(pivots)], pivots, product
+
+
+def mat_rank(rows):
+    """Rank of a matrix."""
+    if not rows:
+        return 0
+    return len(_eliminate(rows, len(rows[0]))[1])
 
 
 def nullspace(rows, ncols, one):
     """Basis of the right kernel of a matrix with ``ncols`` columns.
 
     ``rows`` may be empty (kernel is everything).  ``one`` is the field's
-    multiplicative unit, used to build the basis vectors.
+    multiplicative unit, used to build the basis vectors.  The vector for a
+    free column is 1 there and 0 at every other free column, which pins it
+    down uniquely; the pivot entries come from back-substitution.
     """
     zero = one - one
-    m = [list(r) for r in rows]
-    pivots = []  # (row, col)
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == len(m):
-            break
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    echelon, pivots, _product = _eliminate(rows, ncols)
+    pivot_cols = set(pivots)
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
         v = [zero] * ncols
         v[fc] = one
-        for r, c in pivots:
-            v[c] = -m[r][fc]
+        for k in range(len(pivots) - 1, -1, -1):
+            row = echelon[k]
+            acc = row[fc]
+            for c in pivots[k + 1 :]:
+                if row[c]:
+                    acc = acc + row[c] * v[c]
+            v[pivots[k]] = -acc / row[pivots[k]]
         basis.append(v)
     return basis
 
@@ -82,25 +84,7 @@ def mat_det(rows):
     n = len(rows)
     if n == 0:
         return None  # caller treats the empty matrix as invertible
-    m = [list(r) for r in rows]
-    det = m[0][0] - m[0][0]  # zero of the field
-    det = det + 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return det * 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        pv = m[col][col]
-        det = det * pv
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / pv
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - factor * m[col][c]
-    return det
+    _echelon, pivots, product = _eliminate(rows, n)
+    if len(pivots) < n:
+        return rows[0][0] * 0
+    return product

@@ -13,6 +13,7 @@ from .complexes import (
     _zeros,
     cone,
     hom_from_projective,
+    hom_to_projective,
     is_isomorphic,
     minimize,
 )
@@ -45,6 +46,35 @@ def check_word(letters, n):
     return list(letters)
 
 
+def _tensor_projective(i, H, M, dual=False):
+    """P_i (x) H for a hom complex H of M, with its (co-)evaluation matrices.
+
+    A basis vector of H of internal degree s in homological degree m becomes
+    the summand P_i<s> in degree m, and a scalar entry c of the differential
+    becomes c e_i.  The vector labelled (r, key) pairs with summand r of M
+    through the basis path ``key``, which is the map's entry.  With ``dual``
+    (H = RHom(M, P_i)) both degrees are negated, the differential is
+    transposed and the map runs from M into the tensor.
+    """
+    alg = M.algebra
+    sign = -1 if dual else 1
+    terms = {}
+    maps = {}
+    for m, row in H.basis.items():
+        t = sign * m
+        terms[t] = [(i, sign * s) for s, _label in row]
+        mat = _zeros(alg, len(row), len(M.terms[t]))
+        for idx, (_s, (r, key)) in enumerate(row):
+            mat[idx][r] = alg.from_key(key)
+        maps[t] = [list(col) for col in zip(*mat)] if dual else mat
+    diffs = {}
+    for m, mat in H.diffs.items():
+        if dual:
+            m, mat = -m - 1, zip(*mat)
+        diffs[m] = [[alg.from_key(("e", i), x) for x in row] for row in mat]
+    return ProjComplex(alg, terms, diffs, check=False), maps
+
+
 def twist(i, M):
     """Twist at vertex i: the cone of the evaluation P_i (x) RHom(P_i, M) -> M.
 
@@ -52,50 +82,11 @@ def twist(i, M):
     contributes a summand P_i<deg(phi) + s> in homological degree t; the
     evaluation entry for that copy is phi itself.  The result is minimized.
     """
-    alg = M.algebra
-    alg.check_vertex(i)
+    M.algebra.check_vertex(i)
     if M.is_zero():
         return M
-
-    # P_i (x) RHom(P_i, M), with differential id (x) d_hom
-    terms = {}
-    labels = {}  # t -> list of (r, key)
-    index = {}
-    for t, row in M.terms.items():
-        here = []
-        lab = []
-        for r, (j, s) in enumerate(row):
-            for key in alg.hom_basis(i, j):
-                index[(t, r, key)] = len(here)
-                here.append((i, alg.deg[key] + s))
-                lab.append((r, key))
-        if here:
-            terms[t] = here
-            labels[t] = lab
-    diffs = {}
-    for t, mat in M.diffs.items():
-        if t not in terms or t + 1 not in terms:
-            continue
-        out = _zeros(alg, len(terms[t]), len(terms[t + 1]))
-        for src_idx, (r, key) in enumerate(labels[t]):
-            phi = alg.from_key(key)
-            for c in range(len(M.terms[t + 1])):
-                prod = phi * mat[r][c]
-                for key2, coeff in prod.coeffs.items():
-                    out[src_idx][index[(t + 1, c, key2)]] = alg.from_key(
-                        ("e", i), coeff
-                    ) + out[src_idx][index[(t + 1, c, key2)]]
-        diffs[t] = out
-    tensor = ProjComplex(alg, terms, diffs, check=False)
-
-    ev = {}
-    for t, lab in labels.items():
-        mat = _zeros(alg, len(lab), len(M.terms[t]))
-        for src_idx, (r, key) in enumerate(lab):
-            mat[src_idx][r] = alg.from_key(key)
-        ev[t] = mat
-    evaluation = ChainMap(tensor, M, ev, check=False)
-    return minimize(cone(evaluation))
+    tensor, ev = _tensor_projective(i, hom_from_projective(i, M), M)
+    return minimize(cone(ChainMap(tensor, M, ev, check=False)))
 
 
 def untwist(i, M):
@@ -108,50 +99,11 @@ def untwist(i, M):
     the shifted cone minimize(cone(co-evaluation)[-1]); the shifts are
     arranged so that twist and untwist are inverse on the nose.
     """
-    alg = M.algebra
-    alg.check_vertex(i)
+    M.algebra.check_vertex(i)
     if M.is_zero():
         return M
-
-    terms = {}
-    labels = {}
-    index = {}
-    for t, row in M.terms.items():
-        here = []
-        lab = []
-        for r, (j, s) in enumerate(row):
-            for key in alg.hom_basis(j, i):
-                index[(t, r, key)] = len(here)
-                here.append((i, s - alg.deg[key]))
-                lab.append((r, key))
-        if here:
-            terms[t] = here
-            labels[t] = lab
-    diffs = {}
-    for t, mat in M.diffs.items():
-        if t not in terms or t + 1 not in terms:
-            continue
-        out = _zeros(alg, len(terms[t]), len(terms[t + 1]))
-        for tgt_idx, (c, key) in enumerate(labels[t + 1]):
-            phi = alg.from_key(key)
-            for r in range(len(M.terms[t])):
-                prod = mat[r][c] * phi
-                for key2, coeff in prod.coeffs.items():
-                    src_idx = index[(t, r, key2)]
-                    out[src_idx][tgt_idx] = out[src_idx][tgt_idx] + alg.from_key(
-                        ("e", i), coeff
-                    )
-        diffs[t] = out
-    tensor = ProjComplex(alg, terms, diffs, check=False)
-
-    coev = {}
-    for t, lab in labels.items():
-        mat = _zeros(alg, len(M.terms[t]), len(lab))
-        for tgt_idx, (r, key) in enumerate(lab):
-            mat[r][tgt_idx] = alg.from_key(key)
-        coev[t] = mat
-    coevaluation = ChainMap(M, tensor, coev, check=False)
-    return minimize(cone(coevaluation).shift(-1, 0))
+    tensor, coev = _tensor_projective(i, hom_to_projective(M, i), M, dual=True)
+    return minimize(cone(ChainMap(M, tensor, coev, check=False)).shift(-1, 0))
 
 
 def apply_letter(g, M):

@@ -37,6 +37,13 @@ def random_two_term(alg, rng, max_summands=3):
     return ProjComplex(alg, {0: src, 1: tgt}, {0: mat})
 
 
+def reversed_summands(M):
+    """M with the summands of every degree listed in reverse order."""
+    terms = {t: row[::-1] for t, row in M.terms.items()}
+    diffs = {t: [row[::-1] for row in mat[::-1]] for t, mat in M.diffs.items()}
+    return ProjComplex(M.algebra, terms, diffs)
+
+
 def random_word(alg, rng, max_len=6):
     n = alg.params.n
     length = rng.randint(0, max_len)

@@ -169,6 +169,25 @@ def test_lattice_asymmetric_matrix(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        "5",
+        "[1, 2]",
+        "[[1, 2], 3]",
+        "[[-2.5, 1], [1, -2]]",
+        "[[true, 1], [1, -2]]",
+        '[["-2", 1], [1, -2]]',
+        '{"a": 1}',
+    ],
+)
+def test_lattice_matrix_rejects_non_integer_rows(capsys, matrix):
+    code, out, err = run(capsys, "lattice", "--matrix", matrix)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_lattice_reflections_json(capsys):
     code, out, _ = run(
         capsys, "lattice", "--t", "2,3,5", "--reflections", "--json"

@@ -43,6 +43,25 @@ def _mat_is_zero(A):
     return all(x.is_zero() for row in A for x in row)
 
 
+def _check_entries(alg, what, t, mat, srcs, tgts):
+    """Raise ValueError unless ``mat`` is a matrix of entries srcs -> tgts.
+
+    It must have shape len(srcs) x len(tgts), and entry (r, c) must lie in
+    e_v A e_v' and be homogeneous of degree s - s', where srcs[r] = (v, s)
+    and tgts[c] = (v', s').
+    """
+    if len(mat) != len(srcs) or any(len(r) != len(tgts) for r in mat):
+        raise ValueError("%s at degree %d has wrong shape" % (what, t))
+    for r, (v, s) in enumerate(srcs):
+        for c, (v2, s2) in enumerate(tgts):
+            for key in mat[r][c].coeffs:
+                if alg.src[key] != v or alg.tgt[key] != v2 or alg.deg[key] != s - s2:
+                    raise ValueError(
+                        "%s entry (%d,%d) at degree %d is not in e_%d A e_%d "
+                        "of degree %d" % (what, r, c, t, v, v2, s - s2)
+                    )
+
+
 class ProjComplex:
     """A bounded complex of shifted projectives P_v<s> with d^2 = 0."""
 
@@ -69,26 +88,8 @@ class ProjComplex:
             for v, s in row:
                 alg.check_vertex(v)
         for t, mat in self.diffs.items():
-            srcs = self.terms[t]
-            tgts = self.terms[t + 1]
-            if len(mat) != len(srcs) or any(len(r) != len(tgts) for r in mat):
-                raise ValueError("differential at degree %d has wrong shape" % t)
-            for r, (v, s) in enumerate(srcs):
-                for c, (v2, s2) in enumerate(tgts):
-                    x = mat[r][c]
-                    if x.is_zero():
-                        continue
-                    for key in x.coeffs:
-                        if alg.src[key] != v or alg.tgt[key] != v2:
-                            raise ValueError(
-                                "entry (%d,%d) at degree %d not in e_%d A e_%d"
-                                % (r, c, t, v, v2)
-                            )
-                        if alg.deg[key] != s - s2:
-                            raise ValueError(
-                                "entry (%d,%d) at degree %d not homogeneous of "
-                                "degree %d" % (r, c, t, s - s2)
-                            )
+            _check_entries(alg, "differential", t, mat,
+                           self.terms[t], self.terms[t + 1])
         for t in self.diffs:
             if t + 1 in self.diffs:
                 sq = _matmul(self.algebra, self.mat(t), self.mat(t + 1))
@@ -232,27 +233,9 @@ class ChainMap:
             self._validate()
 
     def _validate(self):
-        alg = self.source.algebra
         for t, mat in self.mats.items():
-            srcs = self.source.terms[t]
-            tgts = self.target.terms[t]
-            if len(mat) != len(srcs) or any(len(r) != len(tgts) for r in mat):
-                raise ValueError("chain map at degree %d has wrong shape" % t)
-            for r, (v, s) in enumerate(srcs):
-                for c, (v2, s2) in enumerate(tgts):
-                    x = mat[r][c]
-                    if x.is_zero():
-                        continue
-                    for key in x.coeffs:
-                        if (
-                            alg.src[key] != v
-                            or alg.tgt[key] != v2
-                            or alg.deg[key] != s - s2
-                        ):
-                            raise ValueError(
-                                "chain map entry (%d,%d) at degree %d has wrong "
-                                "type" % (r, c, t)
-                            )
+            _check_entries(self.source.algebra, "chain map", t, mat,
+                           self.source.terms[t], self.target.terms[t])
         if not self.commutes():
             raise ValueError("not a chain map: f does not commute with d")
 
@@ -476,79 +459,57 @@ class GradedVectorComplex:
                     out[(m, s)] = h
         return out
 
-    def total_homology_dim(self):
-        return sum(self.homology().values())
+
+def _hom_projective(i, M, dual):
+    """RHom(P_i, M), or RHom(M, P_i) with ``dual``, as graded vector spaces.
+
+    A basis path phi in e_i A e_j (dual: e_j A e_i) against summand r =
+    (j, s) of M^t is the basis vector labelled (r, key) in bidegree
+    (t, deg(phi) + s) (dual: (-t, deg(phi) - s)).  The differential
+    post-composes phi with d_M (dual: pre-composes), so the dual one runs
+    from the summands of M^{t+1} to those of M^t.
+    """
+    alg = M.algebra
+    alg.check_vertex(i)
+    sign = -1 if dual else 1
+
+    def paths(j):
+        return alg.hom_basis(j, i) if dual else alg.hom_basis(i, j)
+
+    basis = {}
+    index = {}
+    for t, row in M.terms.items():
+        vecs = []
+        for r, (j, s) in enumerate(row):
+            for key in paths(j):
+                index[(t, r, key)] = len(vecs)
+                vecs.append((alg.deg[key] + sign * s, (r, key)))
+        basis[sign * t] = vecs
+    diffs = {}
+    for t, mat in M.diffs.items():
+        src, tgt = (t + 1, t) if dual else (t, t + 1)
+        out = [[alg.field.zero] * len(basis[sign * tgt]) for _ in basis[sign * src]]
+        for a, (j, _s) in enumerate(M.terms[src]):
+            for key in paths(j):
+                src_idx = index[(src, a, key)]
+                phi = alg.from_key(key)
+                for b in range(len(M.terms[tgt])):
+                    prod = mat[b][a] * phi if dual else phi * mat[a][b]
+                    for key2, coeff in prod.coeffs.items():
+                        tgt_idx = index[(tgt, b, key2)]
+                        out[src_idx][tgt_idx] = out[src_idx][tgt_idx] + coeff
+        diffs[sign * src] = out
+    return GradedVectorComplex(alg.field, basis, diffs)
 
 
 def hom_from_projective(i, M):
-    """The complex computing RHom(P_i, M), as graded vector spaces.
-
-    A basis path phi in e_i A e_j against the summand (j, s) of M^t sits in
-    bidegree (t, deg(phi) + s); the differential post-composes with d_M.
-    """
-    alg = M.algebra
-    alg.check_vertex(i)
-    basis = {}
-    index = {}
-    for t, row in M.terms.items():
-        vecs = []
-        for r, (j, s) in enumerate(row):
-            for key in alg.hom_basis(i, j):
-                index[(t, r, key)] = len(vecs)
-                vecs.append((alg.deg[key] + s, (r, key)))
-        basis[t] = vecs
-    diffs = {}
-    for t, mat in M.diffs.items():
-        out = [
-            [alg.field.zero] * len(basis.get(t + 1, [])) for _ in basis.get(t, [])
-        ]
-        for r, (j, _s) in enumerate(M.terms[t]):
-            for key in alg.hom_basis(i, j):
-                src_idx = index[(t, r, key)]
-                phi = alg.from_key(key)
-                for c in range(len(M.terms[t + 1])):
-                    prod = phi * mat[r][c]
-                    for key2, coeff in prod.coeffs.items():
-                        tgt_idx = index[(t + 1, c, key2)]
-                        out[src_idx][tgt_idx] = out[src_idx][tgt_idx] + coeff
-        diffs[t] = out
-    return GradedVectorComplex(alg.field, basis, diffs)
+    """The complex computing RHom(P_i, M); see ``_hom_projective``."""
+    return _hom_projective(i, M, dual=False)
 
 
 def hom_to_projective(M, i):
-    """The complex computing RHom(M, P_i), as graded vector spaces.
-
-    A basis path psi in e_j A e_i against the summand (j, s) of M^t sits in
-    bidegree (-t, deg(psi) - s); the differential pre-composes with d_M.
-    """
-    alg = M.algebra
-    alg.check_vertex(i)
-    basis = {}
-    index = {}
-    for t, row in M.terms.items():
-        vecs = []
-        for r, (j, s) in enumerate(row):
-            for key in alg.hom_basis(j, i):
-                index[(t, r, key)] = len(vecs)
-                vecs.append((alg.deg[key] - s, (r, key)))
-        basis[-t] = vecs
-    diffs = {}
-    for t, mat in M.diffs.items():
-        # from hom degree -(t+1) (summands of M^{t+1}) to -t (summands of M^t)
-        out = [
-            [alg.field.zero] * len(basis.get(-t, [])) for _ in basis.get(-t - 1, [])
-        ]
-        for c, (j2, _s2) in enumerate(M.terms[t + 1]):
-            for key in alg.hom_basis(j2, i):
-                src_idx = index[(t + 1, c, key)]
-                phi = alg.from_key(key)
-                for r in range(len(M.terms[t])):
-                    prod = mat[r][c] * phi
-                    for key2, coeff in prod.coeffs.items():
-                        tgt_idx = index[(t, r, key2)]
-                        out[src_idx][tgt_idx] = out[src_idx][tgt_idx] + coeff
-        diffs[-t - 1] = out
-    return GradedVectorComplex(alg.field, basis, diffs)
+    """The complex computing RHom(M, P_i); see ``_hom_projective``."""
+    return _hom_projective(i, M, dual=True)
 
 
 def homology_table(M):

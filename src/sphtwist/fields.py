@@ -86,15 +86,41 @@ class Fp:
         return "Fp(%d, %d)" % (self.v, self.p)
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin; exact for p < 2**64 with these witnesses."""
+    if p < 2:
+        return False
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class Field:
     """Scalar field descriptor: rationals when ``char`` is None, else F_p."""
 
     __slots__ = ("char",)
 
     def __init__(self, char=None):
-        if char is not None:
-            if char < 2 or any(char % q == 0 for q in range(2, int(char**0.5) + 1)):
-                raise ValueError("characteristic must be prime, got %r" % (char,))
+        if char is not None and not (char < 2**64 and _is_prime(char)):
+            raise ValueError("characteristic must be a prime below 2^64, got %r"
+                             % (char,))
         self.char = char
 
     def of(self, x):

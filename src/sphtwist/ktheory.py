@@ -305,8 +305,11 @@ def _imat_pow(m, k):
     if k < 0:
         return _imat_pow(_imat_inverse_det1(m), -k)
     out = imat_identity(2)
-    for _ in range(k):
-        out = imat_mul(m, out)
+    while k:  # square-and-multiply; powers of m commute with each other
+        if k & 1:
+            out = imat_mul(m, out)
+        m = imat_mul(m, m)
+        k >>= 1
     return out
 
 

@@ -56,6 +56,13 @@ def test_check_relations_bad_field(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field", ["561", "18446744073709551617", "-7", "1"])
+def test_check_relations_rejects_non_prime_field(capsys, field):
+    code, _, err = run(capsys, "check-relations", "--field", field)
+    assert code == 2
+    assert "prime below 2^64" in err
+
+
 # ----------------------------------------------------------------------
 # act
 
@@ -229,6 +236,12 @@ def test_elliptic_json(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["matrix"] == [[0, -1], [1, 1]] or len(data["matrix"]) == 2
+
+
+def test_elliptic_huge_power_answers(capsys):
+    code, out, _ = run(capsys, "elliptic", "--word", "O^1000000000")
+    assert code == 0
+    assert out.splitlines()[0] == "matrix: [[1, -1000000000], [0, 1]]"
 
 
 # ----------------------------------------------------------------------

@@ -292,3 +292,26 @@ def test_validation_rejects_bad_differential(alg):
             {0: [(1, 2)], 1: [(2, 1)], 2: [(1, 0)]},
             {0: [[alg.arrow(1, 2)]], 1: [[alg.arrow(2, 1)]]},
         )
+
+
+# (source summand, target summand) for the entry a12, which is valid only
+# from P1<s> to P2<s - 1>
+BAD_ARROW_ENTRIES = {
+    "wrong vertex": ((1, 1), (1, 0)),
+    "wrong degree": ((1, 0), (2, 0)),
+}
+
+
+@pytest.mark.parametrize("kind", ["differential", "chain map"])
+@pytest.mark.parametrize("case", sorted(BAD_ARROW_ENTRIES))
+def test_validation_rejects_mistyped_entry(alg, kind, case):
+    def build(src, tgt):
+        if kind == "differential":
+            return two_term(alg, [src], [tgt], [[alg.arrow(1, 2)]])
+        M = ProjComplex.projective(alg, src[0], src[1])
+        K = ProjComplex.projective(alg, tgt[0], tgt[1])
+        return ChainMap(M, K, {0: [[alg.arrow(1, 2)]]})
+
+    build((1, 1), (2, 0))
+    with pytest.raises(ValueError):
+        build(*BAD_ARROW_ENTRIES[case])

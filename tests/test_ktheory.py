@@ -304,6 +304,15 @@ def test_elliptic_word_parsing():
     assert parse_elliptic_word("(O Op)^-1") == [("Op", -1), ("O", -1)]
 
 
+def test_elliptic_huge_exponent_by_squaring():
+    assert elliptic_word("O^1000000000") == [[1, -1000000000], [0, 1]]
+    assert elliptic_word("Op^-999999999") == [[1, 0], [-999999999, 1]]
+    (a, b), (c, d) = elliptic_word("O^12345 Op^-678 L^91011")
+    assert a * d - b * c == 1
+    assert elliptic_word("O^12345 Op^-678") == imat_mul(
+        elliptic_word("Op^-678"), elliptic_word("O^12345"))
+
+
 @pytest.mark.parametrize("text", ["X", "(O", "O)", "^2", "O @"])
 def test_elliptic_word_rejects(text):
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from sphtwist import (
     minimize,
     parse_braid_word,
     twist,
+    twists,
     untwist,
     verify_relations,
 )
@@ -200,6 +201,33 @@ def test_comparison_report_serializes(alg):
     assert data["verdict"] == "Distinct"
     assert "witness_vertex" in data
     assert data["hom_matrix_word1"] == hom_matrix([1], alg)
+
+
+def count_images(monkeypatch):
+    calls = []
+    real = twists.apply_word
+
+    def counting(letters, M):
+        calls.append(list(letters))
+        return real(letters, M)
+
+    monkeypatch.setattr(twists, "apply_word", counting)
+    return calls
+
+
+def test_compare_words_builds_each_image_once(alg3, monkeypatch):
+    calls = count_images(monkeypatch)
+    report = compare_words([1, 2, 1], [2, 1, 2], alg3)
+    assert len(calls) == 6
+    assert sorted(calls) == [[1, 2, 1]] * 3 + [[2, 1, 2]] * 3
+    assert report.hom_matrices == (hom_matrix([1, 2, 1], alg3),
+                                   hom_matrix([2, 1, 2], alg3))
+
+
+def test_hom_matrix_builds_n_images(alg3, monkeypatch):
+    calls = count_images(monkeypatch)
+    hom_matrix([1, -2, 3], alg3, graded=True)
+    assert calls == [[1, -2, 3]] * 3
 
 
 # ----------------------------------------------------------------------

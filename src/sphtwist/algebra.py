@@ -200,34 +200,24 @@ class ZigzagAlgebra:
         self.src = src
         self.tgt = tgt
 
-        # Products of basis paths are single basis paths or zero.
+        # Products of basis paths are single basis paths or zero.  The
+        # nonzero ones: an idempotent on either side of a path, and the two
+        # round trips i -> j -> i, which give the loop at i; straight-through
+        # paths vanish and loops annihilate arrows and loops.
         table = {}
-        for x in basis:
-            for y in basis:
-                if tgt[x] != src[y]:
-                    continue
-                kx, ky = x[0], y[0]
-                if kx == "e":
-                    table[(x, y)] = y
-                elif ky == "e":
-                    table[(x, y)] = x
-                elif kx == "a" and ky == "a":
-                    if y[2] == x[1]:  # round trip i -> j -> i
-                        table[(x, y)] = ("l", x[1])
-                    # straight-through paths vanish
-                # loops annihilate arrows and loops
+        for key in basis:
+            table[(("e", src[key]), key)] = key
+            table[(key, ("e", tgt[key]))] = key
+            if key[0] == "a":
+                table[(key, ("a", key[2], key[1]))] = ("l", key[1])
         self.table = table
 
         self._hom_basis = {}
         for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    keys = [("e", i), ("l", i)]
-                elif abs(i - j) == 1:
-                    keys = [("a", i, j)]
-                else:
-                    keys = []
-                self._hom_basis[(i, j)] = tuple(keys)
+            self._hom_basis[(i, i)] = (("e", i), ("l", i))
+            if i < n:
+                self._hom_basis[(i, i + 1)] = (("a", i, i + 1),)
+                self._hom_basis[(i + 1, i)] = (("a", i + 1, i),)
 
     @property
     def n(self):
@@ -271,7 +261,7 @@ class ZigzagAlgebra:
         """Basis paths of e_i A e_j (maps P_i -> P_j)."""
         self.check_vertex(i)
         self.check_vertex(j)
-        return self._hom_basis[(i, j)]
+        return self._hom_basis.get((i, j), ())
 
     def hom_space(self, i, j):
         """Graded dimension table {internal degree: dim} of e_i A e_j."""

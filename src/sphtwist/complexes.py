@@ -16,6 +16,8 @@ Conventions (fixed once, used everywhere):
 """
 
 
+from itertools import chain, product as iproduct
+
 from .linalg import mat_det, mat_rank, nullspace
 
 
@@ -436,12 +438,13 @@ class GradedVectorComplex:
         return [i for i, (si, _l) in enumerate(self.basis.get(m, [])) if si == s]
 
     def _diff_block(self, m, s):
-        rows = self._restrict(m, s)
-        cols = self._restrict(m + 1, s)
+        """The internal-degree-s block of diffs[m], as dict rows for mat_rank."""
         if m not in self.diffs:
-            return [[self.field.zero] * len(cols) for _ in rows]
+            return []
+        cols = self._restrict(m + 1, s)
         mat = self.diffs[m]
-        return [[mat[r][c] for c in cols] for r in rows]
+        return [{j: mat[r][c] for j, c in enumerate(cols) if mat[r][c]}
+                for r in self._restrict(m, s)]
 
     def homology(self):
         """Bigraded homology dimensions, by exact rank computations."""
@@ -533,6 +536,29 @@ def _multisets_match(M, K):
     return True
 
 
+def _arrow_ranks(M):
+    """Ranks of the arrow blocks of a minimal complex, an isomorphism invariant.
+
+    Block (t, a, s, s2) holds the coefficients of the arrow a in the entries
+    of d_t from the summands (src a, s) of M^t to the summands (tgt a, s2)
+    of M^{t+1}.  A product of two radical basis paths is a loop or zero, so
+    an isomorphism f = E + R of minimal complexes (E its invertible
+    idempotent part, R its radical part) changes each block only as
+    E_t^-1 . A . E_{t+1}, and keeps its rank.  Blocks of rank 0 are left
+    out.
+    """
+    blocks = {}
+    for t, mat in M.diffs.items():
+        src, tgt = M.terms[t], M.terms[t + 1]
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                for key, coeff in x.coeffs.items():
+                    if key[0] == "a":
+                        block = blocks.setdefault((t, key, src[r][1], tgt[c][1]), {})
+                        block.setdefault(r, {})[c] = coeff
+    return {b: mat_rank(list(rows.values())) for b, rows in blocks.items()}
+
+
 def _chain_map_unknowns(M, K):
     alg = M.algebra
     unknowns = []
@@ -545,54 +571,61 @@ def _chain_map_unknowns(M, K):
     return unknowns
 
 
-def _chain_map_equations(M, K, unknowns):
-    """Scalar rows of the linear system d_M . f = f . d_K in the unknowns."""
-    alg = M.algebra
-    zero = alg.field.zero
-    pos = {u: i for i, u in enumerate(unknowns)}
+def _chain_map_equations(M, K, pos):
+    """Rows {unknown index: coeff} of the linear system d_M . f = f . d_K.
+
+    ``pos`` maps each unknown (t, r, c, key) to its index.  One row per
+    equation (t, r, c, key): the key-coefficient of entry (r, c) of
+    d_M[t] . f[t+1] - f[t] . d_K[t].  Products of basis paths are read from
+    the algebra's table.
+    """
+    table = M.algebra.table
+    hom_basis = M.algebra.hom_basis
     rows = {}
 
     def add(eq_key, idx, coeff):
-        row = rows.setdefault(eq_key, [zero] * len(unknowns))
-        row[idx] = row[idx] + coeff
+        row = rows.setdefault(eq_key, {})
+        s = row.get(idx)
+        s = coeff if s is None else s + coeff
+        if s:
+            row[idx] = s
+        else:
+            del row[idx]
 
-    degrees = set(M.terms) | set(K.terms)
-    for t in degrees:
+    for t in set(M.terms) | set(K.terms):
         m_src = M.terms.get(t, ())
         k_tgt = K.terms.get(t + 1, ())
         if not m_src or not k_tgt:
             continue
-        dm = M.mat(t)
-        dk = K.mat(t)
         # d_M[t] . f[t+1]  contributions
-        for r in range(len(m_src)):
-            for mid in range(len(M.terms.get(t + 1, ()))):
-                x = dm[r][mid]
+        for r, row in enumerate(M.diffs.get(t, ())):
+            for mid, x in enumerate(row):
                 if x.is_zero():
                     continue
-                for c in range(len(k_tgt)):
-                    for key in alg.hom_basis(M.terms[t + 1][mid][0], k_tgt[c][0]):
-                        u = (t + 1, mid, c, key)
-                        if u not in pos:
+                v_mid = M.terms[t + 1][mid][0]
+                for c, (v2, _s2) in enumerate(k_tgt):
+                    for key in hom_basis(v_mid, v2):
+                        i = pos.get((t + 1, mid, c, key))
+                        if i is None:
                             continue
-                        prod = x * alg.from_key(key)
-                        for key2, coeff in prod.coeffs.items():
-                            add((t, r, c, key2), pos[u], coeff)
+                        for k1, coeff in x.coeffs.items():
+                            key2 = table.get((k1, key))
+                            if key2 is not None:
+                                add((t, r, c, key2), i, coeff)
         # - f[t] . d_K[t]  contributions
-        for r in range(len(m_src)):
-            for mid in range(len(K.terms.get(t, ()))):
-                for key in alg.hom_basis(m_src[r][0], K.terms[t][mid][0]):
-                    u = (t, r, mid, key)
-                    if u not in pos:
+        dk = K.diffs.get(t, ())
+        for r, (v, _s) in enumerate(m_src):
+            for mid, row in enumerate(dk):
+                for key in hom_basis(v, K.terms[t][mid][0]):
+                    i = pos.get((t, r, mid, key))
+                    if i is None:
                         continue
-                    for c in range(len(k_tgt)):
-                        x = dk[mid][c]
-                        if x.is_zero():
-                            continue
-                        prod = alg.from_key(key) * x
-                        for key2, coeff in prod.coeffs.items():
-                            add((t, r, c, key2), pos[u], -coeff)
-    return list(rows.values())
+                    for c, x in enumerate(row):
+                        for k2, coeff in x.coeffs.items():
+                            key2 = table.get((key, k2))
+                            if key2 is not None:
+                                add((t, r, c, key2), i, -coeff)
+    return [row for row in rows.values() if row]
 
 
 def _quick_weights(m):
@@ -646,6 +679,21 @@ def is_isomorphic(M, K, with_certificate=False):
     in every homological degree.  Returns ``bool`` or, with
     ``with_certificate=True``, a pair ``(bool, ChainMap-or-None)`` where the
     certificate maps minimize(M) to minimize(K).
+
+    The decisions come in this order:
+
+    1. both minimal complexes are zero: isomorphic;
+    2. the summands of some degree differ as multisets: not isomorphic;
+    3. the arrow-block ranks differ (``_arrow_ranks``): not isomorphic;
+    4. the chain-map system d_M . f = f . d_K has only the zero solution:
+       not isomorphic;
+    5. a combination of the kernel basis with the weights of
+       ``_quick_weights``, then with weight 1 on the kernel vectors whose
+       free column is the idempotent coefficient between the j-th copies of
+       a summand in both complexes, has invertible blocks: isomorphic;
+    6. over F_p, every weight vector is tried; over Q, the product of the
+       block determinants is expanded symbolically (sympy) and either
+       vanishes (not isomorphic) or yields an invertible combination.
     """
     Mm = minimize(M)
     Km = minimize(K)
@@ -656,20 +704,21 @@ def is_isomorphic(M, K, with_certificate=False):
 
     if Mm.is_zero() and Km.is_zero():
         return done(True, ChainMap.zero(Mm, Km))
-    if not _multisets_match(Mm, Km):
+    if not _multisets_match(Mm, Km) or _arrow_ranks(Mm) != _arrow_ranks(Km):
         return done(False, None)
 
     unknowns = _chain_map_unknowns(Mm, Km)
-    if not unknowns:
-        return done(False, None)
-    eqs = _chain_map_equations(Mm, Km, unknowns)
+    upos = {u: i for i, u in enumerate(unknowns)}
+    eqs = _chain_map_equations(Mm, Km, upos)
     kernel = nullspace(eqs, len(unknowns), alg.field.one)
     if not kernel:
         return done(False, None)
 
-    # group scalar blocks by (degree, vertex, shift); f is invertible iff
-    # each block of idempotent coefficients is
+    # f is invertible iff in each degree the scalar block of idempotent
+    # coefficients between the copies of each (vertex, shift) is; a block
+    # lists the index of the unknown (t, r, c, e_v) per entry
     blocks = []
+    matched = set()
     for t in Mm.terms:
         groups = {}
         for r, (v, s) in enumerate(Mm.terms[t]):
@@ -677,55 +726,42 @@ def is_isomorphic(M, K, with_certificate=False):
         for c, (v, s) in enumerate(Km.terms[t]):
             groups[(v, s)][1].append(c)
         for (v, s), (rs, cs) in groups.items():
-            blocks.append((t, v, rs, cs))
-
-    upos = {u: i for i, u in enumerate(unknowns)}
-
-    def scalar_blocks(weights):
-        coeffs = [alg.field.zero] * len(unknowns)
-        for w, vec in zip(weights, kernel):
-            if w == 0:
-                continue
-            wf = alg.field.of(w)
-            for i, x in enumerate(vec):
-                if x:
-                    coeffs[i] = coeffs[i] + wf * x
-        mats = []
-        for t, v, rs, cs in blocks:
-            mat = []
-            for r in rs:
-                row = []
-                for c in cs:
-                    u = (t, r, c, ("e", v))
-                    row.append(coeffs[upos[u]] if u in upos else alg.field.zero)
-                mat.append(row)
-            mats.append(mat)
-        return coeffs, mats
+            blocks.append([[upos[(t, r, c, ("e", v))] for c in cs] for r in rs])
+            matched.update(upos[(t, r, c, ("e", v))] for r, c in zip(rs, cs))
 
     def accept(weights):
-        coeffs, mats = scalar_blocks(weights)
-        if not all(len(m) == 0 or mat_det(m) for m in mats):
+        terms = [(alg.field.of(w), vec) for w, vec in zip(weights, kernel) if w]
+
+        def coeff(i):
+            acc = alg.field.zero
+            for w, vec in terms:
+                if vec[i]:
+                    acc = acc + w * vec[i]
+            return acc
+
+        if not all(mat_det([[coeff(i) for i in row] for row in blk]) for blk in blocks):
             return None
         mats_by_t = {}
-        for (t, r, c, key), coeff in zip(unknowns, coeffs):
-            if not coeff:
+        for i, (t, r, c, key) in enumerate(unknowns):
+            x = coeff(i)
+            if not x:
                 continue
             mat = mats_by_t.setdefault(
                 t, _zeros(alg, len(Mm.terms[t]), len(Km.terms[t]))
             )
-            mat[r][c] = mat[r][c] + alg.from_key(key, coeff)
+            mat[r][c] = mat[r][c] + alg.from_key(key, x)
         return ChainMap(Mm, Km, mats_by_t)
 
-    for weights in _quick_weights(len(kernel)):
+    # the free column of a kernel vector is its last nonzero entry
+    free = [max(i for i, x in enumerate(vec) if x) for vec in kernel]
+    for weights in chain(_quick_weights(len(kernel)),
+                         [[1 if fc in matched else 0 for fc in free]]):
         cert = accept(weights)
         if cert is not None:
             return done(True, cert)
 
-    degree_bound = sum(len(rs) for _t, _v, rs, _cs in blocks)
     if alg.field.char is not None:
         # small search space: enumerate weight vectors over F_p exhaustively
-        from itertools import product as iproduct
-
         for weights in iproduct(range(alg.field.char), repeat=len(kernel)):
             cert = accept(list(weights))
             if cert is not None:
@@ -736,24 +772,19 @@ def is_isomorphic(M, K, with_certificate=False):
         import sympy
 
         dets = []
-        for t, v, rs, cs in blocks:
-            if not rs:
-                continue
-            mat = sympy.zeros(len(rs), len(cs))
-            for a, r in enumerate(rs):
-                for b, c in enumerate(cs):
-                    u = (t, r, c, ("e", v))
-                    if u not in upos:
-                        continue
+        for blk in blocks:
+            mat = sympy.zeros(len(blk), len(blk[0]))
+            for a, row in enumerate(blk):
+                for b, i in enumerate(row):
                     entry = sympy.Integer(0)
                     for k, vec in enumerate(kernel):
-                        x = vec[upos[u]]
-                        if x:
-                            entry = entry + syms[k] * sympy.Rational(x)
+                        if vec[i]:
+                            entry = entry + syms[k] * sympy.Rational(vec[i])
                     mat[a, b] = entry
             dets.append(mat.det())
         return dets
 
+    degree_bound = sum(len(blk) for blk in blocks)
     point = _symbolic_weights(block_dets_fn, len(kernel), degree_bound)
     if point is None:
         return done(False, None)

@@ -316,16 +316,20 @@ def _imat_pow(m, k):
 _TOKEN = re.compile(r"\(|\)|\^-?\d+|[A-Za-z]+")
 
 
-def parse_elliptic_word(text):
-    """Parse a word over {O, Op, L} with inverses, ^k powers and groups.
-
-    Examples: ``O Op``, ``L^-1 O``, ``(O Op)^6``.  Returns a list of
-    (letter, exponent) pairs with groups expanded.
-    """
+def _parse_elliptic_tree(text):
+    """Parse a word into a tree: a list of (item, exponent) pairs, where an
+    item is a generator name or, for a parenthesized group, such a list."""
     tokens = _TOKEN.findall(text)
     if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
         raise ValueError("malformed elliptic word %r" % (text,))
     pos = 0
+
+    def exponent():
+        nonlocal pos
+        if pos < len(tokens) and tokens[pos].startswith("^"):
+            pos += 1
+            return int(tokens[pos - 1][1:])
+        return 1
 
     def parse_seq(depth):
         nonlocal pos
@@ -342,25 +346,13 @@ def parse_elliptic_word(text):
                 if pos >= len(tokens) or tokens[pos] != ")":
                     raise ValueError("unbalanced '(' in elliptic word")
                 pos += 1
-                k = 1
-                if pos < len(tokens) and tokens[pos].startswith("^"):
-                    k = int(tokens[pos][1:])
-                    pos += 1
-                if k >= 0:
-                    out.extend(group * k)
-                else:
-                    inverse = [(name, -e) for name, e in reversed(group)]
-                    out.extend(inverse * (-k))
+                out.append((group, exponent()))
             elif tok.startswith("^"):
                 raise ValueError("exponent without a base in elliptic word")
             else:
                 if tok not in ELLIPTIC_GENERATORS:
                     raise ValueError("unknown elliptic generator %r" % (tok,))
-                k = 1
-                if pos < len(tokens) and tokens[pos].startswith("^"):
-                    k = int(tokens[pos][1:])
-                    pos += 1
-                out.append((tok, k))
+                out.append((tok, exponent()))
         if depth != 0:
             raise ValueError("unbalanced '(' in elliptic word")
         return out
@@ -368,12 +360,42 @@ def parse_elliptic_word(text):
     return parse_seq(0)
 
 
+def _expand(tree):
+    out = []
+    for item, k in tree:
+        if isinstance(item, str):
+            out.append((item, k))
+        elif k >= 0:
+            out.extend(_expand(item) * k)
+        else:
+            out.extend([(name, -e) for name, e in reversed(_expand(item))] * -k)
+    return out
+
+
+def parse_elliptic_word(text):
+    """Parse a word over {O, Op, L} with inverses, ^k powers and groups.
+
+    Examples: ``O Op``, ``L^-1 O``, ``(O Op)^6``.  Returns a list of
+    (letter, exponent) pairs with groups expanded.
+    """
+    return _expand(_parse_elliptic_tree(text))
+
+
+def _tree_matrix(tree):
+    out = imat_identity(2)
+    for item, k in tree:
+        base = elliptic_generator(item) if isinstance(item, str) else _tree_matrix(item)
+        out = imat_mul(_imat_pow(base, k), out)
+    return out
+
+
 def elliptic_word(word):
     """Matrix of a word over the elliptic generators (column action,
-    letters applied left to right).  Accepts text or (letter, exp) pairs."""
+    letters applied left to right).  Accepts text or (letter, exp) pairs.
+
+    Text is evaluated on its parse tree, a group's power by squaring, so
+    ``(O Op)^k`` costs O(log k) matrix products.
+    """
     if isinstance(word, str):
-        word = parse_elliptic_word(word)
-    out = imat_identity(2)
-    for name, k in word:
-        out = imat_mul(_imat_pow(elliptic_generator(name), k), out)
-    return out
+        word = _parse_elliptic_tree(word)
+    return _tree_matrix(word)

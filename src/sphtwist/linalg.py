@@ -1,54 +1,73 @@
-"""Dense exact linear algebra over the engine's scalar fields.
+"""Sparse exact linear algebra over the engine's scalar fields.
 
-Matrices are lists of lists of scalars (Fraction or Fp).  Everything here is
-one forward Gaussian elimination; sizes stay small because complexes are
-kept minimal, so there is no need for anything fancier.
+A matrix is a list of rows, and a row is either a dense list of scalars
+(Fraction or Fp) or a dict ``{column: scalar}`` of its nonzero entries.
+Everything here is one forward elimination, ``_eliminate``, on the dict
+form.  It clears the columns left to right, keeps an index from each column
+to the rows that are nonzero there, and takes the sparsest of those rows as
+the pivot, which keeps the fill-in small on the chain-map systems of
+``complexes.is_isomorphic`` (thousands of unknowns, a few entries a row).
+The choice of pivot row changes neither the pivot columns nor the kernel
+basis (1 at its free column, 0 at the other free columns), so ranks,
+kernels and determinants are those of textbook Gaussian elimination.
 """
 
+from heapq import heappop, heappush
 
-def _eliminate(rows, ncols):
+
+def _eliminate(rows):
     """Forward elimination on a copy of ``rows``.
 
-    Returns ``(echelon, pivots, product)``: the nonzero echelon rows, their
-    pivot columns, and the product of the pivots times the sign of the row
-    swaps.  Only rows below each pivot are cleared and nothing is
-    normalized.
+    Returns ``(echelon, order)``: one ``(column, row)`` pair per pivot in
+    column order, each row a dict that is zero left of its pivot column and
+    whose pivot entry is nonzero; and the index in ``rows`` of each pivot
+    row.  A pivot row is not cleared by later pivots.
     """
-    m = [list(r) for r in rows]
-    pivots = []
-    product = 1
-    for col in range(ncols):
-        row = len(pivots)
-        if row == len(m):
-            break
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+    live = {}
+    at = {}
+    for i, r in enumerate(rows):
+        row = {c: x for c, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
+        if row:
+            live[i] = row
+            for c in row:
+                at.setdefault(c, set()).add(i)
+    echelon = []
+    order = []
+    for col in sorted(at):
+        cand = at.pop(col)
+        if not cand:
             continue
-        if pivot != row:
-            m[row], m[pivot] = m[pivot], m[row]
-            product = -product
-        pivot_row = m[row]
-        pv = pivot_row[col]
-        product = product * pv
-        for r in range(row + 1, len(m)):
-            target = m[r]
-            if target[col]:
-                factor = target[col] / pv
-                for c in range(col, ncols):
-                    target[c] = target[c] - factor * pivot_row[c]
-        pivots.append(col)
-    return m[: len(pivots)], pivots, product
+        p = min(cand, key=lambda i: (len(live[i]), i))
+        prow = live.pop(p)
+        pv = prow[col]
+        for c in prow:
+            if c != col:
+                at[c].discard(p)
+        for i in cand:
+            if i == p:
+                continue
+            row = live[i]
+            factor = row.pop(col) / pv
+            for c, x in prow.items():
+                if c == col:
+                    continue
+                y = row.get(c)
+                y = -factor * x if y is None else y - factor * x
+                if y:
+                    if c not in row:
+                        at[c].add(i)
+                    row[c] = y
+                elif c in row:
+                    del row[c]
+                    at[c].discard(i)
+        echelon.append((col, prow))
+        order.append(p)
+    return echelon, order
 
 
 def mat_rank(rows):
     """Rank of a matrix."""
-    if not rows:
-        return 0
-    return len(_eliminate(rows, len(rows[0]))[1])
+    return len(_eliminate(rows)[0])
 
 
 def nullspace(rows, ncols, one):
@@ -57,25 +76,41 @@ def nullspace(rows, ncols, one):
     ``rows`` may be empty (kernel is everything).  ``one`` is the field's
     multiplicative unit, used to build the basis vectors.  The vector for a
     free column is 1 there and 0 at every other free column, which pins it
-    down uniquely; the pivot entries come from back-substitution.
+    down uniquely, and its entries right of the free column are 0.  The
+    pivot entries come from back-substitution, which visits only the pivot
+    rows that meet an entry already set.
     """
     zero = one - one
-    echelon, pivots, _product = _eliminate(rows, ncols)
-    pivot_cols = set(pivots)
+    echelon, _order = _eliminate(rows)
+    pivot_cols = {col for col, _row in echelon}
+    meets = {}  # column -> pivots with an entry there besides their pivot
+    for k, (col, row) in enumerate(echelon):
+        for c in row:
+            if c != col:
+                meets.setdefault(c, []).append(k)
     basis = []
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        v = [zero] * ncols
-        v[fc] = one
-        for k in range(len(pivots) - 1, -1, -1):
-            row = echelon[k]
-            acc = row[fc]
-            for c in pivots[k + 1 :]:
-                if row[c]:
-                    acc = acc + row[c] * v[c]
-            v[pivots[k]] = -acc / row[pivots[k]]
-        basis.append(v)
+        v = {fc: one}
+        queued = set(meets.get(fc, ()))
+        heap = sorted(-k for k in queued)
+        # a pivot's entry depends only on the columns right of its own, so
+        # the pivots are solved from the last one down
+        while heap:
+            col, row = echelon[-heappop(heap)]
+            acc = 0
+            for c, x in row.items():
+                if c in v and c != col:
+                    acc = acc + x * v[c]
+            if not acc:
+                continue
+            v[col] = -acc / row[col]
+            for k in meets.get(col, ()):
+                if k not in queued:
+                    queued.add(k)
+                    heappush(heap, -k)
+        basis.append([v.get(c, zero) for c in range(ncols)])
     return basis
 
 
@@ -84,7 +119,25 @@ def mat_det(rows):
     n = len(rows)
     if n == 0:
         return None  # caller treats the empty matrix as invertible
-    _echelon, pivots, product = _eliminate(rows, n)
-    if len(pivots) < n:
-        return rows[0][0] * 0
+    echelon, order = _eliminate(rows)
+    if len(echelon) < n:
+        for r in rows:  # a zero of the rows' field
+            for x in r.values() if isinstance(r, dict) else r:
+                return x * 0
+        return 0
+    product = 1
+    for col, row in echelon:
+        product = product * row[col]
+    # the pivot rows in pivot order form an upper triangular matrix; the
+    # sign is that of the permutation k -> order[k]
+    seen = [False] * n
+    for k in range(n):
+        if seen[k]:
+            continue
+        j = order[k]
+        while j != k:
+            seen[j] = True
+            j = order[j]
+            product = -product
+        seen[k] = True
     return product

@@ -1,5 +1,6 @@
 """Tests for the chain algebra: basis, grading, products, Frobenius trace."""
 
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import make_algebra
 from sphtwist import ChainParams, ZigzagAlgebra
+from sphtwist.algebra import key_str
 from sphtwist.linalg import mat_det
 
 
@@ -225,3 +227,43 @@ def test_describe_round_trips_through_json():
     assert data["n"] == 2 and data["N"] == 2
     assert len(data["basis"]) == 6
     assert data["products"]["a12.a21"] == "l1"
+
+
+def brute_force_table(alg):
+    """The product table by the basis x basis loop over composable pairs."""
+    table = {}
+    for x in alg.basis:
+        for y in alg.basis:
+            if alg.tgt[x] != alg.src[y]:
+                continue
+            if x[0] == "e":
+                table[(x, y)] = y
+            elif y[0] == "e":
+                table[(x, y)] = x
+            elif x[0] == "a" and y[0] == "a" and y[2] == x[1]:
+                table[(x, y)] = ("l", x[1])
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_product_table_matches_brute_force(n):
+    alg = make_algebra(n, 3)
+    want = brute_force_table(alg)
+    assert alg.table == want
+    described = alg.describe()["products"]
+    assert described == {
+        "%s.%s" % (key_str(x), key_str(y)): key_str(z)
+        for (x, y), z in want.items()
+    }
+    assert list(described) == sorted(described)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert alg.hom_basis(i, j) == tuple(
+                k for k in alg.basis if alg.src[k] == i and alg.tgt[k] == j)
+
+
+def test_large_chain_builds_at_once():
+    start = time.perf_counter()
+    alg = make_algebra(400, 3)
+    assert time.perf_counter() - start < 0.05
+    assert len(alg.table) == 9 * 400 - 6

@@ -1,10 +1,21 @@
 """Tests for complexes: shifts, cones, minimization, homs, isomorphism, JSON."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
-from conftest import make_algebra, random_two_term, reversed_summands, seeded
+from conftest import (
+    make_algebra,
+    random_element,
+    random_two_term,
+    random_word,
+    reversed_summands,
+    seeded,
+)
 from sphtwist import (
     ChainMap,
     ProjComplex,
@@ -17,6 +28,8 @@ from sphtwist import (
     is_minimal,
     minimize,
 )
+from sphtwist.complexes import _arrow_ranks, _matmul
+from sphtwist.twists import apply_word
 
 
 @pytest.fixture
@@ -253,6 +266,147 @@ def test_certificate_between_minimized_copies(alg):
         ok, cert = is_isomorphic(M, minimize(M), with_certificate=True)
         assert ok
         assert cert.commutes()
+
+
+def basis_change(M, rng):
+    """M with d_t replaced by F_t . d_t . G_{t+1} for seeded invertible F.
+
+    In each degree F = permutation . (product of elementary matrices); the
+    elementary ones scale a summand or add a homogeneous multiple of one
+    summand to another, so F = E + R with E invertible, and G = F^-1.
+    """
+    alg = M.algebra
+    field = alg.field
+
+    def identity(row):
+        return [[alg.e(v) if a == b else alg.zero() for b in range(len(row))]
+                for a, (v, _s) in enumerate(row)]
+
+    terms, fwd, inv = {}, {}, {}
+    for t, row in M.terms.items():
+        size = len(row)
+        F, G = identity(row), identity(row)
+        for _ in range(2 * size):
+            i, j = rng.randrange(size), rng.randrange(size)
+            E, Einv = identity(row), identity(row)
+            if i == j:
+                c = field.of(rng.choice([-1, 2, 3]))
+                E[i][i] = alg.from_key(("e", row[i][0]), c)
+                Einv[i][i] = alg.from_key(("e", row[i][0]), field.one / c)
+            else:
+                x = random_element(alg, rng, row[i][0], row[j][0],
+                                   row[i][1] - row[j][1])
+                E[i][j], Einv[i][j] = x, -x
+            F, G = _matmul(alg, E, F), _matmul(alg, G, Einv)
+        perm = list(range(size))
+        rng.shuffle(perm)
+        P = [[alg.e(row[perm[a]][0]) if b == perm[a] else alg.zero()
+              for b in range(size)] for a in range(size)]
+        Pinv = [[P[b][a] for b in range(size)] for a in range(size)]
+        terms[t] = [row[perm[a]] for a in range(size)]
+        fwd[t], inv[t] = _matmul(alg, P, F), _matmul(alg, G, Pinv)
+    diffs = {t: _matmul(alg, _matmul(alg, fwd[t], M.mat(t)), inv[t + 1])
+             for t in M.diffs}
+    return ProjComplex(alg, terms, diffs)
+
+
+def repeated_two_term(alg, rng):
+    """A minimal two-term complex whose summands repeat, so that its arrow
+    blocks can have rank 2 and more."""
+    n = alg.params.n
+    src = [(rng.randint(1, n), 0) for _ in range(rng.randint(2, 6))]
+    tgt = [(rng.randint(1, n), rng.choice([-1, -2])) for _ in range(rng.randint(2, 6))]
+    mat = [[random_element(alg, rng, v, v2, s - s2) for v2, s2 in tgt]
+           for v, s in src]
+    return ProjComplex(alg, {0: src, 1: tgt}, {0: mat})
+
+
+@pytest.mark.parametrize("char", [None, 7])
+def test_arrow_ranks_invariant_under_basis_change(char):
+    rng = seeded(41)
+    ranks = set()
+    for n in (2, 3):
+        alg = make_algebra(n, 2, char=char)
+        for _ in range(12):
+            if rng.random() < 0.6:
+                M = repeated_two_term(alg, rng)
+            else:
+                word = random_word(alg, rng, max_len=4)
+                M = apply_word(word, ProjComplex.projective(alg, rng.randint(1, n)))
+            K = basis_change(M, rng)
+            assert is_minimal(K)
+            assert _arrow_ranks(K) == _arrow_ranks(M)
+            if char is None:  # over F_7 some of these reach the p^k search
+                assert is_isomorphic(M, K)
+            ranks.update(_arrow_ranks(M).values())
+    assert ranks >= {1, 2, 3}
+
+
+def test_loop_coefficients_are_not_invariant(alg):
+    # P1 -> P2<-1> + P1<-2>: changing the basis of the target by a21 from
+    # P2<-1> to P1<-2> turns d = [a12, 0] into [a12, -l1], so only arrow
+    # coefficients may enter the rank invariant
+    a12, z = alg.arrow(1, 2), alg.zero()
+    M = two_term(alg, [(1, 0)], [(2, -1), (1, -2)], [[a12, z]])
+    K = two_term(alg, [(1, 0)], [(2, -1), (1, -2)], [[a12, -alg.loop(1)]])
+    assert _arrow_ranks(M) == _arrow_ranks(K) == {(0, ("a", 1, 2), 0, -1): 1}
+    ok, cert = is_isomorphic(M, K, with_certificate=True)
+    assert ok and cert.commutes()
+
+
+def two_copy(char):
+    """P1^2 -> P2<-1>^2 with diag(a12, a12) against diag(0, a12)."""
+    alg = make_algebra(2, 2, char=char)
+    a, z = alg.arrow(1, 2), alg.zero()
+    terms = {0: [(1, 0), (1, 0)], 1: [(2, -1), (2, -1)]}
+    return (ProjComplex(alg, terms, {0: [[a, z], [z, a]]}),
+            ProjComplex(alg, terms, {0: [[z, z], [z, a]]}))
+
+
+@pytest.mark.parametrize("char", [31, 101, None])
+def test_two_copy_pair_rejected_by_arrow_ranks(char):
+    M, K = two_copy(char)
+    start = time.perf_counter()
+    assert is_isomorphic(M, K, with_certificate=True) == (False, None)
+    assert time.perf_counter() - start < 1
+
+
+def test_two_copy_pair_needs_no_sympy():
+    code = (
+        "import sys\n"
+        "from test_complexes import two_copy\n"
+        "from sphtwist import is_isomorphic\n"
+        "for char in (31, 101, None):\n"
+        "    assert not is_isomorphic(*two_copy(char))\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([here, src]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+@pytest.mark.parametrize("char", [7, 101, None])
+def test_repeated_summand_with_zero_differential(char):
+    # P2<0> -> P2<-1>^3 with d = 0: every map is a chain map, and the unit
+    # vectors and the fixed weight rows give idempotent blocks of rank <= 2
+    alg = make_algebra(2, 2, char=char)
+    M = ProjComplex(alg, {0: [(2, 0)], 1: [(2, -1)] * 3})
+    start = time.perf_counter()
+    ok, cert = is_isomorphic(M, M, with_certificate=True)
+    assert time.perf_counter() - start < 1
+    assert ok
+    assert cert.commutes()
+    assert cert.mats == ChainMap.identity(M).mats
+
+
+def test_self_isomorphism_at_89_summands(alg):
+    M = apply_word([1, -2] * 5, ProjComplex.projective(alg, 1))
+    assert M.total_summands() == 89
+    start = time.perf_counter()
+    ok, cert = is_isomorphic(M, M, with_certificate=True)
+    assert time.perf_counter() - start < 1
+    assert ok and cert.commutes()
 
 
 # ----------------------------------------------------------------------

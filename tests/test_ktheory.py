@@ -1,5 +1,6 @@
 """Tests for Euler classes, Burau matrices, lattices and the elliptic action."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -317,3 +318,11 @@ def test_elliptic_huge_exponent_by_squaring():
 def test_elliptic_word_rejects(text):
     with pytest.raises(ValueError):
         elliptic_word(text)
+
+
+def test_elliptic_group_power_by_squaring():
+    # (O Op) has order 6 and 10^9 = 4 mod 6
+    start = time.perf_counter()
+    assert elliptic_word("(O Op)^1000000000") == elliptic_word("(O Op)^4")
+    assert elliptic_word("((O Op)^-999999999 L)^3") == elliptic_word("((O Op)^3 L)^3")
+    assert time.perf_counter() - start < 0.1

@@ -91,3 +91,91 @@ def test_edge_cases():
     ]
     assert nullspace([], 0, one) == []
     assert mat_det([]) is None
+
+
+def as_dicts(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def sparse_matrix(field, rng, nrows, ncols):
+    """About three nonzeros a row; some rows are combinations of others."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) > 1 and rng.random() < 0.15:
+            a, b = rng.sample(rows, 2)
+            k = field.of(rng.randint(-3, 3))
+            rows.append([x + k * y for x, y in zip(a, b)])
+            continue
+        row = [field.zero] * ncols
+        for c in rng.sample(range(ncols), min(ncols, 3)):
+            row[c] = field.of(rng.choice([1, -1, 2, -3, 5]))
+        rows.append(row)
+    return rows
+
+
+def matmul(field, A, B):
+    out = [[field.zero] * len(B[0]) for _ in A]
+    for r, row in enumerate(A):
+        for k, a in enumerate(row):
+            if a:
+                for c, b in enumerate(B[k]):
+                    if b:
+                        out[r][c] = out[r][c] + a * b
+    return out
+
+
+def textbook_det(field, rows):
+    """Dense Gaussian elimination, the first nonzero entry as pivot."""
+    m = [list(r) for r in rows]
+    det = field.one
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return field.zero
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col]
+        for r in range(col + 1, len(m)):
+            if m[r][col]:
+                factor = m[r][col] / m[col][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_dict_rows_agree_with_dense_rows(field):
+    rng = seeded(33)
+    for _ in range(150):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
+        rows = random_matrix(field, rng, nrows, ncols)
+        assert mat_rank(as_dicts(rows)) == mat_rank(rows)
+        assert nullspace(as_dicts(rows), ncols, field.one) == nullspace(
+            rows, ncols, field.one)
+        square = random_matrix(field, rng, ncols, ncols)
+        assert mat_det(as_dicts(square)) == mat_det(square)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_sparse_matrices_up_to_60(field):
+    rng = seeded(34)
+    for size in (10, 25, 40, 60):
+        rows = sparse_matrix(field, rng, rng.randint(size // 2, size), size)
+        rank = mat_rank(rows)
+        kernel = nullspace(as_dicts(rows), size, field.one)
+        assert 0 < rank < size and rank + len(kernel) == size
+        # the vector for a free column is 1 there, 0 at the other free
+        # columns and 0 right of its own
+        free = [max(c for c, x in enumerate(v) if x) for v in kernel]
+        assert free == sorted(set(free))
+        for v, fc in zip(kernel, free):
+            assert [v[c] for c in free] == [field.one if c == fc else 0 for c in free]
+            for row in rows:
+                assert sum((a * b for a, b in zip(row, v)), field.zero) == 0
+        A = sparse_matrix(field, rng, size, size)
+        B = sparse_matrix(field, rng, size, size)
+        for i in range(size):  # a unit diagonal makes singularity rare
+            A[i][i] = A[i][i] + field.one
+        assert mat_det(A) and mat_det(matmul(field, A, B)) == mat_det(A) * mat_det(B)
+        assert mat_det(A) == textbook_det(field, A)
+        assert mat_det(B) == textbook_det(field, B)

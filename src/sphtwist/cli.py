@@ -134,7 +134,11 @@ def cmd_lattice(args):
             raise ValueError("--t expects three comma-separated integers")
         lattice = build_tdiagram(*parts)
     else:
-        lattice = IntersectionLattice(json.loads(args.matrix))
+        try:
+            form = json.loads(args.matrix)
+        except RecursionError:  # the C decoder recurses once per nested list
+            raise ValueError("--matrix is nested too deeply")
+        lattice = IntersectionLattice(form)
     report = definiteness(lattice)
     data = {"lattice": lattice.to_dict(), "definiteness": report.to_dict()}
     lines = [

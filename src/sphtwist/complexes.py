@@ -13,6 +13,18 @@ Conventions (fixed once, used everywhere):
   d(m, k) = (-d_M m, f(m) + d_K k).
 * Homological shift [t0] relabels degrees t -> t - t0 and multiplies the
   differential by (-1)^t0; internal shift <s0> adds s0 to every summand.
+
+Storage: inside this module every matrix (a differential, a chain map, the
+scalar differential of a hom complex) is a list of rows, one dict
+``{column: entry}`` per row holding its nonzero entries only, and every
+construction iterates over those entries.  Only this module reads or writes
+that format.  Dense matrices appear at the boundary alone: the public
+constructors take them (and validate them before converting), and
+``ProjComplex.diffs``, ``ChainMap.mats``, ``GradedVectorComplex.diffs`` and
+``mat(t)`` are dense views built on first use.  The internal builders go
+through the unvalidated ``_from_rows`` constructors.  Rows are never
+changed once a complex or map holds them (``minimize`` works on copies),
+so objects may share them.
 """
 
 
@@ -21,42 +33,52 @@ from itertools import chain, product as iproduct
 from .linalg import mat_det, mat_rank, nullspace
 
 
-def _zeros(algebra, nrows, ncols):
-    return [[algebra.zero() for _ in range(ncols)] for _ in range(nrows)]
+def _has_idempotent(x):
+    return any(key[0] == "e" for key in x.coeffs)
 
 
-def _matmul(algebra, A, B):
-    if not A or not B:
-        return []
-    ncols = len(B[0])
-    out = _zeros(algebra, len(A), ncols)
-    for r, row in enumerate(A):
-        for k, x in enumerate(row):
-            if x.is_zero():
-                continue
-            brow = B[k]
-            for c in range(ncols):
-                if not brow[c].is_zero():
-                    out[r][c] = out[r][c] + x * brow[c]
+def _sparse(mat):
+    """Dict rows of the nonzero entries of a dense matrix of algebra elements."""
+    return [{c: x for c, x in enumerate(row) if x.coeffs} for row in mat]
+
+
+def _dense(rows, ncols, zero):
+    return [[row.get(c, zero) for c in range(ncols)] for row in rows]
+
+
+def _rows_product(A, B):
+    """The product of two dict-row matrices, as dict rows."""
+    out = []
+    for row in A:
+        acc = {}
+        for k, x in row.items():
+            for c, y in B[k].items():
+                p = x * y
+                if p.coeffs:
+                    p = acc[c] + p if c in acc else p
+                    if p.coeffs:
+                        acc[c] = p
+                    else:
+                        del acc[c]
+        out.append(acc)
     return out
 
 
-def _mat_is_zero(A):
-    return all(x.is_zero() for row in A for x in row)
-
-
-def _check_entries(alg, what, t, mat, srcs, tgts):
-    """Raise ValueError unless ``mat`` is a matrix of entries srcs -> tgts.
-
-    It must have shape len(srcs) x len(tgts), and entry (r, c) must lie in
-    e_v A e_v' and be homogeneous of degree s - s', where srcs[r] = (v, s)
-    and tgts[c] = (v', s').
-    """
-    if len(mat) != len(srcs) or any(len(r) != len(tgts) for r in mat):
+def _check_shape(what, t, mat, nrows, ncols):
+    if len(mat) != nrows or any(len(r) != ncols for r in mat):
         raise ValueError("%s at degree %d has wrong shape" % (what, t))
-    for r, (v, s) in enumerate(srcs):
-        for c, (v2, s2) in enumerate(tgts):
-            for key in mat[r][c].coeffs:
+
+
+def _check_entries(alg, what, t, rows, srcs, tgts):
+    """Raise ValueError unless ``rows`` holds entries srcs -> tgts.
+
+    Entry (r, c) must lie in e_v A e_v' and be homogeneous of degree
+    s - s', where srcs[r] = (v, s) and tgts[c] = (v', s').
+    """
+    for r, ((v, s), row) in enumerate(zip(srcs, rows)):
+        for c, x in row.items():
+            v2, s2 = tgts[c]
+            for key in x.coeffs:
                 if alg.src[key] != v or alg.tgt[key] != v2 or alg.deg[key] != s - s2:
                     raise ValueError(
                         "%s entry (%d,%d) at degree %d is not in e_%d A e_%d "
@@ -65,50 +87,70 @@ def _check_entries(alg, what, t, mat, srcs, tgts):
 
 
 class ProjComplex:
-    """A bounded complex of shifted projectives P_v<s> with d^2 = 0."""
+    """A bounded complex of shifted projectives P_v<s> with d^2 = 0.
+
+    ``diffs`` may give dense matrices for some degrees; a missing one is
+    zero.  With ``check`` they are validated (shape, entries, d^2 = 0).
+    """
 
     def __init__(self, algebra, terms, diffs=None, check=True):
         self.algebra = algebra
         self.terms = {
             t: tuple(tuple(s) for s in row) for t, row in terms.items() if row
         }
-        diffs = diffs or {}
-        self.diffs = {}
-        for t in self.terms:
-            if t + 1 not in self.terms:
-                continue
-            mat = diffs.get(t)
-            if mat is None:
-                mat = _zeros(algebra, len(self.terms[t]), len(self.terms[t + 1]))
-            self.diffs[t] = tuple(tuple(row) for row in mat)
+        rows = {}
+        for t, mat in (diffs or {}).items():
+            if t in self.terms and t + 1 in self.terms:
+                if check:
+                    _check_shape("differential", t, mat, len(self.terms[t]),
+                                 len(self.terms[t + 1]))
+                rows[t] = _sparse(mat)
+        self._set_rows(rows)
         if check:
             self._validate()
+
+    @classmethod
+    def _from_rows(cls, algebra, terms, rows):
+        """Unvalidated constructor: ``terms`` maps degrees to nonempty tuples
+        of summands, ``rows`` degrees to dict rows of nonzero entries."""
+        self = cls.__new__(cls)
+        self.algebra = algebra
+        self.terms = terms
+        self._set_rows(rows)
+        return self
+
+    def _set_rows(self, rows):
+        # one dict row per summand of every degree t with t + 1 in terms
+        terms = self.terms
+        self._rows = {
+            t: rows.get(t) or [{} for _ in row]
+            for t, row in terms.items() if t + 1 in terms
+        }
+        self._diffs = None
 
     def _validate(self):
         alg = self.algebra
         for t, row in self.terms.items():
             for v, s in row:
                 alg.check_vertex(v)
-        for t, mat in self.diffs.items():
-            _check_entries(alg, "differential", t, mat,
+        for t, rows in self._rows.items():
+            _check_entries(alg, "differential", t, rows,
                            self.terms[t], self.terms[t + 1])
-        for t in self.diffs:
-            if t + 1 in self.diffs:
-                sq = _matmul(self.algebra, self.mat(t), self.mat(t + 1))
-                if not _mat_is_zero(sq):
-                    raise ValueError("d^2 != 0 between degrees %d and %d" % (t, t + 2))
+        for t, rows in self._rows.items():
+            if t + 1 in self._rows and any(_rows_product(rows, self._rows[t + 1])):
+                raise ValueError("d^2 != 0 between degrees %d and %d" % (t, t + 2))
 
     # ------------------------------------------------------------------
 
     @classmethod
     def zero(cls, algebra):
-        return cls(algebra, {}, check=False)
+        return cls._from_rows(algebra, {}, {})
 
     @classmethod
     def projective(cls, algebra, vertex, shift=0, degree=0):
         """The one-term complex P_vertex<shift> in homological degree ``degree``."""
         algebra.check_vertex(vertex)
-        return cls(algebra, {degree: [(vertex, shift)]}, check=False)
+        return cls._from_rows(algebra, {degree: ((vertex, shift),)}, {})
 
     def is_zero(self):
         return not self.terms
@@ -122,24 +164,33 @@ class ProjComplex:
     def total_summands(self):
         return sum(len(row) for row in self.terms.values())
 
+    @property
+    def diffs(self):
+        """Dense view {t: matrix} for every t with t + 1 in ``terms``."""
+        if self._diffs is None:
+            zero = self.algebra.zero()
+            self._diffs = {
+                t: tuple(map(tuple, _dense(rows, len(self.terms[t + 1]), zero)))
+                for t, rows in self._rows.items()
+            }
+        return self._diffs
+
     def mat(self, t):
-        """Differential at degree t as a mutable list-of-lists."""
-        if t in self.diffs:
-            return [list(row) for row in self.diffs[t]]
-        return _zeros(
-            self.algebra, len(self.terms.get(t, ())), len(self.terms.get(t + 1, ()))
-        )
+        """Differential at degree t as a mutable dense list-of-lists."""
+        ncols = len(self.terms.get(t + 1, ()))
+        rows = self._rows.get(t) or [{} for _ in self.terms.get(t, ())]
+        return _dense(rows, ncols, self.algebra.zero())
 
     def shift(self, t0, s0):
         terms = {
             t - t0: tuple((v, s + s0) for v, s in row) for t, row in self.terms.items()
         }
-        sign = -1 if t0 % 2 else 1
-        diffs = {
-            t - t0: [[x.scale(sign) for x in row] for row in mat]
-            for t, mat in self.diffs.items()
-        }
-        return ProjComplex(self.algebra, terms, diffs, check=False)
+        rows = self._rows
+        if t0 % 2:
+            rows = {t: [{c: -x for c, x in row.items()} for row in mat]
+                    for t, mat in rows.items()}
+        return ProjComplex._from_rows(
+            self.algebra, terms, {t - t0: mat for t, mat in rows.items()})
 
     def __eq__(self, other):
         if not isinstance(other, ProjComplex):
@@ -148,7 +199,7 @@ class ProjComplex:
             self.algebra.params == other.algebra.params
             and self.algebra.field == other.algebra.field
             and self.terms == other.terms
-            and self.diffs == other.diffs
+            and self._rows == other._rows
         )
 
     def __repr__(self):
@@ -166,15 +217,13 @@ class ProjComplex:
     def to_dict(self):
         alg = self.algebra
         diffs = {}
-        for t, mat in self.diffs.items():
+        for t, rows in self._rows.items():
             triplets = []
-            for r, row in enumerate(mat):
-                for c, x in enumerate(row):
-                    if x.is_zero():
-                        continue
+            for r, row in enumerate(rows):
+                for c in sorted(row):
                     coeffs = {
                         ":".join(str(p) for p in key): alg.field.scalar_to_str(v)
-                        for key, v in sorted(x.coeffs.items())
+                        for key, v in sorted(row[c].coeffs.items())
                     }
                     triplets.append([r, c, coeffs])
             diffs[str(t)] = triplets
@@ -203,9 +252,10 @@ class ProjComplex:
         diffs = {}
         for t_str, triplets in data["diffs"].items():
             t = int(t_str)
-            mat = _zeros(algebra, len(terms[t]), len(terms[t + 1]))
+            zero = algebra.zero()
+            mat = [[zero] * len(terms[t + 1]) for _ in terms[t]]
             for r, c, coeffs in triplets:
-                val = algebra.zero()
+                val = zero
                 for key_str, cstr in coeffs.items():
                     parts = key_str.split(":")
                     key = (parts[0],) + tuple(int(p) for p in parts[1:])
@@ -216,71 +266,93 @@ class ProjComplex:
 
 
 class ChainMap:
-    """A bidegree-(0,0) chain map between two complexes over one algebra."""
+    """A bidegree-(0,0) chain map between two complexes over one algebra.
+
+    ``mats`` may give dense matrices for some degrees; a missing one is
+    zero.  With ``check`` they are validated (shape, entries, commuting
+    with the differentials).
+    """
 
     def __init__(self, source, target, mats, check=True):
         if source.algebra is not target.algebra:
             raise ValueError("source and target live over different algebras")
-        self.source = source
-        self.target = target
-        self.mats = {}
-        for t in source.terms:
-            if t not in target.terms:
-                continue
-            mat = mats.get(t)
-            if mat is None:
-                mat = _zeros(source.algebra, len(source.terms[t]), len(target.terms[t]))
-            self.mats[t] = tuple(tuple(row) for row in mat)
+        rows = {}
+        for t, mat in mats.items():
+            if t in source.terms and t in target.terms:
+                if check:
+                    _check_shape("chain map", t, mat, len(source.terms[t]),
+                                 len(target.terms[t]))
+                rows[t] = _sparse(mat)
+        self._set_rows(source, target, rows)
         if check:
             self._validate()
 
+    @classmethod
+    def _from_rows(cls, source, target, rows):
+        """Unvalidated constructor from dict rows of nonzero entries."""
+        self = cls.__new__(cls)
+        self._set_rows(source, target, rows)
+        return self
+
+    def _set_rows(self, source, target, rows):
+        # one dict row per source summand of every degree both complexes share
+        self.source = source
+        self.target = target
+        self._rows = {
+            t: rows.get(t) or [{} for _ in row]
+            for t, row in source.terms.items() if t in target.terms
+        }
+        self._mats = None
+
     def _validate(self):
-        for t, mat in self.mats.items():
-            _check_entries(self.source.algebra, "chain map", t, mat,
+        for t, rows in self._rows.items():
+            _check_entries(self.source.algebra, "chain map", t, rows,
                            self.source.terms[t], self.target.terms[t])
         if not self.commutes():
             raise ValueError("not a chain map: f does not commute with d")
 
+    @property
+    def mats(self):
+        """Dense view {t: matrix} for every t where both complexes have terms."""
+        if self._mats is None:
+            zero = self.source.algebra.zero()
+            self._mats = {
+                t: tuple(map(tuple, _dense(rows, len(self.target.terms[t]), zero)))
+                for t, rows in self._rows.items()
+            }
+        return self._mats
+
     def mat(self, t):
-        if t in self.mats:
-            return [list(row) for row in self.mats[t]]
-        return _zeros(
-            self.source.algebra,
-            len(self.source.terms.get(t, ())),
-            len(self.target.terms.get(t, ())),
-        )
+        ncols = len(self.target.terms.get(t, ()))
+        rows = self._rows.get(t) or [{} for _ in self.source.terms.get(t, ())]
+        return _dense(rows, ncols, self.source.algebra.zero())
 
     def commutes(self):
-        alg = self.source.algebra
-        degrees = set(self.source.terms) | set(self.target.terms)
-        for t in degrees:
-            lhs = _matmul(alg, self.source.mat(t), self.mat(t + 1))
-            rhs = _matmul(alg, self.mat(t), self.target.mat(t))
-            nr = len(self.source.terms.get(t, ()))
-            nc = len(self.target.terms.get(t + 1, ()))
-            if nr == 0 or nc == 0:
+        """True when d_M[t] . f[t+1] = f[t] . d_K[t] in every degree t."""
+        M, K = self.source, self.target
+        for t in M.terms:
+            if t + 1 not in K.terms:
                 continue
-            if not lhs:
-                lhs = _zeros(alg, nr, nc)
-            if not rhs:
-                rhs = _zeros(alg, nr, nc)
+            zero = [{} for _ in M.terms[t]]
+            d, f1 = M._rows.get(t), self._rows.get(t + 1)
+            f, dk = self._rows.get(t), K._rows.get(t)
+            lhs = _rows_product(d, f1) if d and f1 else zero
+            rhs = _rows_product(f, dk) if f and dk else zero
             if lhs != rhs:
                 return False
         return True
 
     @classmethod
     def zero(cls, source, target):
-        return cls(source, target, {}, check=False)
+        return cls._from_rows(source, target, {})
 
     @classmethod
     def identity(cls, M):
-        mats = {}
-        for t, row in M.terms.items():
-            mat = _zeros(M.algebra, len(row), len(row))
-            for r, (v, _s) in enumerate(row):
-                mat[r][r] = M.algebra.e(v)
-            mats[t] = mat
-        return cls(M, M, mats, check=False)
+        rows = {
+            t: [{r: M.algebra.e(v)} for r, (v, _s) in enumerate(row)]
+            for t, row in M.terms.items()
+        }
+        return cls._from_rows(M, M, rows)
 
 
 def cone(f):
@@ -292,38 +364,28 @@ def cone(f):
     API boundary, and the internal builders construct chain maps directly.
     """
     M, K = f.source, f.target
-    alg = M.algebra
     terms = {}
-    degrees = set()
-    for t in M.terms:
-        degrees.add(t - 1)
-    degrees |= set(K.terms)
-    for t in degrees:
-        row = tuple(M.terms.get(t + 1, ())) + tuple(K.terms.get(t, ()))
+    for t in {t - 1 for t in M.terms} | set(K.terms):
+        row = M.terms.get(t + 1, ()) + K.terms.get(t, ())
         if row:
             terms[t] = row
-    diffs = {}
+    rows = {}
     for t in terms:
         if t + 1 not in terms:
             continue
-        m_src = M.terms.get(t + 1, ())
-        k_src = K.terms.get(t, ())
-        m_tgt = M.terms.get(t + 2, ())
-        k_tgt = K.terms.get(t + 1, ())
-        mat = _zeros(alg, len(m_src) + len(k_src), len(m_tgt) + len(k_tgt))
-        dm = M.mat(t + 1)
-        fm = f.mat(t + 1)
-        dk = K.mat(t)
-        for r in range(len(m_src)):
-            for c in range(len(m_tgt)):
-                mat[r][c] = -dm[r][c]
-            for c in range(len(k_tgt)):
-                mat[r][len(m_tgt) + c] = fm[r][c]
-        for r in range(len(k_src)):
-            for c in range(len(k_tgt)):
-                mat[len(m_src) + r][len(m_tgt) + c] = dk[r][c]
-        diffs[t] = mat
-    return ProjComplex(alg, terms, diffs, check=False)
+        off = len(M.terms.get(t + 2, ()))
+        dm, fm, dk = M._rows.get(t + 1), f._rows.get(t + 1), K._rows.get(t)
+        mat = []
+        for r in range(len(M.terms.get(t + 1, ()))):
+            row = {c: -x for c, x in dm[r].items()} if dm else {}
+            if fm:
+                for c, x in fm[r].items():
+                    row[off + c] = x
+            mat.append(row)
+        for r in range(len(K.terms.get(t, ()))):
+            mat.append({off + c: x for c, x in dk[r].items()} if dk else {})
+        rows[t] = mat
+    return ProjComplex._from_rows(M.algebra, terms, rows)
 
 
 # ----------------------------------------------------------------------
@@ -341,65 +403,74 @@ def minimize(M):
     column).  The result has all entries in the span of arrows and loops.
     """
     alg = M.algebra
-    terms = {t: list(row) for t, row in M.terms.items()}
-    diffs = {t: M.mat(t) for t in M.diffs}
+    rows = {t: [dict(row) for row in mat] for t, mat in M._rows.items()}
+    dead = {t: set() for t in M.terms}  # cancelled summands, by degree
 
     # One sweep suffices.  A cancellation at (t, r, c) changes entries of
     # degree t only, by (entry in column c) . pivot^{-1} . (entry in row r);
     # earlier degrees merely lose a column.  Every entry already passed is in
     # the radical (arrows and loops), so its column-c factor is too, and the
     # radical is an ideal: nothing passed can become invertible, and the scan
-    # resumes at the same row index with the same pivots a full rescan finds.
-    for t in sorted(diffs):
-        mat = diffs.get(t)
-        r = 0
-        while mat is not None and r < len(mat):
-            for c, x in enumerate(mat[r]):
-                inv = alg.invert_local(x)
+    # goes on with the next row and the same pivots a full rescan finds.
+    # Summands keep their indices until one renumbering at the end.
+    for t in sorted(rows):
+        mat = rows[t]
+        at = {}  # column -> live rows with an entry there
+        for r, row in enumerate(mat):
+            if r in dead[t]:
+                continue
+            for c in row:
+                at.setdefault(c, set()).add(r)
+        for r, row in enumerate(mat):
+            if r in dead[t]:
+                continue
+            for c in sorted(c for c, x in row.items() if _has_idempotent(x)):
+                inv = alg.invert_local(row[c])
                 if inv is not None:
                     break
             else:
-                r += 1
                 continue
-            col_entries = [mat[rr][c] for rr in range(len(mat))]
-            row_entries = list(mat[r])
-            for rr in range(len(mat)):
-                if rr == r or col_entries[rr].is_zero():
-                    continue
-                factor = col_entries[rr] * inv
-                for cc in range(len(mat[rr])):
-                    if cc == c or row_entries[cc].is_zero():
+            for cc in row:
+                at[cc].discard(r)
+            for rr in at.pop(c):
+                target = mat[rr]
+                factor = target.pop(c) * inv
+                for cc, y in row.items():
+                    if cc == c:
                         continue
-                    mat[rr][cc] = mat[rr][cc] - factor * row_entries[cc]
-            # drop summand r in degree t and summand c in degree t+1
-            del terms[t][r]
-            del terms[t + 1][c]
-            for row in mat:
-                del row[c]
-            del mat[r]
-            if t - 1 in diffs:
-                for row in diffs[t - 1]:
-                    del row[r]
-            if t + 1 in diffs:
-                del diffs[t + 1][c]
-            for tt in (t - 1, t, t + 1):
-                if tt in diffs and (not diffs[tt] or not diffs[tt][0]):
-                    del diffs[tt]
-            for tt in (t, t + 1):
-                if not terms[tt]:
-                    del terms[tt]
-            mat = diffs.get(t)
-    return ProjComplex(alg, terms, diffs, check=False)
+                    x = target.get(cc)
+                    x = x - factor * y if x is not None else -(factor * y)
+                    if x.coeffs:
+                        if cc not in target:
+                            at[cc].add(rr)
+                        target[cc] = x
+                    elif cc in target:
+                        del target[cc]
+                        at[cc].discard(rr)
+            mat[r] = {}
+            dead[t].add(r)
+            dead[t + 1].add(c)
+
+    new = {}  # degree -> {old index: new index} of the surviving summands
+    terms = {}
+    for t, row in M.terms.items():
+        keep = [i for i in range(len(row)) if i not in dead[t]]
+        if keep:
+            new[t] = {i: k for k, i in enumerate(keep)}
+            terms[t] = tuple(row[i] for i in keep)
+    out = {}
+    for t in terms:
+        if t + 1 in terms:
+            cols = new[t + 1]
+            out[t] = [{cols[c]: x for c, x in rows[t][r].items() if c in cols}
+                      for r in new[t]]
+    return ProjComplex._from_rows(alg, terms, out)
 
 
 def is_minimal(M):
     """True when no differential entry has a nonzero idempotent coefficient."""
-    for t, mat in M.diffs.items():
-        for row in mat:
-            for x in row:
-                if any(k[0] == "e" for k in x.coeffs):
-                    return False
-    return True
+    return not any(_has_idempotent(x)
+                   for mat in M._rows.values() for row in mat for x in row.values())
 
 
 # ----------------------------------------------------------------------
@@ -414,13 +485,31 @@ class GradedVectorComplex:
     """
 
     def __init__(self, field, basis, diffs):
+        rows = {m: [{c: x for c, x in enumerate(r) if x} for r in mat]
+                for m, mat in diffs.items()}
+        self._set(field, basis, rows)
+
+    @classmethod
+    def _from_rows(cls, field, basis, rows):
+        """Unvalidated constructor from dict rows of nonzero scalars."""
+        self = cls.__new__(cls)
+        self._set(field, basis, rows)
+        return self
+
+    def _set(self, field, basis, rows):
         self.field = field
         self.basis = {m: list(row) for m, row in basis.items() if row}
-        self.diffs = {
-            m: [list(r) for r in mat]
-            for m, mat in diffs.items()
-            if m in self.basis and m + 1 in self.basis
-        }
+        self._rows = {m: mat for m, mat in rows.items()
+                      if m in self.basis and m + 1 in self.basis}
+        self._diffs = None
+
+    @property
+    def diffs(self):
+        """Dense view {m: matrix} of the differentials."""
+        if self._diffs is None:
+            self._diffs = {m: _dense(rows, len(self.basis[m + 1]), self.field.zero)
+                           for m, rows in self._rows.items()}
+        return self._diffs
 
     def dims(self):
         """Bigraded dimensions {(homological, internal): dim}."""
@@ -433,31 +522,34 @@ class GradedVectorComplex:
     def total_dim(self):
         return sum(len(row) for row in self.basis.values())
 
-    def _restrict(self, m, s):
-        """Indices of degree-s basis vectors in homological degree m."""
-        return [i for i, (si, _l) in enumerate(self.basis.get(m, [])) if si == s]
-
-    def _diff_block(self, m, s):
-        """The internal-degree-s block of diffs[m], as dict rows for mat_rank."""
-        if m not in self.diffs:
-            return []
-        cols = self._restrict(m + 1, s)
-        mat = self.diffs[m]
-        return [{j: mat[r][c] for j, c in enumerate(cols) if mat[r][c]}
-                for r in self._restrict(m, s)]
-
     def homology(self):
         """Bigraded homology dimensions, by exact rank computations."""
+        where = {}  # (m, s) -> indices of the degree-s basis vectors of basis[m]
+        for m, row in self.basis.items():
+            for i, (s, _label) in enumerate(row):
+                where.setdefault((m, s), []).append(i)
+        ranks = {}
+
+        def rank(m, s):
+            """Rank of the internal-degree-s block of the differential at m."""
+            if (m, s) not in ranks:
+                rows = self._rows.get(m)
+                cols = set(where.get((m + 1, s), ()))
+                block = []
+                if rows and cols:
+                    block = [{c: x for c, x in rows[r].items() if c in cols}
+                             for r in where.get((m, s), ())]
+                ranks[(m, s)] = mat_rank(block) if block else 0
+            return ranks[(m, s)]
+
         out = {}
         internal = {s for row in self.basis.values() for s, _l in row}
         for m in self.basis:
             for s in internal:
-                n_here = len(self._restrict(m, s))
+                n_here = len(where.get((m, s), ()))
                 if n_here == 0:
                     continue
-                rk_out = mat_rank(self._diff_block(m, s))
-                rk_in = mat_rank(self._diff_block(m - 1, s))
-                h = n_here - rk_out - rk_in
+                h = n_here - rank(m, s) - rank(m - 1, s)
                 if h:
                     out[(m, s)] = h
         return out
@@ -475,6 +567,7 @@ def _hom_projective(i, M, dual):
     alg = M.algebra
     alg.check_vertex(i)
     sign = -1 if dual else 1
+    table = alg.table
 
     def paths(j):
         return alg.hom_basis(j, i) if dual else alg.hom_basis(i, j)
@@ -488,21 +581,71 @@ def _hom_projective(i, M, dual):
                 index[(t, r, key)] = len(vecs)
                 vecs.append((alg.deg[key] + sign * s, (r, key)))
         basis[sign * t] = vecs
-    diffs = {}
-    for t, mat in M.diffs.items():
+    rows = {}
+    for t, mat in M._rows.items():
         src, tgt = (t + 1, t) if dual else (t, t + 1)
-        out = [[alg.field.zero] * len(basis[sign * tgt]) for _ in basis[sign * src]]
-        for a, (j, _s) in enumerate(M.terms[src]):
-            for key in paths(j):
-                src_idx = index[(src, a, key)]
-                phi = alg.from_key(key)
-                for b in range(len(M.terms[tgt])):
-                    prod = mat[b][a] * phi if dual else phi * mat[a][b]
-                    for key2, coeff in prod.coeffs.items():
-                        tgt_idx = index[(tgt, b, key2)]
-                        out[src_idx][tgt_idx] = out[src_idx][tgt_idx] + coeff
-        diffs[sign * src] = out
-    return GradedVectorComplex(alg.field, basis, diffs)
+        out = [{} for _ in basis[sign * src]]
+        for a, row in enumerate(mat):
+            for b, x in row.items():
+                # x runs from summand a of M^t to summand b of M^{t+1}; the
+                # path phi sits on summand u of M^src, the result on w
+                u, w = (b, a) if dual else (a, b)
+                for key in paths(M.terms[src][u][0]):
+                    acc = out[index[(src, u, key)]]
+                    for k1, coeff in x.coeffs.items():
+                        key2 = table.get((k1, key) if dual else (key, k1))
+                        if key2 is None:
+                            continue
+                        j = index[(tgt, w, key2)]
+                        y = acc.get(j)
+                        y = coeff if y is None else y + coeff
+                        if y:
+                            acc[j] = y
+                        else:
+                            del acc[j]
+        rows[sign * src] = out
+    return GradedVectorComplex._from_rows(alg.field, basis, rows)
+
+
+def _tensor_projective(i, H, M, dual=False):
+    """The evaluation chain map P_i (x) H -> M for a hom complex H of M.
+
+    A basis vector of H of internal degree s in homological degree m becomes
+    the summand P_i<s> in degree m, and a scalar entry c of the differential
+    becomes c e_i.  The vector labelled (r, key) pairs with summand r of M
+    through the basis path ``key``, which is the map's entry.  With ``dual``
+    (H = RHom(M, P_i)) both degrees are negated, the differential is
+    transposed and the co-evaluation M -> P_i (x) H^dual is returned.
+    """
+    alg = M.algebra
+    sign = -1 if dual else 1
+    terms = {}
+    maps = {}
+    for m, row in H.basis.items():
+        t = sign * m
+        terms[t] = tuple((i, sign * s) for s, _label in row)
+        if dual:
+            mat = [{} for _ in M.terms[t]]
+            for idx, (_s, (r, key)) in enumerate(row):
+                mat[r][idx] = alg.from_key(key)
+        else:
+            mat = [{r: alg.from_key(key)} for _s, (r, key) in row]
+        maps[t] = mat
+    rows = {}
+    for m, mat in H._rows.items():
+        if dual:
+            out = [{} for _ in H.basis[m + 1]]
+            for a, row in enumerate(mat):
+                for b, x in row.items():
+                    out[b][a] = alg.from_key(("e", i), x)
+            rows[-m - 1] = out
+        else:
+            rows[m] = [{c: alg.from_key(("e", i), x) for c, x in row.items()}
+                       for row in mat]
+    tensor = ProjComplex._from_rows(alg, terms, rows)
+    if dual:
+        return ChainMap._from_rows(M, tensor, maps)
+    return ChainMap._from_rows(tensor, M, maps)
 
 
 def hom_from_projective(i, M):
@@ -548,10 +691,10 @@ def _arrow_ranks(M):
     out.
     """
     blocks = {}
-    for t, mat in M.diffs.items():
+    for t, mat in M._rows.items():
         src, tgt = M.terms[t], M.terms[t + 1]
         for r, row in enumerate(mat):
-            for c, x in enumerate(row):
+            for c, x in row.items():
                 for key, coeff in x.coeffs.items():
                     if key[0] == "a":
                         block = blocks.setdefault((t, key, src[r][1], tgt[c][1]), {})
@@ -598,10 +741,8 @@ def _chain_map_equations(M, K, pos):
         if not m_src or not k_tgt:
             continue
         # d_M[t] . f[t+1]  contributions
-        for r, row in enumerate(M.diffs.get(t, ())):
-            for mid, x in enumerate(row):
-                if x.is_zero():
-                    continue
+        for r, row in enumerate(M._rows.get(t, ())):
+            for mid, x in row.items():
                 v_mid = M.terms[t + 1][mid][0]
                 for c, (v2, _s2) in enumerate(k_tgt):
                     for key in hom_basis(v_mid, v2):
@@ -613,14 +754,14 @@ def _chain_map_equations(M, K, pos):
                             if key2 is not None:
                                 add((t, r, c, key2), i, coeff)
         # - f[t] . d_K[t]  contributions
-        dk = K.diffs.get(t, ())
+        dk = K._rows.get(t, ())
         for r, (v, _s) in enumerate(m_src):
             for mid, row in enumerate(dk):
                 for key in hom_basis(v, K.terms[t][mid][0]):
                     i = pos.get((t, r, mid, key))
                     if i is None:
                         continue
-                    for c, x in enumerate(row):
+                    for c, x in row.items():
                         for k2, coeff in x.coeffs.items():
                             key2 = table.get((key, k2))
                             if key2 is not None:
@@ -741,16 +882,17 @@ def is_isomorphic(M, K, with_certificate=False):
 
         if not all(mat_det([[coeff(i) for i in row] for row in blk]) for blk in blocks):
             return None
-        mats_by_t = {}
+        rows = {}
         for i, (t, r, c, key) in enumerate(unknowns):
             x = coeff(i)
             if not x:
                 continue
-            mat = mats_by_t.setdefault(
-                t, _zeros(alg, len(Mm.terms[t]), len(Km.terms[t]))
-            )
-            mat[r][c] = mat[r][c] + alg.from_key(key, x)
-        return ChainMap(Mm, Km, mats_by_t)
+            row = rows.setdefault(t, [{} for _ in Mm.terms[t]])[r]
+            y = alg.from_key(key, x)
+            row[c] = row[c] + y if c in row else y
+        cert = ChainMap._from_rows(Mm, Km, rows)
+        cert._validate()
+        return cert
 
     # the free column of a kernel vector is its last nonzero entry
     free = [max(i for i, x in enumerate(vec) if x) for vec in kernel]

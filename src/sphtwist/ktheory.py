@@ -318,75 +318,66 @@ _TOKEN = re.compile(r"\(|\)|\^-?\d+|[A-Za-z]+")
 
 def _parse_elliptic_tree(text):
     """Parse a word into a tree: a list of (item, exponent) pairs, where an
-    item is a generator name or, for a parenthesized group, such a list."""
+    item is a generator name or, for a parenthesized group, such a list.
+
+    Groups are kept on an explicit stack, so nesting depth is bounded by
+    memory only, not by the interpreter's recursion limit.
+    """
     tokens = _TOKEN.findall(text)
     if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
         raise ValueError("malformed elliptic word %r" % (text,))
+    stack = [[]]  # the open groups, outermost first
     pos = 0
-
-    def exponent():
-        nonlocal pos
-        if pos < len(tokens) and tokens[pos].startswith("^"):
-            pos += 1
-            return int(tokens[pos - 1][1:])
-        return 1
-
-    def parse_seq(depth):
-        nonlocal pos
-        out = []
-        while pos < len(tokens):
-            tok = tokens[pos]
-            if tok == ")":
-                if depth == 0:
-                    raise ValueError("unbalanced ')' in elliptic word")
-                return out
-            pos += 1
-            if tok == "(":
-                group = parse_seq(depth + 1)
-                if pos >= len(tokens) or tokens[pos] != ")":
-                    raise ValueError("unbalanced '(' in elliptic word")
-                pos += 1
-                out.append((group, exponent()))
-            elif tok.startswith("^"):
-                raise ValueError("exponent without a base in elliptic word")
-            else:
-                if tok not in ELLIPTIC_GENERATORS:
-                    raise ValueError("unknown elliptic generator %r" % (tok,))
-                out.append((tok, exponent()))
-        if depth != 0:
-            raise ValueError("unbalanced '(' in elliptic word")
-        return out
-
-    return parse_seq(0)
-
-
-def _expand(tree):
-    out = []
-    for item, k in tree:
-        if isinstance(item, str):
-            out.append((item, k))
-        elif k >= 0:
-            out.extend(_expand(item) * k)
+    while pos < len(tokens):
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            stack.append([])
+            continue
+        if tok.startswith("^"):
+            raise ValueError("exponent without a base in elliptic word")
+        if tok == ")":
+            if len(stack) == 1:
+                raise ValueError("unbalanced ')' in elliptic word")
+            item = stack.pop()
+        elif tok in ELLIPTIC_GENERATORS:
+            item = tok
         else:
-            out.extend([(name, -e) for name, e in reversed(_expand(item))] * -k)
-    return out
-
-
-def parse_elliptic_word(text):
-    """Parse a word over {O, Op, L} with inverses, ^k powers and groups.
-
-    Examples: ``O Op``, ``L^-1 O``, ``(O Op)^6``.  Returns a list of
-    (letter, exponent) pairs with groups expanded.
-    """
-    return _expand(_parse_elliptic_tree(text))
+            raise ValueError("unknown elliptic generator %r" % (tok,))
+        k = 1
+        if pos < len(tokens) and tokens[pos].startswith("^"):
+            k = int(tokens[pos][1:])
+            pos += 1
+        stack[-1].append((item, k))
+    if len(stack) != 1:
+        raise ValueError("unbalanced '(' in elliptic word")
+    return stack[0]
 
 
 def _tree_matrix(tree):
-    out = imat_identity(2)
-    for item, k in tree:
-        base = elliptic_generator(item) if isinstance(item, str) else _tree_matrix(item)
-        out = imat_mul(_imat_pow(base, k), out)
-    return out
+    """Matrix of a parse tree, evaluated with an explicit stack.
+
+    A frame holds a group's pairs, the index of the next pair and the
+    product of the pairs before it; a finished group is raised to its
+    exponent and multiplied into its parent's product.
+    """
+    stack = [(tree, 0, imat_identity(2))]
+    while True:
+        items, i, acc = stack.pop()
+        if i == len(items):
+            if not stack:
+                return acc
+            parent, j, parent_acc = stack.pop()
+            k = parent[j][1]
+            stack.append((parent, j + 1, imat_mul(_imat_pow(acc, k), parent_acc)))
+            continue
+        item, k = items[i]
+        if isinstance(item, str):
+            base = elliptic_generator(item)
+            stack.append((items, i + 1, imat_mul(_imat_pow(base, k), acc)))
+        else:
+            stack.append((items, i, acc))
+            stack.append((item, 0, imat_identity(2)))
 
 
 def elliptic_word(word):

@@ -8,9 +8,8 @@ minimized, so sizes stay proportional to the homology they carry.
 from dataclasses import dataclass, field
 
 from .complexes import (
-    ChainMap,
     ProjComplex,
-    _zeros,
+    _tensor_projective,
     cone,
     hom_from_projective,
     hom_to_projective,
@@ -47,35 +46,6 @@ def check_word(letters, n):
     return list(letters)
 
 
-def _tensor_projective(i, H, M, dual=False):
-    """P_i (x) H for a hom complex H of M, with its (co-)evaluation matrices.
-
-    A basis vector of H of internal degree s in homological degree m becomes
-    the summand P_i<s> in degree m, and a scalar entry c of the differential
-    becomes c e_i.  The vector labelled (r, key) pairs with summand r of M
-    through the basis path ``key``, which is the map's entry.  With ``dual``
-    (H = RHom(M, P_i)) both degrees are negated, the differential is
-    transposed and the map runs from M into the tensor.
-    """
-    alg = M.algebra
-    sign = -1 if dual else 1
-    terms = {}
-    maps = {}
-    for m, row in H.basis.items():
-        t = sign * m
-        terms[t] = [(i, sign * s) for s, _label in row]
-        mat = _zeros(alg, len(row), len(M.terms[t]))
-        for idx, (_s, (r, key)) in enumerate(row):
-            mat[idx][r] = alg.from_key(key)
-        maps[t] = [list(col) for col in zip(*mat)] if dual else mat
-    diffs = {}
-    for m, mat in H.diffs.items():
-        if dual:
-            m, mat = -m - 1, zip(*mat)
-        diffs[m] = [[alg.from_key(("e", i), x) for x in row] for row in mat]
-    return ProjComplex(alg, terms, diffs, check=False), maps
-
-
 def twist(i, M):
     """Twist at vertex i: the cone of the evaluation P_i (x) RHom(P_i, M) -> M.
 
@@ -86,8 +56,7 @@ def twist(i, M):
     M.algebra.check_vertex(i)
     if M.is_zero():
         return M
-    tensor, ev = _tensor_projective(i, hom_from_projective(i, M), M)
-    return minimize(cone(ChainMap(tensor, M, ev, check=False)))
+    return minimize(cone(_tensor_projective(i, hom_from_projective(i, M), M)))
 
 
 def untwist(i, M):
@@ -103,8 +72,8 @@ def untwist(i, M):
     M.algebra.check_vertex(i)
     if M.is_zero():
         return M
-    tensor, coev = _tensor_projective(i, hom_to_projective(M, i), M, dual=True)
-    return minimize(cone(ChainMap(M, tensor, coev, check=False)).shift(-1, 0))
+    coev = _tensor_projective(i, hom_to_projective(M, i), M, dual=True)
+    return minimize(cone(coev).shift(-1, 0))
 
 
 def apply_letter(g, M):

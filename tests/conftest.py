@@ -1,8 +1,16 @@
-"""Shared helpers: seeded random complexes and words for fuzz-style tests."""
+"""Shared helpers: seeded random complexes and words for fuzz-style tests,
+and a dense-matrix reference for cone, minimize and the twists."""
 
 import random
 
-from sphtwist import ChainParams, ProjComplex, ZigzagAlgebra
+from sphtwist import (
+    ChainMap,
+    ChainParams,
+    ProjComplex,
+    ZigzagAlgebra,
+    hom_from_projective,
+    hom_to_projective,
+)
 
 
 def make_algebra(n, N, degrees=None, char=None):
@@ -58,3 +66,144 @@ def random_word(alg, rng, max_len=6):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# ----------------------------------------------------------------------
+# dense reference: the engine's earlier dense-matrix constructions, kept to
+# check the sparse ones against literally
+
+
+def _zeros(algebra, nrows, ncols):
+    return [[algebra.zero() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _matmul(algebra, A, B):
+    if not A or not B:
+        return []
+    ncols = len(B[0])
+    out = _zeros(algebra, len(A), ncols)
+    for r, row in enumerate(A):
+        for k, x in enumerate(row):
+            if x.is_zero():
+                continue
+            brow = B[k]
+            for c in range(ncols):
+                if not brow[c].is_zero():
+                    out[r][c] = out[r][c] + x * brow[c]
+    return out
+
+
+def dense_cone(f):
+    """Mapping cone of f: M -> K, [[-d_M, f], [0, d_K]], on dense matrices."""
+    M, K = f.source, f.target
+    alg = M.algebra
+    terms = {}
+    degrees = {t - 1 for t in M.terms} | set(K.terms)
+    for t in degrees:
+        row = tuple(M.terms.get(t + 1, ())) + tuple(K.terms.get(t, ()))
+        if row:
+            terms[t] = row
+    diffs = {}
+    for t in terms:
+        if t + 1 not in terms:
+            continue
+        m_src = M.terms.get(t + 1, ())
+        k_src = K.terms.get(t, ())
+        m_tgt = M.terms.get(t + 2, ())
+        k_tgt = K.terms.get(t + 1, ())
+        mat = _zeros(alg, len(m_src) + len(k_src), len(m_tgt) + len(k_tgt))
+        dm = M.mat(t + 1)
+        fm = f.mat(t + 1)
+        dk = K.mat(t)
+        for r in range(len(m_src)):
+            for c in range(len(m_tgt)):
+                mat[r][c] = -dm[r][c]
+            for c in range(len(k_tgt)):
+                mat[r][len(m_tgt) + c] = fm[r][c]
+        for r in range(len(k_src)):
+            for c in range(len(k_tgt)):
+                mat[len(m_src) + r][len(m_tgt) + c] = dk[r][c]
+        diffs[t] = mat
+    return ProjComplex(alg, terms, diffs, check=False)
+
+
+def dense_minimize(M):
+    """Gaussian elimination on dense matrices, pivots by (degree, row, column)."""
+    alg = M.algebra
+    terms = {t: list(row) for t, row in M.terms.items()}
+    diffs = {t: M.mat(t) for t in M.diffs}
+    for t in sorted(diffs):
+        mat = diffs.get(t)
+        r = 0
+        while mat is not None and r < len(mat):
+            for c, x in enumerate(mat[r]):
+                inv = alg.invert_local(x)
+                if inv is not None:
+                    break
+            else:
+                r += 1
+                continue
+            col_entries = [mat[rr][c] for rr in range(len(mat))]
+            row_entries = list(mat[r])
+            for rr in range(len(mat)):
+                if rr == r or col_entries[rr].is_zero():
+                    continue
+                factor = col_entries[rr] * inv
+                for cc in range(len(mat[rr])):
+                    if cc == c or row_entries[cc].is_zero():
+                        continue
+                    mat[rr][cc] = mat[rr][cc] - factor * row_entries[cc]
+            del terms[t][r]
+            del terms[t + 1][c]
+            for row in mat:
+                del row[c]
+            del mat[r]
+            if t - 1 in diffs:
+                for row in diffs[t - 1]:
+                    del row[r]
+            if t + 1 in diffs:
+                del diffs[t + 1][c]
+            for tt in (t - 1, t, t + 1):
+                if tt in diffs and (not diffs[tt] or not diffs[tt][0]):
+                    del diffs[tt]
+            for tt in (t, t + 1):
+                if not terms[tt]:
+                    del terms[tt]
+            mat = diffs.get(t)
+    return ProjComplex(alg, terms, diffs, check=False)
+
+
+def dense_tensor_projective(i, H, M, dual=False):
+    """P_i (x) H with its (co-)evaluation matrices, from H's dense view."""
+    alg = M.algebra
+    sign = -1 if dual else 1
+    terms = {}
+    maps = {}
+    for m, row in H.basis.items():
+        t = sign * m
+        terms[t] = [(i, sign * s) for s, _label in row]
+        mat = _zeros(alg, len(row), len(M.terms[t]))
+        for idx, (_s, (r, key)) in enumerate(row):
+            mat[idx][r] = alg.from_key(key)
+        maps[t] = [list(col) for col in zip(*mat)] if dual else mat
+    diffs = {}
+    for m, mat in H.diffs.items():
+        if dual:
+            m, mat = -m - 1, zip(*mat)
+        diffs[m] = [[alg.from_key(("e", i), x) for x in row] for row in mat]
+    return ProjComplex(alg, terms, diffs, check=False), maps
+
+
+def dense_twist(i, M):
+    if M.is_zero():
+        return M
+    tensor, ev = dense_tensor_projective(i, hom_from_projective(i, M), M)
+    return dense_minimize(dense_cone(ChainMap(tensor, M, ev, check=False)))
+
+
+def dense_untwist(i, M):
+    if M.is_zero():
+        return M
+    tensor, coev = dense_tensor_projective(i, hom_to_projective(M, i), M, dual=True)
+    cone = dense_cone(ChainMap(M, tensor, coev, check=False))
+    return dense_minimize(cone.shift(-1, 0))

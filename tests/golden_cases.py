@@ -12,6 +12,7 @@ Regenerate the file only when an output is meant to change::
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -71,6 +72,25 @@ def cli_cases():
             for w1, w2 in COMPARE_PAIRS[n]:
                 out["compare n=%d F=%s %r %r" % (n, fname, w1, w2)] = _cli(
                     ["compare"] + chain + ["--w1", w1, "--w2", w2])
+    return out
+
+
+def scale_cases():
+    """Larger CLI runs, pinned by the sha256 of their stdout."""
+    out = {}
+    ladder = " ".join(["1 -2"] * 6)
+    runs = {
+        "act --json [1,-2]^6 P1": ["act", "--json", "--word", ladder],
+        "compare --json [1,-2]^4+[1,2,1] [1,-2]^4+[2,1,2]": [
+            "compare", "--json", "--w1", " ".join(["1 -2"] * 4 + ["1 2 1"]),
+            "--w2", " ".join(["1 -2"] * 4 + ["2 1 2"])],
+    }
+    for name, argv in runs.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        out["sha256 " + name] = "exit %d\nsha256 %s" % (code, digest)
     return out
 
 
@@ -140,6 +160,7 @@ def library_cases():
 def all_cases():
     out = cli_cases()
     out.update(library_cases())
+    out.update(scale_cases())
     return out
 
 

@@ -19,6 +19,7 @@ from conftest import (
     seeded,
 )
 from sphtwist import (
+    ChainMap,
     ProjComplex,
     apply_word,
     build_tdiagram,
@@ -41,7 +42,6 @@ from sphtwist import (
 from sphtwist.ktheory import imat_identity, imat_mul
 from sphtwist.laurent import laurent_mat_vec
 from sphtwist.linalg import mat_det
-from sphtwist.twists import ChainMap
 
 
 def run_criterion(number, limit_seconds, body):

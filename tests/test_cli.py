@@ -244,6 +244,29 @@ def test_elliptic_huge_power_answers(capsys):
     assert out.splitlines()[0] == "matrix: [[1, -1000000000], [0, 1]]"
 
 
+def test_elliptic_deep_balanced_nesting(capsys):
+    word = "(" * 3000 + "O" + ")" * 3000
+    code, out, err = run(capsys, "elliptic", "--word", word)
+    assert code == 0
+    assert out.splitlines()[0] == "matrix: [[1, -1], [0, 1]]"
+    assert "Traceback" not in err
+
+
+def test_elliptic_deep_unbalanced_nesting(capsys):
+    word = "(" * 3000 + "O" + ")" * 2999
+    code, out, err = run(capsys, "elliptic", "--word", word)
+    assert code == 2
+    assert out == ""
+    assert "unbalanced" in err and "Traceback" not in err
+
+
+def test_lattice_deeply_nested_matrix(capsys):
+    code, out, err = run(capsys, "lattice", "--matrix", "[" * 100000 + "]" * 100000)
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # dump-algebra and determinism
 

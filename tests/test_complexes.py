@@ -9,6 +9,11 @@ import time
 import pytest
 
 from conftest import (
+    _matmul,
+    dense_cone,
+    dense_minimize,
+    dense_twist,
+    dense_untwist,
     make_algebra,
     random_element,
     random_two_term,
@@ -28,8 +33,8 @@ from sphtwist import (
     is_minimal,
     minimize,
 )
-from sphtwist.complexes import _arrow_ranks, _matmul
-from sphtwist.twists import apply_word
+from sphtwist.complexes import _arrow_ranks, _tensor_projective
+from sphtwist.twists import apply_word, twist, untwist
 
 
 @pytest.fixture
@@ -469,3 +474,122 @@ def test_validation_rejects_mistyped_entry(alg, kind, case):
     build((1, 1), (2, 0))
     with pytest.raises(ValueError):
         build(*BAD_ARROW_ENTRIES[case])
+
+
+# ----------------------------------------------------------------------
+# sparse storage against the dense reference
+
+
+def reference_cases(alg, rng, count):
+    """Seeded complexes: two-term ones, some of them moved by a short word."""
+    for _ in range(count):
+        M = random_two_term(alg, rng)
+        if rng.random() < 0.5:
+            M = apply_word(random_word(alg, rng, max_len=3), M)
+        yield M
+
+
+def assert_literally_equal(got, want):
+    assert got.terms == want.terms
+    assert got.diffs == want.diffs
+    assert got == want
+
+
+@pytest.mark.parametrize("char", [None, 7])
+def test_sparse_constructions_equal_dense_reference(char):
+    count = 0
+    for n in (2, 3):
+        alg = make_algebra(n, 2, char=char)
+        rng = seeded(6000 + n + (char or 0))
+        for M in reference_cases(alg, rng, 50):
+            K = random_two_term(alg, rng)
+            i = rng.randint(1, n)
+            ev = _tensor_projective(i, hom_from_projective(i, M), M)
+            for X in (M, reversed_summands(M)):
+                count += 1
+                maps = [ChainMap.identity(X), ChainMap.zero(X, K),
+                        ChainMap.zero(K, X.shift(1, 0))]
+                if X is M:
+                    maps.append(ev)
+                for f in maps:
+                    assert_literally_equal(cone(f), dense_cone(f))
+                    assert_literally_equal(minimize(cone(f)),
+                                           dense_minimize(dense_cone(f)))
+                for j in range(1, n + 1):
+                    assert_literally_equal(twist(j, X), dense_twist(j, X))
+                    assert_literally_equal(untwist(j, X), dense_untwist(j, X))
+    assert count == 200
+
+
+def test_dense_views_keep_their_shape(alg):
+    M = two_term(alg, [(1, 1), (2, 0)], [(2, 0)], [[alg.arrow(1, 2)], [alg.zero()]])
+    assert set(M.diffs) == {0}
+    assert M.diffs[0][1][0].is_zero() and M.diffs[0][0][0] == alg.arrow(1, 2)
+    assert M.mat(0) == [[alg.arrow(1, 2)], [alg.zero()]]
+    assert M.mat(5) == []
+    C = cone(ChainMap.zero(M, M))  # M[1] + M: degrees -1, 0 and 1
+    assert sorted(C.diffs) == [-1, 0]
+    assert len(C.diffs[-1]) == 2 and len(C.diffs[-1][0]) == 3
+    assert len(C.diffs[0]) == 3 and len(C.diffs[0][0]) == 1
+    assert C.diffs[-1][0][0] == -alg.arrow(1, 2)
+    assert all(x.is_zero() for row in C.diffs[-1] for x in row[1:])
+    f = ChainMap.identity(M)
+    assert sorted(f.mats) == [0, 1]
+    assert f.mats[0][1][1] == alg.e(2) and f.mats[0][0][1].is_zero()
+    H = hom_from_projective(1, M)
+    assert set(H.diffs) == {0}
+    for m, mat in H.diffs.items():
+        assert len(mat) == len(H.basis[m])
+        assert all(len(row) == len(H.basis[m + 1]) for row in mat)
+
+
+def test_hot_path_builds_no_dense_view(alg):
+    M = apply_word([1, -2] * 3, ProjComplex.projective(alg, 1))
+    K = apply_word([1, -2] * 3 + [1, 2, 1, -2, -1, -2], ProjComplex.projective(alg, 1))
+    homology_table(M)
+    hom_to_projective(M, 2)
+    ok, cert = is_isomorphic(M, K, with_certificate=True)
+    assert ok and cert.commutes()
+    views = [C._diffs for C in (M, K, cert.source, cert.target)]
+    assert views == [None] * 4 and cert._mats is None
+
+
+def test_constructor_rejects_wrong_shape(alg):
+    with pytest.raises(ValueError):
+        two_term(alg, [(1, 1)], [(2, 0)], [[alg.arrow(1, 2), alg.zero()]])
+    P = ProjComplex.projective(alg, 1)
+    with pytest.raises(ValueError):
+        ChainMap(P, P, {0: [[alg.e(1)], [alg.e(1)]]})
+
+
+# ----------------------------------------------------------------------
+# scale: the pseudo-Anosov ladder [1,-2]^8
+
+
+def test_ladder_m8_is_fast(alg):
+    start = time.perf_counter()
+    M = apply_word([1, -2] * 8, ProjComplex.projective(alg, 1))
+    elapsed = time.perf_counter() - start
+    assert M.total_summands() == 1597
+    assert elapsed < 0.5
+
+
+def test_ladder_m8_peak_memory():
+    # VmHWM, not ru_maxrss: a child started by fork and exec reports the
+    # parent's peak as its ru_maxrss on Linux
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs the Linux VmHWM counter")
+    code = (
+        "from sphtwist import ProjComplex, ZigzagAlgebra, apply_word\n"
+        "alg = ZigzagAlgebra((2, 2))\n"
+        "M = apply_word([1, -2] * 8, ProjComplex.projective(alg, 1))\n"
+        "assert M.total_summands() == 1597\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print([l for l in fh if l.startswith('VmHWM:')][0].split()[1])\n"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(here), "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         timeout=60, capture_output=True, text=True).stdout
+    peak_mb = int(out.split()[-1]) / 1024.0  # VmHWM is in kB
+    assert peak_mb < 60

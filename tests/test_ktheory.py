@@ -23,7 +23,7 @@ from sphtwist import (
     strange_duality_rank_check,
     twist,
 )
-from sphtwist.ktheory import imat_identity, imat_mul, parse_elliptic_word
+from sphtwist.ktheory import _parse_elliptic_tree, imat_identity, imat_mul
 from sphtwist.laurent import (
     LaurentPoly,
     laurent_identity,
@@ -299,10 +299,26 @@ def test_elliptic_determinants():
 
 
 def test_elliptic_word_parsing():
-    assert parse_elliptic_word("O Op") == [("O", 1), ("Op", 1)]
-    assert parse_elliptic_word("L^-1 O") == [("L", -1), ("O", 1)]
-    assert parse_elliptic_word("(O Op)^2") == [("O", 1), ("Op", 1)] * 2
-    assert parse_elliptic_word("(O Op)^-1") == [("Op", -1), ("O", -1)]
+    assert _parse_elliptic_tree("O Op") == [("O", 1), ("Op", 1)]
+    assert _parse_elliptic_tree("L^-1 O") == [("L", -1), ("O", 1)]
+    assert _parse_elliptic_tree("(O Op)^2") == [([("O", 1), ("Op", 1)], 2)]
+    assert elliptic_word("(O Op)^2") == elliptic_word("O Op O Op")
+    assert _parse_elliptic_tree("(O Op)^-1") == [([("O", 1), ("Op", 1)], -1)]
+    assert elliptic_word("(O Op)^-1") == elliptic_word("Op^-1 O^-1")
+
+
+def test_elliptic_deep_nesting_without_recursion():
+    depth = 5000
+    tree = _parse_elliptic_tree("(" * depth + "O Op" + ")^-1" * depth)
+    for _ in range(depth):
+        (tree, k), = tree
+        assert k == -1
+    assert tree == [("O", 1), ("Op", 1)]
+    # an odd number of inversions leaves one inverse
+    assert (elliptic_word("(" * depth + "O" + ")^-1" * depth)
+            == elliptic_word("O"))
+    assert (elliptic_word("(" * (depth + 1) + "O" + ")^-1" * (depth + 1))
+            == elliptic_word("O^-1"))
 
 
 def test_elliptic_huge_exponent_by_squaring():

@@ -29,6 +29,10 @@ EXIT_RELATION_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_DISTINCT = 3
 
+# `lattice` prints the form (rank^2 entries) and, with --reflections, one
+# rank x rank matrix per node; beyond this many entries it refuses.
+LATTICE_MAX_ENTRIES = 10**7
+
 
 def _add_chain_args(p):
     p.add_argument("--n", type=int, default=2, help="number of chain objects")
@@ -127,11 +131,19 @@ def cmd_compare(args):
     return EXIT_DISTINCT if report.distinct else EXIT_OK
 
 
+def _check_lattice_size(rank, reflections):
+    entries = rank**2 + (rank**3 if reflections else 0)
+    if rank > 0 and entries > LATTICE_MAX_ENTRIES:
+        raise ValueError("a lattice of rank %d would print %d entries, over "
+                         "the limit of %d" % (rank, entries, LATTICE_MAX_ENTRIES))
+
+
 def cmd_lattice(args):
     if args.t:
         parts = [int(x) for x in args.t.split(",")]
         if len(parts) != 3:
             raise ValueError("--t expects three comma-separated integers")
+        _check_lattice_size(sum(parts) - 2, args.reflections)
         lattice = build_tdiagram(*parts)
     else:
         try:
@@ -139,6 +151,7 @@ def cmd_lattice(args):
         except RecursionError:  # the C decoder recurses once per nested list
             raise ValueError("--matrix is nested too deeply")
         lattice = IntersectionLattice(form)
+        _check_lattice_size(lattice.rank, args.reflections)
     report = definiteness(lattice)
     data = {"lattice": lattice.to_dict(), "definiteness": report.to_dict()}
     lines = [

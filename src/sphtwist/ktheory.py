@@ -10,11 +10,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import (
-    LaurentPoly,
-    laurent_identity,
-    laurent_mat_mul,
-)
+from .laurent import LaurentPoly, _add_product, laurent_identity
 
 
 # ----------------------------------------------------------------------
@@ -41,33 +37,57 @@ def chi_q(algebra, i, j):
     return out
 
 
-def burau_letter(g, algebra):
-    """Matrix of a single twist letter on Euler classes.
+def _letter_row(g, algebra):
+    """Row |g| of the matrix of letter g, as {column: {exponent: coefficient}}.
 
     The twist at i acts by [M] -> [M] - chi_q(P_i, M) [P_i]; its inverse
     uses the dual pairing, which substitutes q -> q^{-1} and transposes
-    the hom direction.
+    the hom direction.  Every other row is the identity's, and the row is
+    nonzero only where e_i A e_j is, at j = i-1, i, i+1.
     """
-    n = algebra.params.n
     i = abs(g)
     algebra.check_vertex(i)
-    mat = laurent_identity(n)
-    for j in range(1, n + 1):
+    row = {}
+    for j in range(1, algebra.params.n + 1):
         if g > 0:
             pairing = chi_q(algebra, i, j)
         else:
             pairing = chi_q(algebra, j, i).substitute_inverse()
-        mat[i - 1][j - 1] = mat[i - 1][j - 1] - pairing
+        entry = (LaurentPoly.one() - pairing if i == j else -pairing).coeffs
+        if entry:
+            row[j - 1] = entry
+    return row
+
+
+def burau_letter(g, algebra):
+    """Matrix of a single twist letter on Euler classes."""
+    i = abs(g)
+    mat = laurent_identity(algebra.params.n)
+    row = _letter_row(g, algebra)
+    mat[i - 1] = [LaurentPoly(row.get(j)) for j in range(len(mat))]
     return mat
 
 
 def burau_matrix(letters, algebra):
-    """Matrix of a braid word on Euler classes (column action)."""
+    """Matrix of a braid word on Euler classes (column action).
+
+    A letter changes one row of the product: row |g| becomes its letter
+    row times the product, which reads at most three rows.  The product
+    is kept as coefficient dicts and wrapped in LaurentPoly once.
+    """
     n = algebra.params.n
-    out = laurent_identity(n)
+    out = [[{0: 1} if r == c else {} for c in range(n)] for r in range(n)]
+    rows = {}
     for g in letters:
-        out = laurent_mat_mul(burau_letter(g, algebra), out)
-    return out
+        row = rows.get(g)
+        if row is None:
+            row = rows[g] = _letter_row(g, algebra)
+        new = [{} for _ in range(n)]
+        for j, entry in row.items():
+            for acc, poly in zip(new, out[j]):
+                _add_product(acc, entry, poly)
+        out[abs(g) - 1] = new
+    return [[LaurentPoly(poly) for poly in row] for row in out]
 
 
 # ----------------------------------------------------------------------
@@ -125,30 +145,43 @@ def an_minus2_lattice(n):
 
 
 def pl_reflection(v, lattice):
-    """Reflection x -> x + <x, v> v in a -2-vector, as a column-action matrix."""
-    if lattice.pairing(v, v) != -2:
-        raise ValueError("reflection vector must have square -2, got %d"
-                         % lattice.pairing(v, v))
+    """Reflection x -> x + <x, v> v in a -2-vector, as a column-action matrix.
+
+    Its matrix is I + v w^T with w = form.v, summed over the nonzero
+    entries of v only.
+    """
     r = lattice.rank
-    out = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for j in range(r):
-        ej = [1 if k == j else 0 for k in range(r)]
-        c = lattice.pairing(ej, v)
-        for i in range(r):
-            out[i][j] += c * v[i]
-    return out
+    support = [(k, v[k]) for k in range(r) if v[k]]
+    w = [sum(row[k] * x for k, x in support) for row in lattice.form]
+    square = sum(x * w[k] for k, x in support)
+    if square != -2:
+        raise ValueError("reflection vector must have square -2, got %d" % square)
+    return [
+        [(1 if i == j else 0) + c * v[i] for j, c in enumerate(w)]
+        for i in range(r)
+    ]
 
 
 def pl_product(letters, n):
-    """Product of A_n basis reflections for a braid word (column action)."""
-    lattice = an_minus2_lattice(n)
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    """Product of A_n basis reflections for a braid word (column action).
+
+    The reflection in e_i changes one row of the product: row i gains
+    sum_j form[i][j] * row j.
+    """
+    support = [
+        [(j, c) for j, c in enumerate(row) if c]
+        for row in an_minus2_lattice(n).form
+    ]
+    out = imat_identity(n)
     for g in letters:
         i = abs(g)
         if not 1 <= i <= n:
             raise ValueError("letter %r out of range" % (g,))
-        v = [1 if k == i - 1 else 0 for k in range(n)]
-        out = imat_mul(pl_reflection(v, lattice), out)
+        coeffs = [(c, out[j]) for j, c in support[i - 1]]
+        out[i - 1] = [
+            x + sum(c * row[col] for c, row in coeffs)
+            for col, x in enumerate(out[i - 1])
+        ]
     return out
 
 
@@ -191,25 +224,27 @@ class DefinitenessReport:
 
 
 def definiteness(lattice):
-    """Exact inertia of the form via rational congruence diagonalization.
+    """Exact inertia of the form via sparse rational congruence
+    diagonalization.
 
-    No floating point: works over Fractions, handling zero diagonals with
-    the hyperbolic-pair basis change e_i -> e_i + e_j.
+    No floating point: works over Fractions on dict rows that hold only the
+    nonzero entries among the active indices, and handles zero diagonals
+    with the hyperbolic-pair basis change e_i -> e_i + e_j.  The form stays
+    symmetric, so row k also serves as column k.  Pivot: the first active
+    index with a nonzero diagonal, else the first pair (i, j) with
+    A[i][j] != 0.
     """
-    r = lattice.rank
-    A = [[Fraction(x) for x in row] for row in lattice.form]
-    active = list(range(r))
+    A = [
+        {j: Fraction(x) for j, x in enumerate(row) if x}
+        for row in lattice.form
+    ]
+    active = list(range(lattice.rank))
     pos = neg = zero = 0
     while active:
-        k = next((i for i in active if A[i][i] != 0), None)
+        k = next((i for i in active if i in A[i]), None)
         if k is None:
             pair = next(
-                (
-                    (i, j)
-                    for i in active
-                    for j in active
-                    if i != j and A[i][j] != 0
-                ),
+                ((i, min(j for j in A[i] if j != i)) for i in active if A[i]),
                 None,
             )
             if pair is None:
@@ -217,23 +252,27 @@ def definiteness(lattice):
                 break
             i, j = pair
             # e_i -> e_i + e_j makes the diagonal entry 2*A[i][j] != 0
-            for c in range(r):
-                A[i][c] += A[j][c]
-            for c in range(r):
-                A[c][i] += A[c][j]
+            row_i, row_j = A[i], A[j]
+            diag = row_i.get(i, 0) + 2 * row_i[j] + row_j.get(j, 0)
+            for c, x in list(row_j.items()):
+                if c != i:
+                    _add_entry(row_i, c, x)
+                    _add_entry(A[c], i, x)
+            row_i[i] = diag
             continue
-        pivot = A[k][k]
+        row_k = A[k]
+        pivot = row_k.pop(k)
         if pivot > 0:
             pos += 1
         else:
             neg += 1
         active.remove(k)
-        for i in active:
-            if A[i][k] == 0:
-                continue
-            factor = A[i][k] / pivot
-            for j in active:
-                A[i][j] -= factor * A[k][j]
+        for i, a in row_k.items():
+            row_i = A[i]
+            del row_i[k]
+            factor = a / pivot
+            for j, b in row_k.items():
+                _add_entry(row_i, j, -factor * b)
     if pos == 0 and zero == 0:
         verdict = "negative_definite"
     elif pos == 0:
@@ -241,6 +280,15 @@ def definiteness(lattice):
     else:
         verdict = "indefinite"
     return DefinitenessReport(verdict, (pos, neg, zero), zero)
+
+
+def _add_entry(row, j, x):
+    """row[j] += x in a dict row of nonzero entries."""
+    y = row.get(j, 0) + x
+    if y:
+        row[j] = y
+    else:
+        row.pop(j, None)
 
 
 def strange_duality_rank_check(b, c):

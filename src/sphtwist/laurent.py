@@ -51,16 +51,8 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        other = _coerce(other)
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+        _add_product(out, self.coeffs, _coerce(other).coeffs)
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -111,6 +103,18 @@ def _coerce(x):
     if isinstance(x, int):
         return LaurentPoly({0: x})
     raise TypeError("cannot coerce %r to a Laurent polynomial" % (x,))
+
+
+def _add_product(acc, a, b):
+    """acc += a * b on {exponent: coefficient} dicts, dropping zero terms."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            c = acc.get(e, 0) + c1 * c2
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
 
 
 def laurent_identity(n):

@@ -1,16 +1,23 @@
 """Shared helpers: seeded random complexes and words for fuzz-style tests,
-and a dense-matrix reference for cone, minimize and the twists."""
+and dense-matrix references for cone, minimize, the twists and the
+K-theory shadows."""
 
 import random
+from fractions import Fraction
 
 from sphtwist import (
     ChainMap,
     ChainParams,
+    DefinitenessReport,
     ProjComplex,
     ZigzagAlgebra,
+    an_minus2_lattice,
+    chi_q,
     hom_from_projective,
     hom_to_projective,
 )
+from sphtwist.ktheory import imat_mul
+from sphtwist.laurent import laurent_identity, laurent_mat_mul
 
 
 def make_algebra(n, N, degrees=None, char=None):
@@ -207,3 +214,101 @@ def dense_untwist(i, M):
     tensor, coev = dense_tensor_projective(i, hom_to_projective(M, i), M, dual=True)
     cone = dense_cone(ChainMap(M, tensor, coev, check=False))
     return dense_minimize(cone.shift(-1, 0))
+
+
+def dense_burau_letter(g, algebra):
+    n = algebra.params.n
+    i = abs(g)
+    algebra.check_vertex(i)
+    mat = laurent_identity(n)
+    for j in range(1, n + 1):
+        if g > 0:
+            pairing = chi_q(algebra, i, j)
+        else:
+            pairing = chi_q(algebra, j, i).substitute_inverse()
+        mat[i - 1][j - 1] = mat[i - 1][j - 1] - pairing
+    return mat
+
+
+def dense_burau_matrix(letters, algebra):
+    """The product of full letter matrices, one laurent_mat_mul per letter."""
+    out = laurent_identity(algebra.params.n)
+    for g in letters:
+        out = laurent_mat_mul(dense_burau_letter(g, algebra), out)
+    return out
+
+
+def dense_pl_reflection(v, lattice):
+    """The reflection matrix from the dense pairing of every column with v."""
+    if lattice.pairing(v, v) != -2:
+        raise ValueError("reflection vector must have square -2, got %d"
+                         % lattice.pairing(v, v))
+    r = lattice.rank
+    out = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    for j in range(r):
+        ej = [1 if k == j else 0 for k in range(r)]
+        c = lattice.pairing(ej, v)
+        for i in range(r):
+            out[i][j] += c * v[i]
+    return out
+
+
+def dense_pl_product(letters, n):
+    lattice = an_minus2_lattice(n)
+    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for g in letters:
+        i = abs(g)
+        if not 1 <= i <= n:
+            raise ValueError("letter %r out of range" % (g,))
+        v = [1 if k == i - 1 else 0 for k in range(n)]
+        out = imat_mul(dense_pl_reflection(v, lattice), out)
+    return out
+
+
+def dense_definiteness(lattice):
+    """Congruence diagonalization on the full Fraction matrix, with the
+    same pivot rule as ktheory.definiteness."""
+    r = lattice.rank
+    A = [[Fraction(x) for x in row] for row in lattice.form]
+    active = list(range(r))
+    pos = neg = zero = 0
+    while active:
+        k = next((i for i in active if A[i][i] != 0), None)
+        if k is None:
+            pair = next(
+                (
+                    (i, j)
+                    for i in active
+                    for j in active
+                    if i != j and A[i][j] != 0
+                ),
+                None,
+            )
+            if pair is None:
+                zero += len(active)
+                break
+            i, j = pair
+            for c in range(r):
+                A[i][c] += A[j][c]
+            for c in range(r):
+                A[c][i] += A[c][j]
+            continue
+        pivot = A[k][k]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(k)
+        for i in active:
+            if A[i][k] == 0:
+                continue
+            factor = A[i][k] / pivot
+            for j in active:
+                A[i][j] -= factor * A[k][j]
+    if pos == 0 and zero == 0:
+        verdict = "negative_definite"
+    elif pos == 0:
+        verdict = "negative_semidefinite"
+    else:
+        verdict = "indefinite"
+    return DefinitenessReport(verdict, (pos, neg, zero), zero)

@@ -1,6 +1,7 @@
 """Tests for the command-line surface: exit codes, output, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -202,6 +203,34 @@ def test_lattice_reflections_json(capsys):
     data = json.loads(out)
     assert code == 0
     assert len(data["reflections"]) == 8
+
+
+def test_lattice_too_large_exits_before_building(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lattice", "--t", "100000,2,2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "rank 100002" in err and "limit" in err
+
+
+def test_lattice_reflections_count_toward_the_limit(capsys):
+    # rank 216: 216^2 form entries fit, 216^2 + 216^3 reflection entries do not
+    matrix = json.dumps([[0] * 216 for _ in range(216)])
+    code, out, _ = run(capsys, "lattice", "--matrix", matrix)
+    assert code == 0 and "rank: 216" in out
+    code, out, err = run(capsys, "lattice", "--matrix", matrix, "--reflections")
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
+
+
+@pytest.mark.parametrize("argv", [["--t", "400,2,2"],
+                                  ["--t", "120,2,2", "--reflections"]])
+def test_lattice_large_under_the_limit(capsys, argv):
+    code, out, _ = run(capsys, "lattice", *argv)
+    assert code == 0
+    assert out.startswith("rank: %d\n" % (int(argv[1].split(",")[0]) + 2))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_algebra, random_two_term, random_word, seeded
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    dense_burau_letter,
+    dense_burau_matrix,
+    dense_definiteness,
+    dense_pl_product,
+    dense_pl_reflection,
+    make_algebra,
+    random_two_term,
+    random_word,
+    seeded,
+)
 from sphtwist import (
     IntersectionLattice,
     ProjComplex,
@@ -23,7 +35,12 @@ from sphtwist import (
     strange_duality_rank_check,
     twist,
 )
-from sphtwist.ktheory import _parse_elliptic_tree, imat_identity, imat_mul
+from sphtwist.ktheory import (
+    _parse_elliptic_tree,
+    burau_letter,
+    imat_identity,
+    imat_mul,
+)
 from sphtwist.laurent import (
     LaurentPoly,
     laurent_identity,
@@ -122,6 +139,92 @@ def test_burau_at_q1_is_picard_lefschetz(n):
         assert _sign_conjugate(B1) == pl_product(w, n)
 
 
+def _coeffs(mat):
+    return [[p.coeffs for p in row] for row in mat]
+
+
+def _seeded_chain(rng, n):
+    N = rng.randint(2, 4)
+    degrees = [rng.randint(1, N - 1) for _ in range(n - 1)]
+    return make_algebra(n, N, degrees)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_burau_matrix_equals_dense_reference(n):
+    rng = seeded(700 + n)
+    for k in range(6):
+        alg = make_algebra(n, 2) if k < 3 else _seeded_chain(rng, n)
+        length = 60 if k == 0 else rng.randint(0, 60)
+        w = [rng.choice([1, -1]) * rng.randint(1, n) for _ in range(length)]
+        got = burau_matrix(w, alg)
+        assert all(isinstance(p, LaurentPoly) for row in got for p in row)
+        assert _coeffs(got) == _coeffs(dense_burau_matrix(w, alg))
+        for g in range(1, n + 1):
+            for letter in (g, -g):
+                assert (_coeffs(burau_letter(letter, alg))
+                        == _coeffs(dense_burau_letter(letter, alg)))
+
+
+@pytest.mark.parametrize("word", [[0], [3], [1, -3]])
+def test_burau_rejects_letters_out_of_range(alg, word):
+    with pytest.raises(ValueError):
+        burau_matrix(word, alg)
+
+
+_ALGEBRAS = {n: make_algebra(n, 2) for n in range(2, 6)}
+PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@st.composite
+def braid_words(draw, max_len=16):
+    n = draw(st.integers(2, 5))
+    letter = st.integers(1, n).flatmap(lambda g: st.sampled_from([g, -g]))
+    return n, draw(st.lists(letter, max_size=max_len))
+
+
+@st.composite
+def relators(draw, n):
+    """A word equal to the identity: a braid or far-commutation relator."""
+    i = draw(st.integers(1, n))
+    j = draw(st.integers(1, n).filter(lambda j: j != i))
+    if abs(i - j) == 1:
+        word = [i, j, i, -j, -i, -j]
+    else:
+        word = [i, j, -i, -j]
+    if draw(st.booleans()):
+        word = [-g for g in reversed(word)]
+    return word
+
+
+@PROPS
+@given(braid_words())
+def test_burau_word_times_inverse_is_identity(nw):
+    n, w = nw
+    alg = _ALGEBRAS[n]
+    inverse = [-g for g in reversed(w)]
+    prod = laurent_mat_mul(burau_matrix(w, alg), burau_matrix(inverse, alg))
+    assert laurent_mat_eq(prod, laurent_identity(n))
+
+
+@PROPS
+@given(braid_words(), st.data())
+def test_burau_inserting_a_relator_changes_nothing(nw, data):
+    n, w = nw
+    alg = _ALGEBRAS[n]
+    pos = data.draw(st.integers(0, len(w)))
+    rel = data.draw(relators(n))
+    assert _coeffs(burau_matrix(w[:pos] + rel + w[pos:], alg)) == _coeffs(
+        burau_matrix(w, alg))
+
+
+@PROPS
+@given(braid_words(max_len=24))
+def test_burau_at_q1_is_picard_lefschetz_random(nw):
+    n, w = nw
+    B1 = [[p(1) for p in row] for row in burau_matrix(w, _ALGEBRAS[n])]
+    assert _sign_conjugate(B1) == pl_product(w, n)
+
+
 def test_chi_q_values(alg):
     assert chi_q(alg, 1, 1) == LaurentPoly({0: 1, 2: 1})
     assert chi_q(alg, 1, 2) == LaurentPoly.q(1)
@@ -168,6 +271,48 @@ def test_reflection_rejects_wrong_square():
         pl_reflection([0, 0], lat)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pl_product_equals_dense_reference(n):
+    rng = seeded(730 + n)
+    for _ in range(10):
+        w = [rng.choice([1, -1]) * rng.randint(1, n)
+             for _ in range(rng.randint(0, 60))]
+        assert pl_product(w, n) == dense_pl_product(w, n)
+    with pytest.raises(ValueError):
+        pl_product([n + 1], n)
+
+
+def _root(lattice, rng, steps):
+    """A seeded -2-vector: a basis vector moved by nodal reflections, each
+    in a node that pairs nontrivially with it."""
+    r = lattice.rank
+    x = [0] * r
+    x[rng.randrange(r)] = 1
+    for _ in range(steps):
+        w = [sum(a * b for a, b in zip(row, x)) for row in lattice.form]
+        i = rng.choice([k for k in range(r) if w[k]])
+        x[i] += w[i]
+    return x
+
+
+def test_pl_reflection_equals_dense_reference():
+    lat = build_tdiagram(19, 15, 11)
+    r = lat.rank
+    vectors = [[1 if k == j else 0 for k in range(r)] for j in range(r)]
+    rng = seeded(743)
+    vectors += [_root(lat, rng, rng.randint(20, 200)) for _ in range(12)]
+    assert any(max(map(abs, v)) > 2 for v in vectors)
+    for v in vectors:
+        assert lat.pairing(v, v) == -2
+        assert pl_reflection(v, lat) == dense_pl_reflection(v, lat)
+    bad = [2 * x for x in vectors[-1]]  # square -8
+    with pytest.raises(ValueError) as got:
+        pl_reflection(bad, lat)
+    with pytest.raises(ValueError) as want:
+        dense_pl_reflection(bad, lat)
+    assert str(got.value) == str(want.value)
+
+
 # ----------------------------------------------------------------------
 # T-diagram lattices and definiteness
 
@@ -204,6 +349,60 @@ def test_t237_indefinite():
 def test_lattice_rejects_asymmetric():
     with pytest.raises(ValueError):
         IntersectionLattice(((0, 1), (2, 0)))
+
+
+def _seeded_form(rng, kind, r):
+    """A symmetric integer form of rank r; kind picks its shape."""
+    form = [[0] * r for _ in range(r)]
+    if kind == "gram":  # -G^T G: negative semidefinite, singular when k < r
+        k = rng.randint(1, r + 1)
+        G = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(k)]
+        for i in range(r):
+            for j in range(r):
+                form[i][j] = -sum(row[i] * row[j] for row in G)
+        return form
+    density = rng.choice([0.2, 0.5, 0.9])
+    for i in range(r):
+        for j in range(i, r):
+            if rng.random() < density:
+                form[i][j] = form[j][i] = rng.randint(-3, 3)
+    if kind == "hyperbolic":
+        for i in range(r):
+            form[i][i] = 0
+    elif kind == "root":  # -2 on the diagonal, like the T-diagrams
+        for i in range(r):
+            form[i][i] = -2
+    return form
+
+
+def test_definiteness_equals_dense_reference():
+    rng = seeded(757)
+    verdicts = set()
+    kinds = ["gram", "hyperbolic", "root", "random"]
+    for case in range(200):
+        r = rng.randint(1, 12)
+        form = _seeded_form(rng, kinds[case % 4], r)
+        lat = IntersectionLattice(form)
+        report = definiteness(lat)
+        assert report == dense_definiteness(lat)
+        verdicts.add(report.verdict)
+    assert verdicts == {"negative_definite", "negative_semidefinite", "indefinite"}
+
+
+def test_definiteness_hyperbolic_branch():
+    # zero diagonal everywhere: every pivot comes from e_i -> e_i + e_j
+    form = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
+    report = definiteness(IntersectionLattice(form))
+    assert report.signature == (2, 2, 0)
+    assert report == dense_definiteness(IntersectionLattice(form))
+    assert definiteness(IntersectionLattice(((0, 0), (0, 0)))).signature == (0, 0, 2)
+
+
+def test_definiteness_large_tdiagram_is_sparse_and_fast():
+    start = time.perf_counter()
+    report = definiteness(build_tdiagram(400, 2, 2))  # D_402
+    assert report.signature == (0, 402, 0)
+    assert time.perf_counter() - start < 1.0
 
 
 # independent oracle: characteristic polynomial sign analysis

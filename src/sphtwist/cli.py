@@ -153,20 +153,23 @@ def cmd_lattice(args):
         lattice = IntersectionLattice(form)
         _check_lattice_size(lattice.rank, args.reflections)
     report = definiteness(lattice)
-    data = {"lattice": lattice.to_dict(), "definiteness": report.to_dict()}
     lines = [
         "rank: %d" % lattice.rank,
         "definiteness: %s" % report.verdict,
         "signature (pos, neg, zero): %s" % (report.signature,),
     ]
+    refls = []
     if args.reflections:
-        refls = []
         for k in range(lattice.rank):
             v = [1 if i == k else 0 for i in range(lattice.rank)]
             refls.append(pl_reflection(v, lattice))
-        data["reflections"] = refls
         for k, mat in enumerate(refls):
             lines.append("reflection in node %d: %s" % (k + 1, mat))
+    data = None
+    if args.json:  # the JSON copy of the form is built only to be printed
+        data = {"lattice": lattice.to_dict(), "definiteness": report.to_dict()}
+        if args.reflections:
+            data["reflections"] = refls
     _emit(data, args.json, lines)
     return EXIT_OK
 
@@ -243,9 +246,14 @@ def build_parser():
     return parser
 
 
+_PARSER = None  # built on the first call of main, then reused
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     if args.command == "lattice" and not (args.t or args.matrix):
         print("lattice: one of --t or --matrix is required", file=sys.stderr)
         return EXIT_USAGE

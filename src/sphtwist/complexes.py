@@ -93,6 +93,8 @@ class ProjComplex:
     zero.  With ``check`` they are validated (shape, entries, d^2 = 0).
     """
 
+    _minimal = False  # set on the outputs of ``minimize``
+
     def __init__(self, algebra, terms, diffs=None, check=True):
         self.algebra = algebra
         self.terms = {
@@ -401,7 +403,10 @@ def minimize(M):
     d <- d - (column) . pivot^{-1} . (row) to the same differential.  Pivots
     are taken in the order of the first invertible entry by (degree, row,
     column).  The result has all entries in the span of arrows and loops.
+    An output of ``minimize`` is returned unchanged.
     """
+    if M._minimal:
+        return M
     alg = M.algebra
     rows = {t: [dict(row) for row in mat] for t, mat in M._rows.items()}
     dead = {t: set() for t in M.terms}  # cancelled summands, by degree
@@ -464,7 +469,9 @@ def minimize(M):
             cols = new[t + 1]
             out[t] = [{cols[c]: x for c, x in rows[t][r].items() if c in cols}
                       for r in new[t]]
-    return ProjComplex._from_rows(alg, terms, out)
+    out = ProjComplex._from_rows(alg, terms, out)
+    out._minimal = True
+    return out
 
 
 def is_minimal(M):
@@ -670,6 +677,19 @@ def homology_table(M):
 # isomorphism testing
 
 
+def _sorted_summands(M):
+    """M with each degree's summands in stable sorted order, the
+    differential's rows and columns permuted to match."""
+    perm = {t: sorted(range(len(row)), key=row.__getitem__)
+            for t, row in M.terms.items()}
+    terms = {t: tuple(M.terms[t][i] for i in p) for t, p in perm.items()}
+    rows = {}
+    for t, mat in M._rows.items():
+        new = {old: k for k, old in enumerate(perm[t + 1])}
+        rows[t] = [{new[c]: x for c, x in mat[r].items()} for r in perm[t]]
+    return ProjComplex._from_rows(M.algebra, terms, rows)
+
+
 def _multisets_match(M, K):
     if set(M.terms) != set(K.terms):
         return False
@@ -823,6 +843,10 @@ def is_isomorphic(M, K, with_certificate=False):
 
     The decisions come in this order:
 
+    0. without ``with_certificate``, before minimizing: the inputs are equal
+       as data once each degree's summands are in stable sorted order
+       (``_sorted_summands``), so the sorting permutation is a chain map:
+       isomorphic;
     1. both minimal complexes are zero: isomorphic;
     2. the summands of some degree differ as multisets: not isomorphic;
     3. the arrow-block ranks differ (``_arrow_ranks``): not isomorphic;
@@ -836,6 +860,8 @@ def is_isomorphic(M, K, with_certificate=False):
        block determinants is expanded symbolically (sympy) and either
        vanishes (not isomorphic) or yields an invertible combination.
     """
+    if not with_certificate and (M == K or _sorted_summands(M) == _sorted_summands(K)):
+        return True
     Mm = minimize(M)
     Km = minimize(K)
     alg = Mm.algebra

@@ -349,15 +349,33 @@ def _imat_inverse_det1(m):
     return [[d, -b], [-c, a]]
 
 
+# An elliptic word whose product reaches an entry this large is refused:
+# Python prints no integer of more than 4300 digits, and a hyperbolic word's
+# entries grow exponentially in its exponent.
+ELLIPTIC_MAX_ENTRY = 10**4300
+
+
+def _elliptic_mul(A, B):
+    """A . B for 2x2 integer matrices, refusing entries of
+    ELLIPTIC_MAX_ENTRY or more."""
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    out = [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
+    if max(map(abs, out[0] + out[1])) >= ELLIPTIC_MAX_ENTRY:
+        raise ValueError("elliptic word has a matrix entry of 10^4300 or more")
+    return out
+
+
 def _imat_pow(m, k):
     if k < 0:
         return _imat_pow(_imat_inverse_det1(m), -k)
     out = imat_identity(2)
     while k:  # square-and-multiply; powers of m commute with each other
         if k & 1:
-            out = imat_mul(m, out)
-        m = imat_mul(m, m)
+            out = _elliptic_mul(m, out)
         k >>= 1
+        if k:  # the square after the last bit would go unused
+            m = _elliptic_mul(m, m)
     return out
 
 
@@ -417,12 +435,12 @@ def _tree_matrix(tree):
                 return acc
             parent, j, parent_acc = stack.pop()
             k = parent[j][1]
-            stack.append((parent, j + 1, imat_mul(_imat_pow(acc, k), parent_acc)))
+            stack.append((parent, j + 1, _elliptic_mul(_imat_pow(acc, k), parent_acc)))
             continue
         item, k = items[i]
         if isinstance(item, str):
             base = elliptic_generator(item)
-            stack.append((items, i + 1, imat_mul(_imat_pow(base, k), acc)))
+            stack.append((items, i + 1, _elliptic_mul(_imat_pow(base, k), acc)))
         else:
             stack.append((items, i, acc))
             stack.append((item, 0, imat_identity(2)))
@@ -433,7 +451,8 @@ def elliptic_word(word):
     letters applied left to right).  Accepts text or (letter, exp) pairs.
 
     Text is evaluated on its parse tree, a group's power by squaring, so
-    ``(O Op)^k`` costs O(log k) matrix products.
+    ``(O Op)^k`` costs O(log k) matrix products.  Raises ValueError once a
+    product has an entry of ``ELLIPTIC_MAX_ENTRY`` (10^4300) or more.
     """
     if isinstance(word, str):
         word = _parse_elliptic_tree(word)

@@ -56,7 +56,10 @@ def twist(i, M):
     M.algebra.check_vertex(i)
     if M.is_zero():
         return M
-    return minimize(cone(_tensor_projective(i, hom_from_projective(i, M), M)))
+    H = hom_from_projective(i, M)
+    if not H.basis:  # the cone of 0 -> M is M
+        return minimize(M)
+    return minimize(cone(_tensor_projective(i, H, M)))
 
 
 def untwist(i, M):
@@ -72,8 +75,10 @@ def untwist(i, M):
     M.algebra.check_vertex(i)
     if M.is_zero():
         return M
-    coev = _tensor_projective(i, hom_to_projective(M, i), M, dual=True)
-    return minimize(cone(coev).shift(-1, 0))
+    H = hom_to_projective(M, i)
+    if not H.basis:  # the cone of M -> 0, shifted back, is M
+        return minimize(M)
+    return minimize(cone(_tensor_projective(i, H, M, dual=True)).shift(-1, 0))
 
 
 def apply_letter(g, M):
@@ -148,38 +153,51 @@ class RelationReport:
         }
 
 
+def _relation_groups(n):
+    """The relations as (name, w1, w2), in groups reported together on each
+    object: the two inverse relations of each generator, then each braid or
+    commutation relation alone."""
+    groups = [[("T%d T'%d = id" % (i, i), (i, -i), ()),
+               ("T'%d T%d = id" % (i, i), (-i, i), ())] for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if j == i + 1:
+                name = "T%d T%d T%d = T%d T%d T%d" % (i, j, i, j, i, j)
+                groups.append([(name, (i, j, i), (j, i, j))])
+            else:
+                name = "T%d T%d = T%d T%d" % (i, j, j, i)
+                groups.append([(name, (i, j), (j, i))])
+    return groups
+
+
 def verify_relations(algebra, objects=None):
     """Check inverse, braid and commutation relations on the projectives.
 
     Relations are verified on objects (each P_k), not as natural
-    transformations.
+    transformations.  They are evaluated one P_k at a time, each prefix of
+    their words applied once to it, and reported group by group, each
+    group on every object in turn.
     """
-    n = algebra.params.n
     if objects is None:
-        objects = range(1, n + 1)
+        objects = range(1, algebra.params.n + 1)
+    groups = _relation_groups(algebra.params.n)
+    passed = {}
+    for k in objects:
+        images = {(): ProjComplex.projective(algebra, k)}
+
+        def image(word):
+            if word not in images:
+                images[word] = apply_letter(word[-1], image(word[:-1]))
+            return images[word]
+
+        for group in groups:
+            for name, w1, w2 in group:
+                passed[(name, k)] = is_isomorphic(image(w1), image(w2))
     report = RelationReport()
-
-    def check(name, k, w1, w2):
-        P = ProjComplex.projective(algebra, k)
-        ok = is_isomorphic(apply_word(w1, P), apply_word(w2, P))
-        report.checks.append(RelationCheck(name, k, ok))
-
-    for i in range(1, n + 1):
+    for group in groups:
         for k in objects:
-            check("T%d T'%d = id" % (i, i), k, [i, -i], [])
-            check("T'%d T%d = id" % (i, i), k, [-i, i], [])
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in objects:
-                if j == i + 1:
-                    check(
-                        "T%d T%d T%d = T%d T%d T%d" % (i, j, i, j, i, j),
-                        k,
-                        [i, j, i],
-                        [j, i, j],
-                    )
-                else:
-                    check("T%d T%d = T%d T%d" % (i, j, j, i), k, [i, j], [j, i])
+            for name, _w1, _w2 in group:
+                report.checks.append(RelationCheck(name, k, passed[(name, k)]))
     return report
 
 
@@ -228,17 +246,21 @@ def compare_words(w1, w2, algebra):
     braids.  Indistinguishable actions on the generators are reported as
     such, without claiming equality of the braids.  The report's hom
     matrices (as ``hom_matrix`` gives them) are read from the same 2n
-    images w1.P_k and w2.P_k that decide the verdict.
+    images w1.P_k and w2.P_k that decide the verdict; the common prefix of
+    w1 and w2 is applied once per P_k.
     """
     n = algebra.params.n
     check_word(w1, n)
     check_word(w2, n)
     report = ComparisonReport(word1=list(w1), word2=list(w2), distinct=False)
+    common = 0  # the shared prefix of w1 and w2 is applied once per k
+    while common < min(len(w1), len(w2)) and w1[common] == w2[common]:
+        common += 1
     images1, images2 = [], []
     for k in range(1, n + 1):
-        P = ProjComplex.projective(algebra, k)
-        a = apply_word(w1, P)
-        b = apply_word(w2, P)
+        P = apply_word(w1[:common], ProjComplex.projective(algebra, k))
+        a = apply_word(w1[common:], P)
+        b = apply_word(w2[common:], P)
         images1.append(a)
         images2.append(b)
         ok = is_isomorphic(a, b)

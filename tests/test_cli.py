@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from sphtwist import cli
 from sphtwist.cli import main
 
 
@@ -287,6 +288,48 @@ def test_elliptic_deep_unbalanced_nesting(capsys):
     assert code == 2
     assert out == ""
     assert "unbalanced" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("word", [
+    "(O Op^-1)^1000000000000",  # entries of about 1.39 k bits
+    "(" * 4400 + "O" + ")^10" * 4400,  # O^(10^4400)
+    "(O^5" + "0" * 4299 + ")^2",  # O^(10^4300), just at the cap
+], ids=["hyperbolic", "10^4400", "10^4300"])
+def test_elliptic_entries_over_the_cap_exit_2(capsys, word):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "elliptic", "--word", word)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert "10^4300" in err and "Traceback" not in err
+
+
+def test_elliptic_entries_under_the_cap_print(capsys):
+    # O^(10^4300 - 1): the square after the top bit of the exponent would
+    # pass the cap, but goes unused
+    code, out, _ = run(capsys, "elliptic", "--word", "O^" + "9" * 4300)
+    assert code == 0
+    assert out.splitlines()[0] == "matrix: [[1, -%s], [0, 1]]" % ("9" * 4300)
+    code, out, _ = run(capsys, "elliptic", "--word", "(O Op^-1)^1000")
+    assert code == 0 and len(out) > 1600
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    outs = [run(capsys, "act", "--word", "1 2 -1", "--object", "2") for _ in range(3)]
+    assert run(capsys, "act", "--word", "x")[0] == 2
+    with pytest.raises(SystemExit):
+        main(["no-such-command"])
+    assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
+    assert len(built) == 1
 
 
 def test_lattice_deeply_nested_matrix(capsys):

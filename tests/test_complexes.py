@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import sphtwist.twists
 from conftest import (
     _matmul,
     dense_cone,
@@ -519,6 +520,75 @@ def test_sparse_constructions_equal_dense_reference(char):
                     assert_literally_equal(twist(j, X), dense_twist(j, X))
                     assert_literally_equal(untwist(j, X), dense_untwist(j, X))
     assert count == 200
+
+
+@pytest.mark.parametrize("char", [None, 7])
+def test_literal_verdict_agrees_with_certificate_path(char):
+    # the seeded complexes of the dense-reference test, their reversed
+    # copies, seeded basis changes and an unrelated complex
+    verdicts = []
+    for n in (2, 3):
+        alg = make_algebra(n, 2, char=char)
+        rng = seeded(6000 + n + (char or 0))
+        prev = ProjComplex.zero(alg)
+        for M in reference_cases(alg, rng, 50):
+            Mm = minimize(M)
+            for K in (M, reversed_summands(M), reversed_summands(Mm),
+                      basis_change(Mm, rng), prev):
+                ok = is_isomorphic(M, K)
+                assert ok == is_isomorphic(M, K, with_certificate=True)[0]
+                verdicts.append(ok)
+            prev = M
+    assert len(verdicts) == 500 and 0 < verdicts.count(False) <= 100
+
+
+def test_literal_verdict_sees_the_differential(alg):
+    # equal summands, differentials equal only up to an arrow coefficient
+    a12 = alg.arrow(1, 2)
+    M = two_term(alg, [(1, 0), (1, 0)], [(2, -1)], [[a12], [alg.zero()]])
+    K = two_term(alg, [(1, 0), (1, 0)], [(2, -1)], [[alg.zero()], [a12]])
+    L = two_term(alg, [(1, 0), (1, 0)], [(2, -1)], [[a12], [a12]])
+    Z = two_term(alg, [(1, 0), (1, 0)], [(2, -1)], [[alg.zero()], [alg.zero()]])
+    for X, Y, want in ((M, K, True), (M, L, True), (M, Z, False), (K, Z, False)):
+        assert is_isomorphic(X, Y) is want
+        assert is_isomorphic(X, Y, with_certificate=True)[0] is want
+
+
+def test_minimize_returns_its_own_output_unchanged(alg3):
+    rng = seeded(17)
+    for M in reference_cases(alg3, rng, 30):
+        Mm = minimize(M)
+        assert minimize(Mm) is Mm
+        assert_literally_equal(Mm, dense_minimize(M))
+    # a complex built from the same data is not flagged, and minimizes
+    # to an equal copy
+    copy = ProjComplex(alg3, Mm.terms, Mm.diffs)
+    assert minimize(copy) is not copy and minimize(copy) == Mm
+
+
+def test_far_letters_return_the_old_construction(monkeypatch):
+    # the summands lie on vertices 1 and 2 of the chain of five, so the
+    # letters 4 and 5 are far from all of them: no cone is built, and the
+    # result is literally the dense construction's
+    alg = make_algebra(5, 2)
+    rng = seeded(23)
+
+    def refuse(f):
+        raise AssertionError("a cone was built for a far letter")
+
+    for _ in range(20):
+        src, tgt = [[(rng.randint(1, 2), rng.randint(-2, 2))
+                     for _ in range(rng.randint(1, 3))] for _ in "st"]
+        M = two_term(alg, src, tgt, [[random_element(alg, rng, v, v2, s - s2)
+                                      for v2, s2 in tgt] for v, s in src])
+        word = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 3))]
+        for X in (M, apply_word(word, M)):
+            want = {j: (dense_twist(j, X), dense_untwist(j, X)) for j in (4, 5)}
+            with monkeypatch.context() as m:
+                m.setattr(sphtwist.twists, "cone", refuse)
+                for j in (4, 5):
+                    assert_literally_equal(twist(j, X), want[j][0])
+                    assert_literally_equal(untwist(j, X), want[j][1])
 
 
 def test_dense_views_keep_their_shape(alg):

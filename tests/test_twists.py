@@ -1,5 +1,7 @@
 """Tests for the twist functors, word evaluation and the distinguisher."""
 
+import copy
+
 import pytest
 
 from conftest import make_algebra, random_two_term, seeded
@@ -8,6 +10,7 @@ from sphtwist import (
     ProjComplex,
     apply_word,
     compare_words,
+    complexes,
     cone,
     hom_matrix,
     is_isomorphic,
@@ -151,6 +154,59 @@ def test_relation_report_serializes(alg):
     assert all(c["passed"] for c in data["checks"])
 
 
+def relation_order(n, objects):
+    """(relation, object) in the order the report lists them."""
+    out = []
+    for i in range(1, n + 1):
+        for k in objects:
+            out += [("T%d T'%d = id" % (i, i), k), ("T'%d T%d = id" % (i, i), k)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in objects:
+                if j == i + 1:
+                    out.append(("T%d T%d T%d = T%d T%d T%d" % (i, j, i, j, i, j), k))
+                else:
+                    out.append(("T%d T%d = T%d T%d" % (i, j, j, i), k))
+    return out
+
+
+@pytest.mark.parametrize("n,N,degrees,char", [
+    (2, 2, None, None), (3, 2, None, None), (4, 2, None, None),
+    (5, 2, None, None), (6, 2, None, None), (3, 3, None, None),
+    (3, 3, (1, 2), None), (4, 2, None, 7),
+])
+def test_verify_relations_needs_no_chain_map_solve(monkeypatch, n, N, degrees, char):
+    # every relation pair is literally equal up to the order of summands
+    def refuse(*args):
+        raise AssertionError("the chain-map system was built")
+
+    monkeypatch.setattr(complexes, "_chain_map_equations", refuse)
+    report = verify_relations(make_algebra(n, N, degrees, char))
+    assert report.all_passed
+    assert [(c.relation, c.object_vertex) for c in report.checks] == \
+        relation_order(n, range(1, n + 1))
+
+
+def test_verify_relations_on_some_objects(alg3):
+    report = verify_relations(alg3, objects=[3, 1])
+    assert report.all_passed
+    assert [(c.relation, c.object_vertex) for c in report.checks] == \
+        relation_order(3, [3, 1])
+
+
+def test_verify_relations_applies_each_prefix_once(monkeypatch):
+    n = 6
+    calls = count_letters(monkeypatch)
+    assert verify_relations(make_algebra(n, 2)).all_passed
+    assert len(calls) == n * (4 * n + n * (n - 1) + 2 * (n - 1)) == 384
+    words = [(i, -i) for i in range(1, n + 1)] + [(-i, i) for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            words += [(i, j, i), (j, i, j)] if j == i + 1 else [(i, j), (j, i)]
+    want = sorted((k, p) for k in range(1, n + 1) for p in prefixes(*words))
+    assert applied_prefixes(calls) == want
+
+
 # ----------------------------------------------------------------------
 # hom matrices
 
@@ -215,13 +271,52 @@ def count_images(monkeypatch):
     return calls
 
 
+def count_letters(monkeypatch):
+    """Record, for each ``apply_letter`` call, the object the word started
+    from and the word applied to it so far."""
+    calls = []
+    origin = {}  # id(output) -> (starting object, word), outputs kept alive
+    real = twists.apply_letter
+
+    def counting(g, M):
+        start, word = origin.get(id(M), (M, ()))
+        out = copy.copy(real(g, M))  # a far letter may return M itself
+        origin[id(out)] = (start, word + (g,))
+        calls.append((start, word + (g,), out))
+        return out
+
+    monkeypatch.setattr(twists, "apply_letter", counting)
+    return calls
+
+
+def applied_prefixes(calls):
+    return sorted((start.terms[0][0][0], word) for start, word, _out in calls)
+
+
+def prefixes(*words):
+    return {tuple(w[:end]) for w in words for end in range(1, len(w) + 1)}
+
+
 def test_compare_words_builds_each_image_once(alg3, monkeypatch):
-    calls = count_images(monkeypatch)
-    report = compare_words([1, 2, 1], [2, 1, 2], alg3)
-    assert len(calls) == 6
-    assert sorted(calls) == [[1, 2, 1]] * 3 + [[2, 1, 2]] * 3
-    assert report.hom_matrices == (hom_matrix([1, 2, 1], alg3),
-                                   hom_matrix([2, 1, 2], alg3))
+    pairs = [
+        ([1, 2, 1], [2, 1, 2]),
+        ([1, -2, 1, -2, 1, 2, 1], [1, -2, 1, -2, 2, 1, 2]),
+        ([1, -2, 1], [1, -2, 1, 3]),
+        ([2, 2], [2, 2]),
+    ]
+    for w1, w2 in pairs:
+        calls = count_letters(monkeypatch)
+        report = compare_words(w1, w2, alg3)
+        # one letter per distinct prefix and object: the shared prefix once
+        want = sorted((k, p) for k in (1, 2, 3) for p in prefixes(w1, w2))
+        assert applied_prefixes(calls) == want
+        monkeypatch.undo()
+        assert report.hom_matrices == (hom_matrix(w1, alg3), hom_matrix(w2, alg3))
+        for k in (1, 2, 3):
+            P = ProjComplex.projective(alg3, k)
+            same = is_isomorphic(apply_word(w1, P), apply_word(w2, P))
+            assert report.per_vertex[k] == ("isomorphic" if same
+                                            else "non-isomorphic")
 
 
 def test_hom_matrix_builds_n_images(alg3, monkeypatch):

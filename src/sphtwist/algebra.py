@@ -199,6 +199,9 @@ class ZigzagAlgebra:
         self.deg = deg
         self.src = src
         self.tgt = tgt
+        # e_i A e_j holds at most one basis path of each degree (N >= 2 and
+        # every arrow degree lies in 1..N-1), so (i, j, degree) names it
+        self.path = {(src[key], tgt[key], deg[key]): key for key in basis}
 
         # Products of basis paths are single basis paths or zero.  The
         # nonzero ones: an idempotent on either side of a path, and the two

@@ -77,7 +77,6 @@ def _complex_lines(M):
 def cmd_check_relations(args):
     algebra = _build_algebra(args)
     report = verify_relations(algebra)
-    data = report.to_dict()
     lines = []
     for c in report.checks:
         lines.append(
@@ -85,7 +84,7 @@ def cmd_check_relations(args):
                                   "ok" if c.passed else "FAILED")
         )
     lines.append("all relations hold" if report.all_passed else "RELATION FAILURE")
-    _emit(data, args.json, lines)
+    _emit(report.to_dict() if args.json else None, args.json, lines)
     return EXIT_OK if report.all_passed else EXIT_RELATION_FAILURE
 
 
@@ -96,16 +95,18 @@ def cmd_act(args):
     M = apply_word(word, ProjComplex.projective(algebra, args.object))
     euler = euler_class(M)
     table = homology_table(M)
-    data = {
-        "word": word,
-        "object": args.object,
-        "complex": M.to_dict(),
-        "euler_class": [p.to_pairs() for p in euler],
-        "homology_table": {
-            str(i): {"%d,%d" % ts: d for ts, d in sorted(tab.items())}
-            for i, tab in table.items()
-        },
-    }
+    data = None
+    if args.json:
+        data = {
+            "word": word,
+            "object": args.object,
+            "complex": M.to_dict(),
+            "euler_class": [p.to_pairs() for p in euler],
+            "homology_table": {
+                str(i): {"%d,%d" % ts: d for ts, d in sorted(tab.items())}
+                for i, tab in table.items()
+            },
+        }
     lines = ["word %s applied to P%d:" % (word, args.object)]
     lines += _complex_lines(M)
     lines.append("euler class: [%s]" % ", ".join(repr(p) for p in euler))
@@ -127,7 +128,7 @@ def cmd_compare(args):
     if report.distinct:
         lines.append("witness: vertex %d, %s"
                      % (report.witness_vertex, report.witness_invariant))
-    _emit(report.to_dict(), args.json, lines)
+    _emit(report.to_dict() if args.json else None, args.json, lines)
     return EXIT_DISTINCT if report.distinct else EXIT_OK
 
 

@@ -14,15 +14,21 @@ Conventions (fixed once, used everywhere):
 * Homological shift [t0] relabels degrees t -> t - t0 and multiplies the
   differential by (-1)^t0; internal shift <s0> adds s0 to every summand.
 
-Storage: inside this module every matrix (a differential, a chain map, the
-scalar differential of a hom complex) is a list of rows, one dict
-``{column: entry}`` per row holding its nonzero entries only, and every
-construction iterates over those entries.  Only this module reads or writes
-that format.  Dense matrices appear at the boundary alone: the public
-constructors take them (and validate them before converting), and
-``ProjComplex.diffs``, ``ChainMap.mats``, ``GradedVectorComplex.diffs`` and
-``mat(t)`` are dense views built on first use.  The internal builders go
-through the unvalidated ``_from_rows`` constructors.  Rows are never
+Storage: e_v A e_v' holds at most one basis path of each degree, so an
+entry from P_v<s> to P_v'<s'> is a scalar times the path of degree s - s'
+(``ZigzagAlgebra.path``), fixed by the two summands.  Inside this module
+every matrix (a differential, a chain map, the differential of a hom
+complex) is a list of rows, one dict ``{column: scalar}`` per row holding
+its nonzero entries only, and every construction iterates over those
+entries.  Entries a -> b -> c of summands compose to a nonzero entry
+exactly when one of them is an idempotent or both are the arrows of a
+round trip (``_composes``), and the product's scalar is the product of
+theirs.  Only this module reads or writes that format.  Algebra elements
+appear at the boundary alone: the public constructors take dense matrices
+of them and convert them once (``_scalar_rows``, which validates them),
+and ``ProjComplex.diffs``, ``ChainMap.mats``, ``GradedVectorComplex.diffs``
+and ``mat(t)`` are dense views built on first use.  The internal builders
+go through the unvalidated ``_from_rows`` constructors.  Rows are never
 changed once a complex or map holds them (``minimize`` works on copies),
 so objects may share them.
 """
@@ -33,64 +39,80 @@ from itertools import chain, product as iproduct
 from .linalg import mat_det, mat_rank, nullspace
 
 
-def _has_idempotent(x):
-    return any(key[0] == "e" for key in x.coeffs)
+def _composes(a, b, c):
+    """True when entries of summands a -> b -> c have a nonzero product:
+    one of them is an idempotent, or both are the arrows of a round trip,
+    whose product is the loop."""
+    return a == b or b == c or a[0] == c[0] != b[0]
 
 
-def _sparse(mat):
-    """Dict rows of the nonzero entries of a dense matrix of algebra elements."""
-    return [{c: x for c, x in enumerate(row) if x.coeffs} for row in mat]
+def _add(row, c, x):
+    """row[c] += x in a dict row of nonzero scalars; x is nonzero."""
+    y = row.get(c)
+    y = x if y is None else y + x
+    if y:
+        row[c] = y
+    else:
+        del row[c]
 
 
-def _dense(rows, ncols, zero):
-    return [[row.get(c, zero) for c in range(ncols)] for row in rows]
+def _path(alg, a, b):
+    """The basis path of an entry from summand a to summand b."""
+    return alg.path[(a[0], b[0], a[1] - b[1])]
 
 
-def _rows_product(A, B):
-    """The product of two dict-row matrices, as dict rows."""
-    out = []
-    for row in A:
-        acc = {}
-        for k, x in row.items():
-            for c, y in B[k].items():
-                p = x * y
-                if p.coeffs:
-                    p = acc[c] + p if c in acc else p
-                    if p.coeffs:
-                        acc[c] = p
-                    else:
-                        del acc[c]
-        out.append(acc)
-    return out
+def _scalar_rows(alg, what, t, mat, srcs, tgts):
+    """Dict rows of the scalars of a dense matrix of algebra elements.
 
-
-def _check_shape(what, t, mat, nrows, ncols):
-    if len(mat) != nrows or any(len(r) != ncols for r in mat):
-        raise ValueError("%s at degree %d has wrong shape" % (what, t))
-
-
-def _check_entries(alg, what, t, rows, srcs, tgts):
-    """Raise ValueError unless ``rows`` holds entries srcs -> tgts.
-
-    Entry (r, c) must lie in e_v A e_v' and be homogeneous of degree
-    s - s', where srcs[r] = (v, s) and tgts[c] = (v', s').
+    Raise ValueError unless the matrix is len(srcs) x len(tgts) and its
+    entry (r, c) is a multiple of the path of e_v A e_v' of degree s - s',
+    where srcs[r] = (v, s) and tgts[c] = (v', s').
     """
-    for r, ((v, s), row) in enumerate(zip(srcs, rows)):
-        for c, x in row.items():
-            v2, s2 = tgts[c]
-            for key in x.coeffs:
-                if alg.src[key] != v or alg.tgt[key] != v2 or alg.deg[key] != s - s2:
+    if len(mat) != len(srcs) or any(len(row) != len(tgts) for row in mat):
+        raise ValueError("%s at degree %d has wrong shape" % (what, t))
+    out = []
+    for r, ((v, s), row) in enumerate(zip(srcs, mat)):
+        scalars = {}
+        for c, x in enumerate(row):
+            if x.coeffs:
+                v2, s2 = tgts[c]
+                key = alg.path.get((v, v2, s - s2))
+                if list(x.coeffs) != [key]:
                     raise ValueError(
                         "%s entry (%d,%d) at degree %d is not in e_%d A e_%d "
                         "of degree %d" % (what, r, c, t, v, v2, s - s2)
                     )
+                scalars[c] = x.coeffs[key]
+        out.append(scalars)
+    return out
+
+
+def _dense(alg, rows, srcs, tgts):
+    """Dense matrix of algebra elements of dict rows from srcs to tgts."""
+    zero = alg.zero()
+    return [[alg.from_key(_path(alg, a, b), row[c]) if c in row else zero
+             for c, b in enumerate(tgts)] for a, row in zip(srcs, rows)]
+
+
+def _rows_product(A, B, src, mid, tgt):
+    """The product of dict-row matrices src -> mid and mid -> tgt."""
+    out = []
+    for a, row in zip(src, A):
+        acc = {}
+        for k, x in row.items():
+            for c, y in B[k].items():
+                if _composes(a, mid[k], tgt[c]):
+                    _add(acc, c, x * y)
+        out.append(acc)
+    return out
 
 
 class ProjComplex:
     """A bounded complex of shifted projectives P_v<s> with d^2 = 0.
 
     ``diffs`` may give dense matrices for some degrees; a missing one is
-    zero.  With ``check`` they are validated (shape, entries, d^2 = 0).
+    zero.  Each is converted with its shape and entries validated; with
+    ``check`` the vertices and d^2 = 0 are validated too.
     """
 
     _minimal = False  # set on the outputs of ``minimize``
@@ -100,16 +122,21 @@ class ProjComplex:
         self.terms = {
             t: tuple(tuple(s) for s in row) for t, row in terms.items() if row
         }
-        rows = {}
-        for t, mat in (diffs or {}).items():
-            if t in self.terms and t + 1 in self.terms:
-                if check:
-                    _check_shape("differential", t, mat, len(self.terms[t]),
-                                 len(self.terms[t + 1]))
-                rows[t] = _sparse(mat)
-        self._set_rows(rows)
         if check:
-            self._validate()
+            for row in self.terms.values():
+                for v, _s in row:
+                    algebra.check_vertex(v)
+        self._set_rows({
+            t: _scalar_rows(algebra, "differential", t, mat, self.summands(t),
+                            self.summands(t + 1))
+            for t, mat in (diffs or {}).items()
+        })
+        if check:
+            for t, rows in self._rows.items():
+                if t + 1 in self._rows and any(_rows_product(
+                        rows, self._rows[t + 1], self.terms[t], self.terms[t + 1],
+                        self.terms[t + 2])):
+                    raise ValueError("d^2 != 0 between degrees %d and %d" % (t, t + 2))
 
     @classmethod
     def _from_rows(cls, algebra, terms, rows):
@@ -129,18 +156,6 @@ class ProjComplex:
             for t, row in terms.items() if t + 1 in terms
         }
         self._diffs = None
-
-    def _validate(self):
-        alg = self.algebra
-        for t, row in self.terms.items():
-            for v, s in row:
-                alg.check_vertex(v)
-        for t, rows in self._rows.items():
-            _check_entries(alg, "differential", t, rows,
-                           self.terms[t], self.terms[t + 1])
-        for t, rows in self._rows.items():
-            if t + 1 in self._rows and any(_rows_product(rows, self._rows[t + 1])):
-                raise ValueError("d^2 != 0 between degrees %d and %d" % (t, t + 2))
 
     # ------------------------------------------------------------------
 
@@ -170,18 +185,13 @@ class ProjComplex:
     def diffs(self):
         """Dense view {t: matrix} for every t with t + 1 in ``terms``."""
         if self._diffs is None:
-            zero = self.algebra.zero()
-            self._diffs = {
-                t: tuple(map(tuple, _dense(rows, len(self.terms[t + 1]), zero)))
-                for t, rows in self._rows.items()
-            }
+            self._diffs = {t: tuple(map(tuple, self.mat(t))) for t in self._rows}
         return self._diffs
 
     def mat(self, t):
         """Differential at degree t as a mutable dense list-of-lists."""
-        ncols = len(self.terms.get(t + 1, ()))
-        rows = self._rows.get(t) or [{} for _ in self.terms.get(t, ())]
-        return _dense(rows, ncols, self.algebra.zero())
+        rows = self._rows.get(t) or [{} for _ in self.summands(t)]
+        return _dense(self.algebra, rows, self.summands(t), self.summands(t + 1))
 
     def shift(self, t0, s0):
         terms = {
@@ -220,15 +230,12 @@ class ProjComplex:
         alg = self.algebra
         diffs = {}
         for t, rows in self._rows.items():
-            triplets = []
-            for r, row in enumerate(rows):
-                for c in sorted(row):
-                    coeffs = {
-                        ":".join(str(p) for p in key): alg.field.scalar_to_str(v)
-                        for key, v in sorted(row[c].coeffs.items())
-                    }
-                    triplets.append([r, c, coeffs])
-            diffs[str(t)] = triplets
+            src, tgt = self.terms[t], self.terms[t + 1]
+            diffs[str(t)] = [
+                [r, c, {":".join(str(p) for p in _path(alg, src[r], tgt[c])):
+                        alg.field.scalar_to_str(row[c])}]
+                for r, row in enumerate(rows) for c in sorted(row)
+            ]
         return {
             "algebra": {
                 "n": alg.params.n,
@@ -271,21 +278,18 @@ class ChainMap:
     """A bidegree-(0,0) chain map between two complexes over one algebra.
 
     ``mats`` may give dense matrices for some degrees; a missing one is
-    zero.  With ``check`` they are validated (shape, entries, commuting
-    with the differentials).
+    zero.  Each is converted with its shape and entries validated; with
+    ``check`` the map must also commute with the differentials.
     """
 
     def __init__(self, source, target, mats, check=True):
         if source.algebra is not target.algebra:
             raise ValueError("source and target live over different algebras")
-        rows = {}
-        for t, mat in mats.items():
-            if t in source.terms and t in target.terms:
-                if check:
-                    _check_shape("chain map", t, mat, len(source.terms[t]),
-                                 len(target.terms[t]))
-                rows[t] = _sparse(mat)
-        self._set_rows(source, target, rows)
+        self._set_rows(source, target, {
+            t: _scalar_rows(source.algebra, "chain map", t, mat, source.summands(t),
+                            target.summands(t))
+            for t, mat in mats.items()
+        })
         if check:
             self._validate()
 
@@ -307,9 +311,6 @@ class ChainMap:
         self._mats = None
 
     def _validate(self):
-        for t, rows in self._rows.items():
-            _check_entries(self.source.algebra, "chain map", t, rows,
-                           self.source.terms[t], self.target.terms[t])
         if not self.commutes():
             raise ValueError("not a chain map: f does not commute with d")
 
@@ -317,17 +318,13 @@ class ChainMap:
     def mats(self):
         """Dense view {t: matrix} for every t where both complexes have terms."""
         if self._mats is None:
-            zero = self.source.algebra.zero()
-            self._mats = {
-                t: tuple(map(tuple, _dense(rows, len(self.target.terms[t]), zero)))
-                for t, rows in self._rows.items()
-            }
+            self._mats = {t: tuple(map(tuple, self.mat(t))) for t in self._rows}
         return self._mats
 
     def mat(self, t):
-        ncols = len(self.target.terms.get(t, ()))
-        rows = self._rows.get(t) or [{} for _ in self.source.terms.get(t, ())]
-        return _dense(rows, ncols, self.source.algebra.zero())
+        rows = self._rows.get(t) or [{} for _ in self.source.summands(t)]
+        return _dense(self.source.algebra, rows, self.source.summands(t),
+                      self.target.summands(t))
 
     def commutes(self):
         """True when d_M[t] . f[t+1] = f[t] . d_K[t] in every degree t."""
@@ -338,8 +335,10 @@ class ChainMap:
             zero = [{} for _ in M.terms[t]]
             d, f1 = M._rows.get(t), self._rows.get(t + 1)
             f, dk = self._rows.get(t), K._rows.get(t)
-            lhs = _rows_product(d, f1) if d and f1 else zero
-            rhs = _rows_product(f, dk) if f and dk else zero
+            lhs = (_rows_product(d, f1, M.terms[t], M.terms[t + 1], K.terms[t + 1])
+                   if d and f1 else zero)
+            rhs = (_rows_product(f, dk, M.terms[t], K.terms[t], K.terms[t + 1])
+                   if f and dk else zero)
             if lhs != rhs:
                 return False
         return True
@@ -350,10 +349,8 @@ class ChainMap:
 
     @classmethod
     def identity(cls, M):
-        rows = {
-            t: [{r: M.algebra.e(v)} for r, (v, _s) in enumerate(row)]
-            for t, row in M.terms.items()
-        }
+        one = M.algebra.field.one
+        rows = {t: [{r: one} for r in range(len(row))] for t, row in M.terms.items()}
         return cls._from_rows(M, M, rows)
 
 
@@ -397,9 +394,9 @@ def cone(f):
 def minimize(M):
     """Gaussian-elimination reduction to the minimal model of M.
 
-    Cancels differential entries that are invertible in the algebra (nonzero
-    idempotent coefficient, which forces equal vertex and equal internal
-    shift), applying the two-term update
+    Cancels differential entries that are invertible in the algebra, the
+    multiples of an idempotent, which join equal summands (equal vertex and
+    equal internal shift), applying the two-term update
     d <- d - (column) . pivot^{-1} . (row) to the same differential.  Pivots
     are taken in the order of the first invertible entry by (degree, row,
     column).  The result has all entries in the span of arrows and loops.
@@ -407,7 +404,6 @@ def minimize(M):
     """
     if M._minimal:
         return M
-    alg = M.algebra
     rows = {t: [dict(row) for row in mat] for t, mat in M._rows.items()}
     dead = {t: set() for t in M.terms}  # cancelled summands, by degree
 
@@ -420,6 +416,7 @@ def minimize(M):
     # Summands keep their indices until one renumbering at the end.
     for t in sorted(rows):
         mat = rows[t]
+        src, tgt = M.terms[t], M.terms[t + 1]
         at = {}  # column -> live rows with an entry there
         for r, row in enumerate(mat):
             if r in dead[t]:
@@ -429,27 +426,24 @@ def minimize(M):
         for r, row in enumerate(mat):
             if r in dead[t]:
                 continue
-            for c in sorted(c for c, x in row.items() if _has_idempotent(x)):
-                inv = alg.invert_local(row[c])
-                if inv is not None:
-                    break
-            else:
+            c = min((c for c in row if tgt[c] == src[r]), default=None)
+            if c is None:
                 continue
             for cc in row:
                 at[cc].discard(r)
             for rr in at.pop(c):
                 target = mat[rr]
-                factor = target.pop(c) * inv
+                factor = target.pop(c) / row[c]
                 for cc, y in row.items():
-                    if cc == c:
+                    if cc == c or not _composes(src[rr], src[r], tgt[cc]):
                         continue
                     x = target.get(cc)
-                    x = x - factor * y if x is not None else -(factor * y)
-                    if x.coeffs:
+                    x = -(factor * y) if x is None else x - factor * y
+                    if x:
                         if cc not in target:
                             at[cc].add(rr)
                         target[cc] = x
-                    elif cc in target:
+                    else:
                         del target[cc]
                         at[cc].discard(rr)
             mat[r] = {}
@@ -469,15 +463,16 @@ def minimize(M):
             cols = new[t + 1]
             out[t] = [{cols[c]: x for c, x in rows[t][r].items() if c in cols}
                       for r in new[t]]
-    out = ProjComplex._from_rows(alg, terms, out)
+    out = ProjComplex._from_rows(M.algebra, terms, out)
     out._minimal = True
     return out
 
 
 def is_minimal(M):
-    """True when no differential entry has a nonzero idempotent coefficient."""
-    return not any(_has_idempotent(x)
-                   for mat in M._rows.values() for row in mat for x in row.values())
+    """True when no differential entry is a multiple of an idempotent."""
+    return not any(M.terms[t + 1][c] == M.terms[t][r]
+                   for t, mat in M._rows.items()
+                   for r, row in enumerate(mat) for c in row)
 
 
 # ----------------------------------------------------------------------
@@ -487,23 +482,12 @@ def is_minimal(M):
 class GradedVectorComplex:
     """A bounded complex of graded vector spaces with scalar differentials.
 
-    ``basis[m]`` lists (internal_degree, label) pairs; ``diffs[m]`` is the
-    scalar matrix basis[m] -> basis[m+1], homogeneous of internal degree 0.
+    ``basis[m]`` lists (internal_degree, label) pairs; ``rows[m]`` holds
+    the differential basis[m] -> basis[m+1], homogeneous of internal degree
+    0, as dict rows of its nonzero scalars.
     """
 
-    def __init__(self, field, basis, diffs):
-        rows = {m: [{c: x for c, x in enumerate(r) if x} for r in mat]
-                for m, mat in diffs.items()}
-        self._set(field, basis, rows)
-
-    @classmethod
-    def _from_rows(cls, field, basis, rows):
-        """Unvalidated constructor from dict rows of nonzero scalars."""
-        self = cls.__new__(cls)
-        self._set(field, basis, rows)
-        return self
-
-    def _set(self, field, basis, rows):
+    def __init__(self, field, basis, rows):
         self.field = field
         self.basis = {m: list(row) for m, row in basis.items() if row}
         self._rows = {m: mat for m, mat in rows.items()
@@ -514,8 +498,12 @@ class GradedVectorComplex:
     def diffs(self):
         """Dense view {m: matrix} of the differentials."""
         if self._diffs is None:
-            self._diffs = {m: _dense(rows, len(self.basis[m + 1]), self.field.zero)
-                           for m, rows in self._rows.items()}
+            zero = self.field.zero
+            self._diffs = {
+                m: [[row.get(c, zero) for c in range(len(self.basis[m + 1]))]
+                    for row in rows]
+                for m, rows in self._rows.items()
+            }
         return self._diffs
 
     def dims(self):
@@ -567,26 +555,25 @@ def _hom_projective(i, M, dual):
 
     A basis path phi in e_i A e_j (dual: e_j A e_i) against summand r =
     (j, s) of M^t is the basis vector labelled (r, key) in bidegree
-    (t, deg(phi) + s) (dual: (-t, deg(phi) - s)).  The differential
+    (t, deg(phi) + s) (dual: (-t, deg(phi) - s)).  Then phi runs from
+    (dual: to) the summand z = P_i<deg(phi) + s> (dual: P_i<s - deg(phi)>),
+    and z names the vector among those on r.  The differential
     post-composes phi with d_M (dual: pre-composes), so the dual one runs
     from the summands of M^{t+1} to those of M^t.
     """
     alg = M.algebra
     alg.check_vertex(i)
     sign = -1 if dual else 1
-    table = alg.table
-
-    def paths(j):
-        return alg.hom_basis(j, i) if dual else alg.hom_basis(i, j)
-
     basis = {}
-    index = {}
+    index = {}  # (t, r) -> {z: index of the vector on summand r of M^t at z}
     for t, row in M.terms.items():
         vecs = []
         for r, (j, s) in enumerate(row):
-            for key in paths(j):
-                index[(t, r, key)] = len(vecs)
-                vecs.append((alg.deg[key] + sign * s, (r, key)))
+            at = index[(t, r)] = {}
+            for key in alg.hom_basis(j, i) if dual else alg.hom_basis(i, j):
+                d = alg.deg[key] + sign * s
+                at[(i, sign * d)] = len(vecs)
+                vecs.append((d, (r, key)))
         basis[sign * t] = vecs
     rows = {}
     for t, mat in M._rows.items():
@@ -597,34 +584,25 @@ def _hom_projective(i, M, dual):
                 # x runs from summand a of M^t to summand b of M^{t+1}; the
                 # path phi sits on summand u of M^src, the result on w
                 u, w = (b, a) if dual else (a, b)
-                for key in paths(M.terms[src][u][0]):
-                    acc = out[index[(src, u, key)]]
-                    for k1, coeff in x.coeffs.items():
-                        key2 = table.get((k1, key) if dual else (key, k1))
-                        if key2 is None:
-                            continue
-                        j = index[(tgt, w, key2)]
-                        y = acc.get(j)
-                        y = coeff if y is None else y + coeff
-                        if y:
-                            acc[j] = y
-                        else:
-                            del acc[j]
+                ends = (M.terms[t][a], M.terms[t + 1][b])
+                for z, k in index[(src, u)].items():
+                    if _composes(*ends, z) if dual else _composes(z, *ends):
+                        _add(out[k], index[(tgt, w)][z], x)
         rows[sign * src] = out
-    return GradedVectorComplex._from_rows(alg.field, basis, rows)
+    return GradedVectorComplex(alg.field, basis, rows)
 
 
 def _tensor_projective(i, H, M, dual=False):
     """The evaluation chain map P_i (x) H -> M for a hom complex H of M.
 
     A basis vector of H of internal degree s in homological degree m becomes
-    the summand P_i<s> in degree m, and a scalar entry c of the differential
-    becomes c e_i.  The vector labelled (r, key) pairs with summand r of M
-    through the basis path ``key``, which is the map's entry.  With ``dual``
+    the summand P_i<s> in degree m, and the differential's scalars are
+    kept.  The vector labelled (r, key) pairs with summand r of M through
+    the basis path ``key``, so the map's entry there is 1.  With ``dual``
     (H = RHom(M, P_i)) both degrees are negated, the differential is
     transposed and the co-evaluation M -> P_i (x) H^dual is returned.
     """
-    alg = M.algebra
+    one = M.algebra.field.one
     sign = -1 if dual else 1
     terms = {}
     maps = {}
@@ -633,10 +611,10 @@ def _tensor_projective(i, H, M, dual=False):
         terms[t] = tuple((i, sign * s) for s, _label in row)
         if dual:
             mat = [{} for _ in M.terms[t]]
-            for idx, (_s, (r, key)) in enumerate(row):
-                mat[r][idx] = alg.from_key(key)
+            for idx, (_s, (r, _key)) in enumerate(row):
+                mat[r][idx] = one
         else:
-            mat = [{r: alg.from_key(key)} for _s, (r, key) in row]
+            mat = [{r: one} for _s, (r, _key) in row]
         maps[t] = mat
     rows = {}
     for m, mat in H._rows.items():
@@ -644,12 +622,11 @@ def _tensor_projective(i, H, M, dual=False):
             out = [{} for _ in H.basis[m + 1]]
             for a, row in enumerate(mat):
                 for b, x in row.items():
-                    out[b][a] = alg.from_key(("e", i), x)
+                    out[b][a] = x
             rows[-m - 1] = out
         else:
-            rows[m] = [{c: alg.from_key(("e", i), x) for c, x in row.items()}
-                       for row in mat]
-    tensor = ProjComplex._from_rows(alg, terms, rows)
+            rows[m] = mat
+    tensor = ProjComplex._from_rows(M.algebra, terms, rows)
     if dual:
         return ChainMap._from_rows(M, tensor, maps)
     return ChainMap._from_rows(tensor, M, maps)
@@ -714,47 +691,32 @@ def _arrow_ranks(M):
     for t, mat in M._rows.items():
         src, tgt = M.terms[t], M.terms[t + 1]
         for r, row in enumerate(mat):
+            v, s = src[r]
             for c, x in row.items():
-                for key, coeff in x.coeffs.items():
-                    if key[0] == "a":
-                        block = blocks.setdefault((t, key, src[r][1], tgt[c][1]), {})
-                        block.setdefault(r, {})[c] = coeff
+                v2, s2 = tgt[c]
+                if v != v2:  # the entry is a multiple of the arrow v -> v2
+                    block = blocks.setdefault((t, ("a", v, v2), s, s2), {})
+                    block.setdefault(r, {})[c] = x
     return {b: mat_rank(list(rows.values())) for b, rows in blocks.items()}
 
 
 def _chain_map_unknowns(M, K):
-    alg = M.algebra
-    unknowns = []
-    for t in sorted(set(M.terms) & set(K.terms)):
-        for r, (v, s) in enumerate(M.terms[t]):
-            for c, (v2, s2) in enumerate(K.terms[t]):
-                for key in alg.hom_basis(v, v2):
-                    if alg.deg[key] == s - s2:
-                        unknowns.append((t, r, c, key))
-    return unknowns
+    """The entries (t, r, c) a chain map M -> K may have: those whose two
+    summands have a basis path between them."""
+    path = M.algebra.path
+    return [(t, r, c) for t in sorted(set(M.terms) & set(K.terms))
+            for r, (v, s) in enumerate(M.terms[t])
+            for c, (v2, s2) in enumerate(K.terms[t]) if (v, v2, s - s2) in path]
 
 
 def _chain_map_equations(M, K, pos):
     """Rows {unknown index: coeff} of the linear system d_M . f = f . d_K.
 
-    ``pos`` maps each unknown (t, r, c, key) to its index.  One row per
-    equation (t, r, c, key): the key-coefficient of entry (r, c) of
-    d_M[t] . f[t+1] - f[t] . d_K[t].  Products of basis paths are read from
-    the algebra's table.
+    ``pos`` maps each unknown (t, r, c) to its index.  One row per
+    equation (t, r, c): the scalar of entry (r, c) of
+    d_M[t] . f[t+1] - f[t] . d_K[t].
     """
-    table = M.algebra.table
-    hom_basis = M.algebra.hom_basis
     rows = {}
-
-    def add(eq_key, idx, coeff):
-        row = rows.setdefault(eq_key, {})
-        s = row.get(idx)
-        s = coeff if s is None else s + coeff
-        if s:
-            row[idx] = s
-        else:
-            del row[idx]
-
     for t in set(M.terms) | set(K.terms):
         m_src = M.terms.get(t, ())
         k_tgt = K.terms.get(t + 1, ())
@@ -763,29 +725,20 @@ def _chain_map_equations(M, K, pos):
         # d_M[t] . f[t+1]  contributions
         for r, row in enumerate(M._rows.get(t, ())):
             for mid, x in row.items():
-                v_mid = M.terms[t + 1][mid][0]
-                for c, (v2, _s2) in enumerate(k_tgt):
-                    for key in hom_basis(v_mid, v2):
-                        i = pos.get((t + 1, mid, c, key))
-                        if i is None:
-                            continue
-                        for k1, coeff in x.coeffs.items():
-                            key2 = table.get((k1, key))
-                            if key2 is not None:
-                                add((t, r, c, key2), i, coeff)
+                b = M.terms[t + 1][mid]
+                for c, z in enumerate(k_tgt):
+                    i = pos.get((t + 1, mid, c))
+                    if i is not None and _composes(m_src[r], b, z):
+                        _add(rows.setdefault((t, r, c), {}), i, x)
         # - f[t] . d_K[t]  contributions
-        dk = K._rows.get(t, ())
-        for r, (v, _s) in enumerate(m_src):
-            for mid, row in enumerate(dk):
-                for key in hom_basis(v, K.terms[t][mid][0]):
-                    i = pos.get((t, r, mid, key))
-                    if i is None:
-                        continue
-                    for c, x in row.items():
-                        for k2, coeff in x.coeffs.items():
-                            key2 = table.get((key, k2))
-                            if key2 is not None:
-                                add((t, r, c, key2), i, -coeff)
+        for r, a in enumerate(m_src):
+            for mid, row in enumerate(K._rows.get(t, ())):
+                i = pos.get((t, r, mid))
+                if i is None:
+                    continue
+                for c, x in row.items():
+                    if _composes(a, K.terms[t][mid], k_tgt[c]):
+                        _add(rows.setdefault((t, r, c), {}), i, -x)
     return [row for row in rows.values() if row]
 
 
@@ -883,18 +836,18 @@ def is_isomorphic(M, K, with_certificate=False):
 
     # f is invertible iff in each degree the scalar block of idempotent
     # coefficients between the copies of each (vertex, shift) is; a block
-    # lists the index of the unknown (t, r, c, e_v) per entry
+    # lists the index of the unknown (t, r, c) per entry
     blocks = []
     matched = set()
     for t in Mm.terms:
         groups = {}
-        for r, (v, s) in enumerate(Mm.terms[t]):
-            groups.setdefault((v, s), ([], []))[0].append(r)
-        for c, (v, s) in enumerate(Km.terms[t]):
-            groups[(v, s)][1].append(c)
-        for (v, s), (rs, cs) in groups.items():
-            blocks.append([[upos[(t, r, c, ("e", v))] for c in cs] for r in rs])
-            matched.update(upos[(t, r, c, ("e", v))] for r, c in zip(rs, cs))
+        for r, summand in enumerate(Mm.terms[t]):
+            groups.setdefault(summand, ([], []))[0].append(r)
+        for c, summand in enumerate(Km.terms[t]):
+            groups[summand][1].append(c)
+        for rs, cs in groups.values():
+            blocks.append([[upos[(t, r, c)] for c in cs] for r in rs])
+            matched.update(upos[(t, r, c)] for r, c in zip(rs, cs))
 
     def accept(weights):
         terms = [(alg.field.of(w), vec) for w, vec in zip(weights, kernel) if w]
@@ -909,13 +862,10 @@ def is_isomorphic(M, K, with_certificate=False):
         if not all(mat_det([[coeff(i) for i in row] for row in blk]) for blk in blocks):
             return None
         rows = {}
-        for i, (t, r, c, key) in enumerate(unknowns):
+        for i, (t, r, c) in enumerate(unknowns):
             x = coeff(i)
-            if not x:
-                continue
-            row = rows.setdefault(t, [{} for _ in Mm.terms[t]])[r]
-            y = alg.from_key(key, x)
-            row[c] = row[c] + y if c in row else y
+            if x:
+                rows.setdefault(t, [{} for _ in Mm.terms[t]])[r][c] = x
         cert = ChainMap._from_rows(Mm, Km, rows)
         cert._validate()
         return cert

@@ -46,6 +46,18 @@ def check_word(letters, n):
     return list(letters)
 
 
+def _twist(i, M, dual):
+    """The shared body of ``twist`` and (with ``dual``) ``untwist``."""
+    M.algebra.check_vertex(i)
+    if M.is_zero():
+        return M
+    H = hom_to_projective(M, i) if dual else hom_from_projective(i, M)
+    if not H.basis:  # the cone of 0 -> M, or of M -> 0 shifted back, is M
+        return minimize(M)
+    C = cone(_tensor_projective(i, H, M, dual))
+    return minimize(C.shift(-1, 0) if dual else C)
+
+
 def twist(i, M):
     """Twist at vertex i: the cone of the evaluation P_i (x) RHom(P_i, M) -> M.
 
@@ -53,13 +65,7 @@ def twist(i, M):
     contributes a summand P_i<deg(phi) + s> in homological degree t; the
     evaluation entry for that copy is phi itself.  The result is minimized.
     """
-    M.algebra.check_vertex(i)
-    if M.is_zero():
-        return M
-    H = hom_from_projective(i, M)
-    if not H.basis:  # the cone of 0 -> M is M
-        return minimize(M)
-    return minimize(cone(_tensor_projective(i, H, M)))
+    return _twist(i, M, dual=False)
 
 
 def untwist(i, M):
@@ -72,13 +78,7 @@ def untwist(i, M):
     the shifted cone minimize(cone(co-evaluation)[-1]); the shifts are
     arranged so that twist and untwist are inverse on the nose.
     """
-    M.algebra.check_vertex(i)
-    if M.is_zero():
-        return M
-    H = hom_to_projective(M, i)
-    if not H.basis:  # the cone of M -> 0, shifted back, is M
-        return minimize(M)
-    return minimize(cone(_tensor_projective(i, H, M, dual=True)).shift(-1, 0))
+    return _twist(i, M, dual=True)
 
 
 def apply_letter(g, M):

@@ -84,6 +84,11 @@ def scale_cases():
         "compare --json [1,-2]^4+[1,2,1] [1,-2]^4+[2,1,2]": [
             "compare", "--json", "--w1", " ".join(["1 -2"] * 4 + ["1 2 1"]),
             "--w2", " ".join(["1 -2"] * 4 + ["2 1 2"])],
+        "check-relations --n 4 --field 13 --json": [
+            "check-relations", "--n", "4", "--field", "13", "--json"],
+        "act --json --field 7 --object 2 [1,-2]^7": [
+            "act", "--json", "--field", "7", "--object", "2",
+            "--word", " ".join(["1 -2"] * 7)],
     }
     for name, argv in runs.items():
         buf = io.StringIO()

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from sphtwist import cli
+from sphtwist import ComparisonReport, ProjComplex, RelationReport, cli
 from sphtwist.cli import main
 
 
@@ -330,6 +330,29 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         main(["no-such-command"])
     assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
     assert len(built) == 1
+
+
+TEXT_RUNS = [
+    ["check-relations", "--n", "3"],
+    ["act", "--word", "1 -2 1", "--object", "2"],
+    ["compare", "--w1", "1 2 1", "--w2", "2 1 2"],
+    ["compare", "--w1", "1 2 1", "--w2", "1 1 2"],
+]
+
+
+def test_text_output_builds_no_json_data(capsys, monkeypatch):
+    want = [run(capsys, *argv)[:2] for argv in TEXT_RUNS]
+    assert [code for code, _out in want] == [0, 0, 0, 3]
+
+    def refuse(self):
+        raise AssertionError("JSON data built for text output")
+
+    for cls in (RelationReport, ComparisonReport, ProjComplex):
+        monkeypatch.setattr(cls, "to_dict", refuse)
+    assert [run(capsys, *argv)[:2] for argv in TEXT_RUNS] == want
+    for argv in TEXT_RUNS:
+        with pytest.raises(AssertionError):
+            main(argv + ["--json"])
 
 
 def test_lattice_deeply_nested_matrix(capsys):

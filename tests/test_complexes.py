@@ -23,8 +23,10 @@ from conftest import (
     seeded,
 )
 from sphtwist import (
+    AlgebraElement,
     ChainMap,
     ProjComplex,
+    ZigzagAlgebra,
     cone,
     euler_class,
     hom_from_projective,
@@ -35,7 +37,7 @@ from sphtwist import (
     minimize,
 )
 from sphtwist.complexes import _arrow_ranks, _tensor_projective
-from sphtwist.twists import apply_word, twist, untwist
+from sphtwist.twists import apply_word, compare_words, twist, untwist, verify_relations
 
 
 @pytest.fixture
@@ -454,27 +456,33 @@ def test_validation_rejects_bad_differential(alg):
         )
 
 
-# (source summand, target summand) for the entry a12, which is valid only
-# from P1<s> to P2<s - 1>
-BAD_ARROW_ENTRIES = {
-    "wrong vertex": ((1, 1), (1, 0)),
-    "wrong degree": ((1, 0), (2, 0)),
+# (source summand, target summand, basis paths summed into the entry); at
+# N = 2, a12 alone is valid only from P1<s> to P2<s - 1>, e1 alone from P1<s>
+# to P1<s> and l1 alone from P1<s> to P1<s - 2>
+BAD_ENTRIES = {
+    "wrong vertex": ((1, 1), (1, 0), [("a", 1, 2)]),
+    "wrong degree": ((1, 0), (2, 0), [("a", 1, 2)]),
+    "two paths": ((1, 0), (1, 0), [("e", 1), ("l", 1)]),
+    "a path and a wrong-degree one": ((1, 2), (1, 0), [("l", 1), ("e", 1)]),
 }
 
 
 @pytest.mark.parametrize("kind", ["differential", "chain map"])
-@pytest.mark.parametrize("case", sorted(BAD_ARROW_ENTRIES))
+@pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
 def test_validation_rejects_mistyped_entry(alg, kind, case):
-    def build(src, tgt):
+    def build(src, tgt, keys):
+        x = alg.zero()
+        for key in keys:
+            x = x + alg.from_key(key)
         if kind == "differential":
-            return two_term(alg, [src], [tgt], [[alg.arrow(1, 2)]])
+            return two_term(alg, [src], [tgt], [[x]])
         M = ProjComplex.projective(alg, src[0], src[1])
         K = ProjComplex.projective(alg, tgt[0], tgt[1])
-        return ChainMap(M, K, {0: [[alg.arrow(1, 2)]]})
+        return ChainMap(M, K, {0: [[x]]})
 
-    build((1, 1), (2, 0))
-    with pytest.raises(ValueError):
-        build(*BAD_ARROW_ENTRIES[case])
+    build((1, 1), (2, 0), [("a", 1, 2)])
+    with pytest.raises(ValueError, match="is not in e_"):
+        build(*BAD_ENTRIES[case])
 
 
 # ----------------------------------------------------------------------
@@ -630,6 +638,41 @@ def test_constructor_rejects_wrong_shape(alg):
     P = ProjComplex.projective(alg, 1)
     with pytest.raises(ValueError):
         ChainMap(P, P, {0: [[alg.e(1)], [alg.e(1)]]})
+    # a matrix for a degree with no columns, or with no rows and columns,
+    # is checked against the empty shape, not dropped
+    with pytest.raises(ValueError, match="wrong shape"):
+        ProjComplex(alg, {0: [(1, 0)]}, {0: [[alg.arrow(1, 2)]]})
+    with pytest.raises(ValueError, match="wrong shape"):
+        ProjComplex(alg, {0: [(1, 0)]}, {2: [[alg.zero()]]})
+    with pytest.raises(ValueError, match="wrong shape"):
+        ChainMap(P, P, {3: [[alg.e(1)]]})
+    assert ProjComplex(alg, {0: [(1, 0)]}, {0: [[]], 3: []}) == P
+    assert ChainMap(P, P, {3: []}).mats == ChainMap.zero(P, P).mats
+
+
+def test_engine_builds_no_algebra_element(monkeypatch):
+    # past the constructors every entry is a scalar: twists, hom complexes,
+    # minimize, relation checks, comparisons and certificates build no
+    # algebra element and invert none
+    alg7 = make_algebra(3, 2, char=7)
+    alg = make_algebra(2, 2)
+    P = ProjComplex.projective(alg, 1)
+
+    def refuse(*args):
+        raise AssertionError("the engine built or inverted an algebra element")
+
+    monkeypatch.setattr(AlgebraElement, "__init__", refuse)
+    monkeypatch.setattr(ZigzagAlgebra, "invert_local", refuse)
+    M = apply_word([1, -2] * 3, P)
+    assert M.total_summands() == 13
+    assert homology_table(M)[1] and hom_to_projective(M, 2).total_dim()
+    assert minimize(cone(ChainMap.identity(M))).is_zero()
+    assert verify_relations(alg7).all_passed
+    assert not compare_words([1, 2, 1], [2, 1, 2], alg).distinct
+    assert compare_words([1, 2, 1], [1, 1, 2], alg).distinct
+    ok, cert = is_isomorphic(apply_word([1, 2, 1], M), apply_word([2, 1, 2], M),
+                             with_certificate=True)
+    assert ok and cert.commutes()
 
 
 # ----------------------------------------------------------------------

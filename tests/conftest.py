@@ -52,6 +52,81 @@ def random_two_term(alg, rng, max_summands=3):
     return ProjComplex(alg, {0: src, 1: tgt}, {0: mat})
 
 
+def random_copies(alg, rng, max_copies=4):
+    """A random two-term complex with 2..max_copies copies of one summand in
+    each degree, every entry a multiple of one radical path."""
+    n = alg.params.n
+    v, v2 = rng.randint(1, n), rng.randint(1, n)
+    key = rng.choice([k for k in alg.hom_basis(v, v2) if alg.deg[k]])
+    s = rng.randint(-2, 2)
+    src = [(v, s)] * rng.randint(2, max_copies)
+    tgt = [(v2, s - alg.deg[key])] * rng.randint(2, max_copies)
+    mat = [[alg.from_key(key, rng.randint(-3, 3)) if rng.random() < 0.75
+            else alg.zero() for _ in tgt] for _ in src]
+    return ProjComplex(alg, {0: src, 1: tgt}, {0: mat})
+
+
+# seeds of random_copies pairs whose is_isomorphic reaches the complete
+# fallback: the F_p weight enumeration, or the sympy point over Q
+FALLBACK_SEEDS = {2: (238, 279, 289), 3: (39, 59, 96), None: (1461, 704, 663)}
+
+
+def fallback_pair(char, seed):
+    """A random_copies complex at n = N = 2 and a basis change of it."""
+    rng = seeded(seed)
+    M = random_copies(make_algebra(2, 2, char=char), rng)
+    return M, basis_change(M, rng)
+
+
+def _elementary(alg, row, i, j, x):
+    """The identity on the summands ``row`` plus x in entry (i, j)."""
+    out = [[alg.e(a[0]) if a == b and r == c else alg.zero()
+            for c, b in enumerate(row)] for r, a in enumerate(row)]
+    out[i][j] = out[i][j] + x
+    return out
+
+
+def basis_change(M, rng):
+    """M after a seeded invertible change of basis.
+
+    In each degree f = permutation . diagonal . unipotent, the unipotent
+    made of homogeneous entries off the diagonal; the new differential is
+    f_t d_t f_{t+1}^{-1}, over the summands in permuted order.
+    """
+    alg = M.algebra
+    fwd, inv, terms = {}, {}, {}
+    for t, row in M.terms.items():
+        size = len(row)
+        perm = list(range(size))
+        rng.shuffle(perm)
+        f = [[alg.e(row[b][0]) if b == perm[a] else alg.zero()
+              for b in range(size)] for a in range(size)]
+        g = [[alg.e(row[b][0]) if b == perm[a] else alg.zero()
+              for a in range(size)] for b in range(size)]
+        for i in range(size):
+            c = alg.field.of(rng.choice([1, -1, 2, -2, 3]))
+            if not c:
+                continue
+            f = _matmul(alg, f, _elementary(alg, row, i, i,
+                                            alg.from_key(("e", row[i][0]), c - 1)))
+            g = _matmul(alg, _elementary(alg, row, i, i, alg.from_key(
+                ("e", row[i][0]), 1 / c - 1)), g)
+        for _ in range(2 * size):
+            i, j = rng.randrange(size), rng.randrange(size)
+            (v, s), (v2, s2) = row[i], row[j]
+            key = alg.path.get((v, v2, s - s2))
+            if i == j or key is None:
+                continue
+            x = alg.from_key(key, rng.choice([1, -1, 2]))
+            f = _matmul(alg, f, _elementary(alg, row, i, j, x))
+            g = _matmul(alg, _elementary(alg, row, i, j, -x), g)
+        terms[t] = [row[p] for p in perm]
+        fwd[t], inv[t] = f, g
+    diffs = {t: _matmul(alg, _matmul(alg, fwd[t], M.mat(t)), inv[t + 1])
+             for t in M.diffs}
+    return ProjComplex(alg, terms, diffs)
+
+
 def reversed_summands(M):
     """M with the summands of every degree listed in reverse order."""
     terms = {t: row[::-1] for t, row in M.terms.items()}

@@ -19,6 +19,8 @@ import os
 import sys
 
 from conftest import (
+    FALLBACK_SEEDS,
+    fallback_pair,
     make_algebra,
     random_two_term,
     random_word,
@@ -162,10 +164,24 @@ def library_cases():
     return out
 
 
+def fallback_cases():
+    """Certificates found by the complete fallback of is_isomorphic, pinned
+    by the sha256 of their canonical JSON."""
+    out = {}
+    for char, seeds in FALLBACK_SEEDS.items():
+        for seed in seeds:
+            blob = json.dumps(_certificate(is_isomorphic(
+                *fallback_pair(char, seed), with_certificate=True)), sort_keys=True)
+            out["sha256 iso fallback F=%s seed %d" % (char or "Q", seed)] = (
+                "sha256 %s" % hashlib.sha256(blob.encode()).hexdigest())
+    return out
+
+
 def all_cases():
     out = cli_cases()
     out.update(library_cases())
     out.update(scale_cases())
+    out.update(fallback_cases())
     return out
 
 

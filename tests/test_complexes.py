@@ -8,13 +8,16 @@ import time
 
 import pytest
 
+import sphtwist.complexes
 import sphtwist.twists
 from conftest import (
+    FALLBACK_SEEDS,
     _matmul,
     dense_cone,
     dense_minimize,
     dense_twist,
     dense_untwist,
+    fallback_pair,
     make_algebra,
     random_element,
     random_two_term,
@@ -406,6 +409,29 @@ def test_repeated_summand_with_zero_differential(char):
     assert ok
     assert cert.commutes()
     assert cert.mats == ChainMap.identity(M).mats
+
+
+@pytest.mark.parametrize("char,seed", [
+    (char, seed) for char, seeds in FALLBACK_SEEDS.items() for seed in seeds])
+def test_fallback_decides_basis_change(monkeypatch, char, seed):
+    # no quick weight gives these pairs an invertible combination: over F_p
+    # the weight enumeration finds one, over Q the sympy point
+    name = "iproduct" if char else "_symbolic_weights"
+    real = getattr(sphtwist.complexes, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sphtwist.complexes, name, spy)
+    M, K = fallback_pair(char, seed)
+    start = time.perf_counter()
+    ok, cert = is_isomorphic(M, K, with_certificate=True)
+    assert time.perf_counter() - start < 2
+    assert len(calls) == 1
+    assert ok and cert.commutes()
+    assert (cert.source, cert.target) == (minimize(M), minimize(K))
 
 
 def test_self_isomorphism_at_89_summands(alg):

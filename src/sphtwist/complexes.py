@@ -34,7 +34,7 @@ so objects may share them.
 """
 
 
-from itertools import chain, product as iproduct
+from itertools import product as iproduct
 
 from .linalg import mat_det, mat_rank, nullspace
 
@@ -111,32 +111,30 @@ class ProjComplex:
     """A bounded complex of shifted projectives P_v<s> with d^2 = 0.
 
     ``diffs`` may give dense matrices for some degrees; a missing one is
-    zero.  Each is converted with its shape and entries validated; with
-    ``check`` the vertices and d^2 = 0 are validated too.
+    zero.  Each is converted with its shape and entries validated, and the
+    vertices and d^2 = 0 are validated too.
     """
 
     _minimal = False  # set on the outputs of ``minimize``
 
-    def __init__(self, algebra, terms, diffs=None, check=True):
+    def __init__(self, algebra, terms, diffs=None):
         self.algebra = algebra
         self.terms = {
             t: tuple(tuple(s) for s in row) for t, row in terms.items() if row
         }
-        if check:
-            for row in self.terms.values():
-                for v, _s in row:
-                    algebra.check_vertex(v)
+        for row in self.terms.values():
+            for v, _s in row:
+                algebra.check_vertex(v)
         self._set_rows({
             t: _scalar_rows(algebra, "differential", t, mat, self.summands(t),
                             self.summands(t + 1))
             for t, mat in (diffs or {}).items()
         })
-        if check:
-            for t, rows in self._rows.items():
-                if t + 1 in self._rows and any(_rows_product(
-                        rows, self._rows[t + 1], self.terms[t], self.terms[t + 1],
-                        self.terms[t + 2])):
-                    raise ValueError("d^2 != 0 between degrees %d and %d" % (t, t + 2))
+        for t, rows in self._rows.items():
+            if t + 1 in self._rows and any(_rows_product(
+                    rows, self._rows[t + 1], self.terms[t], self.terms[t + 1],
+                    self.terms[t + 2])):
+                raise ValueError("d^2 != 0 between degrees %d and %d" % (t, t + 2))
 
     @classmethod
     def _from_rows(cls, algebra, terms, rows):
@@ -259,11 +257,18 @@ class ProjComplex:
             )
         terms = {int(t): [tuple(p) for p in row] for t, row in data["terms"].items()}
         diffs = {}
+        zero = algebra.zero()
         for t_str, triplets in data["diffs"].items():
             t = int(t_str)
-            zero = algebra.zero()
-            mat = [[zero] * len(terms[t + 1]) for _ in terms[t]]
+            src, tgt = terms.get(t), terms.get(t + 1)
+            if not src or not tgt:
+                raise ValueError("differential at degree %d, but degree %d has "
+                                 "no terms" % (t, t + 1 if src else t))
+            mat = [[zero] * len(tgt) for _ in src]
             for r, c, coeffs in triplets:
+                if not (0 <= r < len(src) and 0 <= c < len(tgt)):
+                    raise ValueError("differential entry (%d,%d) at degree %d is "
+                                     "out of range" % (r, c, t))
                 val = zero
                 for key_str, cstr in coeffs.items():
                     parts = key_str.split(":")
@@ -278,11 +283,11 @@ class ChainMap:
     """A bidegree-(0,0) chain map between two complexes over one algebra.
 
     ``mats`` may give dense matrices for some degrees; a missing one is
-    zero.  Each is converted with its shape and entries validated; with
-    ``check`` the map must also commute with the differentials.
+    zero.  Each is converted with its shape and entries validated, and the
+    map must commute with the differentials.
     """
 
-    def __init__(self, source, target, mats, check=True):
+    def __init__(self, source, target, mats):
         if source.algebra is not target.algebra:
             raise ValueError("source and target live over different algebras")
         self._set_rows(source, target, {
@@ -290,8 +295,7 @@ class ChainMap:
                             target.summands(t))
             for t, mat in mats.items()
         })
-        if check:
-            self._validate()
+        self._validate()
 
     @classmethod
     def _from_rows(cls, source, target, rows):
@@ -359,7 +363,7 @@ def cone(f):
 
     Terms are M[1] (+) K; the differential is
     [[-d_M, f], [0, d_K]] in block form.  ``f`` is trusted to commute with
-    the differentials: ``ChainMap(..., check=True)`` validates maps at the
+    the differentials: the ``ChainMap`` constructor validates maps at the
     API boundary, and the internal builders construct chain maps directly.
     """
     M, K = f.source, f.target
@@ -754,28 +758,33 @@ def _quick_weights(m):
         yield [base**j for j in range(m)]
 
 
-def _symbolic_weights(block_dets_fn, m, degree_bound):
-    """Complete fallback: decide via the symbolic determinant polynomial.
+def _symbolic_weights(blocks, kernel):
+    """Complete fallback over Q: decide via the symbolic determinant polynomial.
 
-    Evaluates the product of block determinants at a generic combination
-    of the kernel basis.  If the polynomial vanishes identically there is
-    no invertible chain map; otherwise a nonvanishing integer point is
-    found coordinate by coordinate (a nonzero polynomial of degree <= D in
-    one variable has a nonvanishing value among 0..D).
+    Expands the product of the block determinants at a generic combination
+    sum_k w_k kernel[k] of the kernel basis.  If the polynomial vanishes
+    identically there is no invertible chain map and None is returned;
+    otherwise a nonvanishing integer point is found coordinate by
+    coordinate (a nonzero polynomial of degree <= D in one variable has a
+    nonvanishing value among 0..D, and D is at most the blocks' total size).
     """
     import sympy
 
-    syms = sympy.symbols("w0:%d" % m)
+    syms = sympy.symbols("w0:%d" % len(kernel))
     prod = sympy.Integer(1)
-    for det in block_dets_fn(syms):
-        prod = prod * det
+    for blk in blocks:
+        prod = prod * sympy.Matrix([
+            [sum((w * sympy.Rational(vec[i]) for w, vec in zip(syms, kernel) if vec[i]),
+                 sympy.Integer(0)) for i in row]
+            for row in blk]).det()
     prod = sympy.expand(prod)
     if prod == 0:
         return None
+    degree_bound = sum(len(blk) for blk in blocks)
     point = []
-    for k in range(m):
+    for sym in syms:
         for a in range(degree_bound + 1):
-            cand = sympy.expand(prod.subs(syms[k], a))
+            cand = sympy.expand(prod.subs(sym, a))
             if cand != 0:
                 prod = cand
                 point.append(a)
@@ -805,13 +814,15 @@ def is_isomorphic(M, K, with_certificate=False):
     3. the arrow-block ranks differ (``_arrow_ranks``): not isomorphic;
     4. the chain-map system d_M . f = f . d_K has only the zero solution:
        not isomorphic;
-    5. a combination of the kernel basis with the weights of
-       ``_quick_weights``, then with weight 1 on the kernel vectors whose
-       free column is the idempotent coefficient between the j-th copies of
-       a summand in both complexes, has invertible blocks: isomorphic;
-    6. over F_p, every weight vector is tried; over Q, the product of the
-       block determinants is expanded symbolically (sympy) and either
-       vanishes (not isomorphic) or yields an invertible combination.
+    5. one stream of candidate weights for a combination of the kernel
+       basis, in this order: those of ``_quick_weights``; weight 1 on the
+       kernel vectors whose free column is the idempotent coefficient
+       between the j-th copies of a summand in both complexes; then, over
+       F_p, every weight vector, or over Q a point where the symbolically
+       expanded product of the block determinants does not vanish, if the
+       product is not zero (``_symbolic_weights``, sympy).  The first combination with
+       invertible blocks is the certificate: isomorphic; when the stream
+       runs out: not isomorphic.
     """
     if not with_certificate and (M == K or _sorted_summands(M) == _sorted_summands(K)):
         return True
@@ -870,43 +881,21 @@ def is_isomorphic(M, K, with_certificate=False):
         cert._validate()
         return cert
 
-    # the free column of a kernel vector is its last nonzero entry
-    free = [max(i for i, x in enumerate(vec) if x) for vec in kernel]
-    for weights in chain(_quick_weights(len(kernel)),
-                         [[1 if fc in matched else 0 for fc in free]]):
+    def candidates():
+        yield from _quick_weights(len(kernel))
+        # the free column of a kernel vector is its last nonzero entry
+        free = [max(i for i, x in enumerate(vec) if x) for vec in kernel]
+        yield [1 if fc in matched else 0 for fc in free]
+        if alg.field.char is not None:
+            # complete over F_p: all p^k weight vectors, in lexicographic order
+            yield from iproduct(range(alg.field.char), repeat=len(kernel))
+        else:
+            point = _symbolic_weights(blocks, kernel)
+            if point is not None:
+                yield point
+
+    for weights in candidates():
         cert = accept(weights)
         if cert is not None:
             return done(True, cert)
-
-    if alg.field.char is not None:
-        # small search space: enumerate weight vectors over F_p exhaustively
-        for weights in iproduct(range(alg.field.char), repeat=len(kernel)):
-            cert = accept(list(weights))
-            if cert is not None:
-                return done(True, cert)
-        return done(False, None)
-
-    def block_dets_fn(syms):
-        import sympy
-
-        dets = []
-        for blk in blocks:
-            mat = sympy.zeros(len(blk), len(blk[0]))
-            for a, row in enumerate(blk):
-                for b, i in enumerate(row):
-                    entry = sympy.Integer(0)
-                    for k, vec in enumerate(kernel):
-                        if vec[i]:
-                            entry = entry + syms[k] * sympy.Rational(vec[i])
-                    mat[a, b] = entry
-            dets.append(mat.det())
-        return dets
-
-    degree_bound = sum(len(blk) for blk in blocks)
-    point = _symbolic_weights(block_dets_fn, len(kernel), degree_bound)
-    if point is None:
-        return done(False, None)
-    cert = accept(point)
-    if cert is None:  # pragma: no cover - symbolic search guarantees success
-        return done(False, None)
-    return done(True, cert)
+    return done(False, None)

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, _add_product, laurent_identity
+from .laurent import LaurentPoly, _add_product
 
 
 # ----------------------------------------------------------------------
@@ -57,15 +57,6 @@ def _letter_row(g, algebra):
         if entry:
             row[j - 1] = entry
     return row
-
-
-def burau_letter(g, algebra):
-    """Matrix of a single twist letter on Euler classes."""
-    i = abs(g)
-    mat = laurent_identity(algebra.params.n)
-    row = _letter_row(g, algebra)
-    mat[i - 1] = [LaurentPoly(row.get(j)) for j in range(len(mat))]
-    return mat
 
 
 def burau_matrix(letters, algebra):
@@ -382,78 +373,45 @@ def _imat_pow(m, k):
 _TOKEN = re.compile(r"\(|\)|\^-?\d+|[A-Za-z]+")
 
 
-def _parse_elliptic_tree(text):
-    """Parse a word into a tree: a list of (item, exponent) pairs, where an
-    item is a generator name or, for a parenthesized group, such a list.
+def elliptic_word(word):
+    """Matrix of a word over the elliptic generators, such as
+    ``"(O Op)^6 L^-1"`` (column action, letters applied left to right).
 
-    Groups are kept on an explicit stack, so nesting depth is bounded by
-    memory only, not by the interpreter's recursion limit.
+    The word is evaluated as its tokens are read.  A stack holds the
+    running product of each open group, outermost first, so nesting depth
+    is bounded by memory only, not by the interpreter's recursion limit.
+    A generator, or a group once it closes, is raised to its exponent by
+    squaring, so ``(O Op)^k`` costs O(log k) matrix products, and
+    multiplied into the product of the enclosing group.  Raises ValueError
+    on a malformed word, and once a product has an entry of
+    ``ELLIPTIC_MAX_ENTRY`` (10^4300) or more.
     """
-    tokens = _TOKEN.findall(text)
-    if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
-        raise ValueError("malformed elliptic word %r" % (text,))
-    stack = [[]]  # the open groups, outermost first
+    tokens = _TOKEN.findall(word)
+    if "".join(tokens).replace(" ", "") != word.replace(" ", ""):
+        raise ValueError("malformed elliptic word %r" % (word,))
+    stack = [imat_identity(2)]
     pos = 0
     while pos < len(tokens):
         tok = tokens[pos]
         pos += 1
         if tok == "(":
-            stack.append([])
+            stack.append(imat_identity(2))
             continue
         if tok.startswith("^"):
             raise ValueError("exponent without a base in elliptic word")
         if tok == ")":
             if len(stack) == 1:
                 raise ValueError("unbalanced ')' in elliptic word")
-            item = stack.pop()
+            base = stack.pop()
         elif tok in ELLIPTIC_GENERATORS:
-            item = tok
+            base = ELLIPTIC_GENERATORS[tok]
         else:
             raise ValueError("unknown elliptic generator %r" % (tok,))
         k = 1
         if pos < len(tokens) and tokens[pos].startswith("^"):
             k = int(tokens[pos][1:])
             pos += 1
-        stack[-1].append((item, k))
+        stack[-1] = _elliptic_mul(_imat_pow(base, k), stack[-1])
     if len(stack) != 1:
         raise ValueError("unbalanced '(' in elliptic word")
     return stack[0]
-
-
-def _tree_matrix(tree):
-    """Matrix of a parse tree, evaluated with an explicit stack.
-
-    A frame holds a group's pairs, the index of the next pair and the
-    product of the pairs before it; a finished group is raised to its
-    exponent and multiplied into its parent's product.
-    """
-    stack = [(tree, 0, imat_identity(2))]
-    while True:
-        items, i, acc = stack.pop()
-        if i == len(items):
-            if not stack:
-                return acc
-            parent, j, parent_acc = stack.pop()
-            k = parent[j][1]
-            stack.append((parent, j + 1, _elliptic_mul(_imat_pow(acc, k), parent_acc)))
-            continue
-        item, k = items[i]
-        if isinstance(item, str):
-            base = elliptic_generator(item)
-            stack.append((items, i + 1, _elliptic_mul(_imat_pow(base, k), acc)))
-        else:
-            stack.append((items, i, acc))
-            stack.append((item, 0, imat_identity(2)))
-
-
-def elliptic_word(word):
-    """Matrix of a word over the elliptic generators (column action,
-    letters applied left to right).  Accepts text or (letter, exp) pairs.
-
-    Text is evaluated on its parse tree, a group's power by squaring, so
-    ``(O Op)^k`` costs O(log k) matrix products.  Raises ValueError once a
-    product has an entry of ``ELLIPTIC_MAX_ENTRY`` (10^4300) or more.
-    """
-    if isinstance(word, str):
-        word = _parse_elliptic_tree(word)
-    return _tree_matrix(word)

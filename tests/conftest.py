@@ -206,7 +206,7 @@ def dense_cone(f):
             for c in range(len(k_tgt)):
                 mat[len(m_src) + r][len(m_tgt) + c] = dk[r][c]
         diffs[t] = mat
-    return ProjComplex(alg, terms, diffs, check=False)
+    return ProjComplex(alg, terms, diffs)
 
 
 def dense_minimize(M):
@@ -252,7 +252,7 @@ def dense_minimize(M):
                 if not terms[tt]:
                     del terms[tt]
             mat = diffs.get(t)
-    return ProjComplex(alg, terms, diffs, check=False)
+    return ProjComplex(alg, terms, diffs)
 
 
 def dense_tensor_projective(i, H, M, dual=False):
@@ -273,21 +273,21 @@ def dense_tensor_projective(i, H, M, dual=False):
         if dual:
             m, mat = -m - 1, zip(*mat)
         diffs[m] = [[alg.from_key(("e", i), x) for x in row] for row in mat]
-    return ProjComplex(alg, terms, diffs, check=False), maps
+    return ProjComplex(alg, terms, diffs), maps
 
 
 def dense_twist(i, M):
     if M.is_zero():
         return M
     tensor, ev = dense_tensor_projective(i, hom_from_projective(i, M), M)
-    return dense_minimize(dense_cone(ChainMap(tensor, M, ev, check=False)))
+    return dense_minimize(dense_cone(ChainMap(tensor, M, ev)))
 
 
 def dense_untwist(i, M):
     if M.is_zero():
         return M
     tensor, coev = dense_tensor_projective(i, hom_to_projective(M, i), M, dual=True)
-    cone = dense_cone(ChainMap(M, tensor, coev, check=False))
+    cone = dense_cone(ChainMap(M, tensor, coev))
     return dense_minimize(cone.shift(-1, 0))
 
 

@@ -469,6 +469,30 @@ def test_json_round_trip_prime_field():
     assert back == M
 
 
+# "diffs" of a to_dict of P1, or of P1<0> -> P2<-1> with degrees 0 and 1
+BAD_DIFFS = [
+    (False, {"0": []}),
+    (False, {"-1": []}),
+    (False, {"0": [[0, 0, {"a:1:2": "1"}]]}),
+    (False, {"0": [[5, 0, {"e:1": "1"}]]}),
+    (True, {"0": [[0, 3, {"a:1:2": "1"}]]}),
+    (True, {"0": [[1, 0, {"a:1:2": "1"}]]}),
+    (True, {"0": [[-1, 0, {"a:1:2": "1"}]]}),
+    (True, {"1": []}),
+]
+
+
+@pytest.mark.parametrize("two_degrees,diffs", BAD_DIFFS)
+def test_from_dict_rejects_malformed_diffs(alg, two_degrees, diffs):
+    M = (two_term(alg, [(1, 0)], [(2, -1)], [[alg.arrow(1, 2)]]) if two_degrees
+         else ProjComplex.projective(alg, 1))
+    data = M.to_dict()
+    assert ProjComplex.from_dict(data) == M
+    data["diffs"] = diffs
+    with pytest.raises(ValueError):
+        ProjComplex.from_dict(data)
+
+
 def test_validation_rejects_bad_differential(alg):
     with pytest.raises(ValueError):
         # entry not homogeneous of the required degree

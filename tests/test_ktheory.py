@@ -36,8 +36,6 @@ from sphtwist import (
     twist,
 )
 from sphtwist.ktheory import (
-    _parse_elliptic_tree,
-    burau_letter,
     imat_identity,
     imat_mul,
 )
@@ -161,7 +159,7 @@ def test_burau_matrix_equals_dense_reference(n):
         assert _coeffs(got) == _coeffs(dense_burau_matrix(w, alg))
         for g in range(1, n + 1):
             for letter in (g, -g):
-                assert (_coeffs(burau_letter(letter, alg))
+                assert (_coeffs(burau_matrix([letter], alg))
                         == _coeffs(dense_burau_letter(letter, alg)))
 
 
@@ -498,21 +496,22 @@ def test_elliptic_determinants():
 
 
 def test_elliptic_word_parsing():
-    assert _parse_elliptic_tree("O Op") == [("O", 1), ("Op", 1)]
-    assert _parse_elliptic_tree("L^-1 O") == [("L", -1), ("O", 1)]
-    assert _parse_elliptic_tree("(O Op)^2") == [([("O", 1), ("Op", 1)], 2)]
+    O, Op = elliptic_generator("O"), elliptic_generator("Op")
+    assert elliptic_word("O Op") == imat_mul(Op, O)
+    assert elliptic_word("L^-1") == [[1, 1], [0, 1]]
+    assert elliptic_word("L^-1 O") == imat_mul(O, [[1, 1], [0, 1]])
+    assert elliptic_word("(O Op)^2") == imat_mul(imat_mul(Op, O), imat_mul(Op, O))
     assert elliptic_word("(O Op)^2") == elliptic_word("O Op O Op")
-    assert _parse_elliptic_tree("(O Op)^-1") == [([("O", 1), ("Op", 1)], -1)]
+    assert imat_mul(elliptic_word("(O Op)^-1"), imat_mul(Op, O)) == imat_identity(2)
     assert elliptic_word("(O Op)^-1") == elliptic_word("Op^-1 O^-1")
 
 
 def test_elliptic_deep_nesting_without_recursion():
     depth = 5000
-    tree = _parse_elliptic_tree("(" * depth + "O Op" + ")^-1" * depth)
-    for _ in range(depth):
-        (tree, k), = tree
-        assert k == -1
-    assert tree == [("O", 1), ("Op", 1)]
+    assert (elliptic_word("(" * depth + "O Op" + ")^-1" * depth)
+            == elliptic_word("O Op"))
+    assert (elliptic_word("(" * depth + "O Op" + ")" * depth)
+            == elliptic_word("O Op"))
     # an odd number of inversions leaves one inverse
     assert (elliptic_word("(" * depth + "O" + ")^-1" * depth)
             == elliptic_word("O"))

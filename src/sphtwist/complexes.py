@@ -266,8 +266,9 @@ class ProjComplex:
                                  "no terms" % (t, t + 1 if src else t))
             mat = [[zero] * len(tgt) for _ in src]
             for r, c, coeffs in triplets:
-                if not (0 <= r < len(src) and 0 <= c < len(tgt)):
-                    raise ValueError("differential entry (%d,%d) at degree %d is "
+                if not (isinstance(r, int) and isinstance(c, int)
+                        and 0 <= r < len(src) and 0 <= c < len(tgt)):
+                    raise ValueError("differential entry (%r,%r) at degree %d is "
                                      "out of range" % (r, c, t))
                 val = zero
                 for key_str, cstr in coeffs.items():
@@ -820,9 +821,9 @@ def is_isomorphic(M, K, with_certificate=False):
        between the j-th copies of a summand in both complexes; then, over
        F_p, every weight vector, or over Q a point where the symbolically
        expanded product of the block determinants does not vanish, if the
-       product is not zero (``_symbolic_weights``, sympy).  The first combination with
-       invertible blocks is the certificate: isomorphic; when the stream
-       runs out: not isomorphic.
+       product is not zero (``_symbolic_weights``, sympy).  The first
+       combination with invertible blocks is the certificate: isomorphic;
+       when the stream runs out: not isomorphic.
     """
     if not with_certificate and (M == K or _sorted_summands(M) == _sorted_summands(K)):
         return True

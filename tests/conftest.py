@@ -80,8 +80,8 @@ def fallback_pair(char, seed):
 
 def _elementary(alg, row, i, j, x):
     """The identity on the summands ``row`` plus x in entry (i, j)."""
-    out = [[alg.e(a[0]) if a == b and r == c else alg.zero()
-            for c, b in enumerate(row)] for r, a in enumerate(row)]
+    out = [[alg.e(a[0]) if r == c else alg.zero() for c in range(len(row))]
+           for r, a in enumerate(row)]
     out[i][j] = out[i][j] + x
     return out
 
@@ -105,8 +105,9 @@ def basis_change(M, rng):
               for a in range(size)] for b in range(size)]
         for i in range(size):
             c = alg.field.of(rng.choice([1, -1, 2, -2, 3]))
-            if not c:
+            if not c:  # 2 or 3 over F_2 or F_3
                 continue
+            # scale summand i by c: the identity plus (c - 1) e at (i, i)
             f = _matmul(alg, f, _elementary(alg, row, i, i,
                                             alg.from_key(("e", row[i][0]), c - 1)))
             g = _matmul(alg, _elementary(alg, row, i, i, alg.from_key(

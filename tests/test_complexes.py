@@ -478,6 +478,8 @@ BAD_DIFFS = [
     (True, {"0": [[0, 3, {"a:1:2": "1"}]]}),
     (True, {"0": [[1, 0, {"a:1:2": "1"}]]}),
     (True, {"0": [[-1, 0, {"a:1:2": "1"}]]}),
+    (True, {"0": [["0", 0, {"a:1:2": "1"}]]}),
+    (True, {"0": [[0, 0.0, {"a:1:2": "1"}]]}),
     (True, {"1": []}),
 ]
 

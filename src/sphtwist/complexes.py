@@ -10,7 +10,8 @@ Conventions (fixed once, used everywhere):
   in the algebra, so d^2 = 0 is literally d[t] . d[t+1] = 0.
 * Only bidegree-(0,0) chain maps are first class; shifts live on objects.
 * cone(f: M -> K) has terms M[1] (+) K in each degree and differential
-  d(m, k) = (-d_M m, f(m) + d_K k).
+  d(m, k) = (-d_M m, f(m) + d_K k).  ``_glue`` lays out this block form
+  for ``cone`` and for the twists (``twists._twist``) alike.
 * Homological shift [t0] relabels degrees t -> t - t0 and multiplies the
   differential by (-1)^t0; internal shift <s0> adds s0 to every summand.
 
@@ -23,14 +24,15 @@ its nonzero entries only, and every construction iterates over those
 entries.  Entries a -> b -> c of summands compose to a nonzero entry
 exactly when one of them is an idempotent or both are the arrows of a
 round trip (``_composes``), and the product's scalar is the product of
-theirs.  Only this module reads or writes that format.  Algebra elements
-appear at the boundary alone: the public constructors take dense matrices
-of them and convert them once (``_scalar_rows``, which validates them),
-and ``ProjComplex.diffs``, ``ChainMap.mats``, ``GradedVectorComplex.diffs``
-and ``mat(t)`` are dense views built on first use.  The internal builders
-go through the unvalidated ``_from_rows`` constructors.  Rows are never
-changed once a complex or map holds them (``minimize`` works on copies),
-so objects may share them.
+theirs.  Only this module and ``twists._twist`` read or write that
+format.  Algebra elements appear at the boundary alone: the public
+constructors take dense matrices of them and convert them once
+(``_scalar_rows``, which validates them), and ``ProjComplex.diffs``,
+``ChainMap.mats``, ``GradedVectorComplex.diffs`` and ``mat(t)`` are dense
+views built on first use.  The internal builders go through the
+unvalidated ``_from_rows`` constructors.  Rows are never changed once a
+complex or map holds them (``minimize`` works on copies), so objects may
+share them.
 """
 
 
@@ -359,37 +361,50 @@ class ChainMap:
         return cls._from_rows(M, M, rows)
 
 
-def cone(f):
-    """Mapping cone of a chain map f: M -> K.
+def _glue(alg, A, dA, f, B, dB):
+    """The complex A (+) B with differential [[dA, f], [0, dB]].
 
-    Terms are M[1] (+) K; the differential is
-    [[-d_M, f], [0, d_K]] in block form.  ``f`` is trusted to commute with
-    the differentials: the ``ChainMap`` constructor validates maps at the
-    API boundary, and the internal builders construct chain maps directly.
+    A and B map degrees to nonempty tuples of summands; in each degree A's
+    come first.  dA, f and dB map a degree t to the dict rows of A^t ->
+    A^{t+1}, A^t -> B^{t+1} and B^t -> B^{t+1}; a missing degree is zero.
+    The caller vouches for d^2 = 0.  A row that gains no entries and no
+    column offset is shared, not copied.
     """
-    M, K = f.source, f.target
-    terms = {}
-    for t in {t - 1 for t in M.terms} | set(K.terms):
-        row = M.terms.get(t + 1, ()) + K.terms.get(t, ())
-        if row:
-            terms[t] = row
+    terms = {t: A.get(t, ()) + B.get(t, ()) for t in A.keys() | B.keys()}
     rows = {}
     for t in terms:
         if t + 1 not in terms:
             continue
-        off = len(M.terms.get(t + 2, ()))
-        dm, fm, dk = M._rows.get(t + 1), f._rows.get(t + 1), K._rows.get(t)
-        mat = []
-        for r in range(len(M.terms.get(t + 1, ()))):
-            row = {c: -x for c, x in dm[r].items()} if dm else {}
-            if fm:
-                for c, x in fm[r].items():
+        off, na = len(A.get(t + 1, ())), len(A.get(t, ()))
+        da, ft = dA.get(t) or [{}] * na, f.get(t) or [{}] * na
+        db = dB.get(t) or [{}] * len(B.get(t, ()))
+        mat = rows[t] = []
+        for row, g in zip(da, ft):
+            if g:
+                row = dict(row)
+                for c, x in g.items():
                     row[off + c] = x
             mat.append(row)
-        for r in range(len(K.terms.get(t, ()))):
-            mat.append({off + c: x for c, x in dk[r].items()} if dk else {})
-        rows[t] = mat
-    return ProjComplex._from_rows(M.algebra, terms, rows)
+        mat.extend([{off + c: x for c, x in row.items()} for row in db] if off else db)
+    return ProjComplex._from_rows(alg, terms, rows)
+
+
+def cone(f):
+    """Mapping cone of a chain map f: M -> K.
+
+    Terms are M[1] (+) K; the differential is [[-d_M, f], [0, d_K]] in
+    block form (``_glue``).  ``f`` is trusted to commute with the
+    differentials: the ``ChainMap`` constructor validates maps at the API
+    boundary.
+    """
+    M, K = f.source, f.target
+    return _glue(
+        M.algebra,
+        {t - 1: row for t, row in M.terms.items()},
+        {t - 1: [{c: -x for c, x in row.items()} for row in mat]
+         for t, mat in M._rows.items()},
+        {t - 1: mat for t, mat in f._rows.items()},
+        K.terms, K._rows)
 
 
 # ----------------------------------------------------------------------
@@ -519,9 +534,6 @@ class GradedVectorComplex:
                 out[(m, s)] = out.get((m, s), 0) + 1
         return out
 
-    def total_dim(self):
-        return sum(len(row) for row in self.basis.values())
-
     def homology(self):
         """Bigraded homology dimensions, by exact rank computations."""
         where = {}  # (m, s) -> indices of the degree-s basis vectors of basis[m]
@@ -595,46 +607,6 @@ def _hom_projective(i, M, dual):
                         _add(out[k], index[(tgt, w)][z], x)
         rows[sign * src] = out
     return GradedVectorComplex(alg.field, basis, rows)
-
-
-def _tensor_projective(i, H, M, dual=False):
-    """The evaluation chain map P_i (x) H -> M for a hom complex H of M.
-
-    A basis vector of H of internal degree s in homological degree m becomes
-    the summand P_i<s> in degree m, and the differential's scalars are
-    kept.  The vector labelled (r, key) pairs with summand r of M through
-    the basis path ``key``, so the map's entry there is 1.  With ``dual``
-    (H = RHom(M, P_i)) both degrees are negated, the differential is
-    transposed and the co-evaluation M -> P_i (x) H^dual is returned.
-    """
-    one = M.algebra.field.one
-    sign = -1 if dual else 1
-    terms = {}
-    maps = {}
-    for m, row in H.basis.items():
-        t = sign * m
-        terms[t] = tuple((i, sign * s) for s, _label in row)
-        if dual:
-            mat = [{} for _ in M.terms[t]]
-            for idx, (_s, (r, _key)) in enumerate(row):
-                mat[r][idx] = one
-        else:
-            mat = [{r: one} for _s, (r, _key) in row]
-        maps[t] = mat
-    rows = {}
-    for m, mat in H._rows.items():
-        if dual:
-            out = [{} for _ in H.basis[m + 1]]
-            for a, row in enumerate(mat):
-                for b, x in row.items():
-                    out[b][a] = x
-            rows[-m - 1] = out
-        else:
-            rows[m] = mat
-    tensor = ProjComplex._from_rows(M.algebra, terms, rows)
-    if dual:
-        return ChainMap._from_rows(M, tensor, maps)
-    return ChainMap._from_rows(tensor, M, maps)
 
 
 def hom_from_projective(i, M):

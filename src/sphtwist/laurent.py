@@ -142,9 +142,3 @@ def laurent_mat_vec(A, v):
         sum((A[i][j] * v[j] for j in range(len(v))), LaurentPoly.zero())
         for i in range(len(A))
     ]
-
-
-def laurent_mat_eq(A, B):
-    return len(A) == len(B) and all(
-        ra == rb for ra, rb in ((tuple(x), tuple(y)) for x, y in zip(A, B))
-    )

@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 
 from .complexes import (
     ProjComplex,
-    _tensor_projective,
-    cone,
+    _glue,
     hom_from_projective,
     hom_to_projective,
     homology_table,
@@ -47,15 +46,35 @@ def check_word(letters, n):
 
 
 def _twist(i, M, dual):
-    """The shared body of ``twist`` and (with ``dual``) ``untwist``."""
-    M.algebra.check_vertex(i)
-    if M.is_zero():
-        return M
+    """The shared body of ``twist`` and (with ``dual``) ``untwist``: one
+    ``_glue`` of M and a copy of P_i per vector (d, (r, key)) of the hom
+    complex H on summand r of M^t.  Twist: P_i<d> in degree t - 1, before
+    M; its differential is -d_H and its evaluation entry into r is 1.
+    Untwist: P_i<-d> in degree t + 1, after M; its differential is -d_H
+    transposed and its co-evaluation entry from r is -1.
+    """
+    alg = M.algebra
     H = hom_to_projective(M, i) if dual else hom_from_projective(i, M)
     if not H.basis:  # the cone of 0 -> M, or of M -> 0 shifted back, is M
         return minimize(M)
-    C = cone(_tensor_projective(i, H, M, dual))
-    return minimize(C.shift(-1, 0) if dual else C)
+    one = alg.field.one
+    if not dual:
+        copies = {t - 1: tuple((i, d) for d, _l in vecs) for t, vecs in H.basis.items()}
+        ev = {t - 1: [{r: one} for _d, (r, _k) in vecs] for t, vecs in H.basis.items()}
+        dH = {t - 1: [{c: -x for c, x in row.items()} for row in mat]
+              for t, mat in H._rows.items()}
+        return minimize(_glue(alg, copies, dH, ev, M.terms, M._rows))
+    copies = {1 - m: tuple((i, -d) for d, _l in vecs) for m, vecs in H.basis.items()}
+    coev = {-m: [{} for _ in M.terms[-m]] for m in H.basis}
+    for m, vecs in H.basis.items():  # the vectors on the summands of M^-m
+        for k, (_d, (r, _key)) in enumerate(vecs):
+            coev[-m][r][k] = -one
+    dH = {-m: [{} for _ in H.basis[m + 1]] for m in H._rows}
+    for m, mat in H._rows.items():  # from the copies in degree -m to 1 - m
+        for a, row in enumerate(mat):
+            for b, x in row.items():
+                dH[-m][b][a] = -x
+    return minimize(_glue(alg, M.terms, M._rows, coev, copies, dH))
 
 
 def twist(i, M):
@@ -63,7 +82,8 @@ def twist(i, M):
 
     A basis path phi in e_i A e_j against the summand (j, s) of M^t
     contributes a summand P_i<deg(phi) + s> in homological degree t; the
-    evaluation entry for that copy is phi itself.  The result is minimized.
+    evaluation entry for that copy is phi itself.  The cone is built in one
+    step (``_twist``) and minimized.
     """
     return _twist(i, M, dual=False)
 
@@ -75,8 +95,9 @@ def untwist(i, M):
     co-evaluation M -> P_i (x) RHom(M, P_i)^dual whose entry into the copy
     dual to a basis path psi in e_j A e_i is psi itself; the copy sits in
     homological degree t with internal shift s - deg(psi).  The result is
-    the shifted cone minimize(cone(co-evaluation)[-1]); the shifts are
-    arranged so that twist and untwist are inverse on the nose.
+    the shifted cone minimize(cone(co-evaluation)[-1]), built in one step
+    (``_twist``); the shifts are arranged so that twist and untwist are
+    inverse on the nose.
     """
     return _twist(i, M, dual=True)
 

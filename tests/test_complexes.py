@@ -15,6 +15,7 @@ from conftest import (
     _matmul,
     dense_cone,
     dense_minimize,
+    dense_tensor_projective,
     dense_twist,
     dense_untwist,
     fallback_pair,
@@ -39,7 +40,7 @@ from sphtwist import (
     is_minimal,
     minimize,
 )
-from sphtwist.complexes import _arrow_ranks, _tensor_projective
+from sphtwist.complexes import _arrow_ranks
 from sphtwist.twists import apply_word, compare_words, twist, untwist, verify_relations
 
 
@@ -193,12 +194,12 @@ def test_hom_from_projective_spherical(alg):
 def test_hom_from_projective_neighbor(alg):
     P2 = ProjComplex.projective(alg, 2)
     hom = hom_from_projective(1, P2)
-    assert hom.total_dim() == 1
+    assert sum(hom.dims().values()) == 1
 
 
 def test_hom_from_projective_distant(alg3):
     P3 = ProjComplex.projective(alg3, 3)
-    assert hom_from_projective(1, P3).total_dim() == 0
+    assert sum(hom_from_projective(1, P3).dims().values()) == 0
 
 
 def test_hom_to_projective_spherical(alg):
@@ -209,7 +210,7 @@ def test_hom_to_projective_spherical(alg):
 
 def test_hom_to_projective_neighbor(alg):
     P2 = ProjComplex.projective(alg, 2)
-    assert hom_to_projective(P2, 1).total_dim() == 1
+    assert sum(hom_to_projective(P2, 1).dims().values()) == 1
 
 
 def test_hom_duality_on_homology(alg):
@@ -223,6 +224,50 @@ def test_hom_duality_on_homology(alg):
             fwd = hom_from_projective(i, M).homology()
             bwd = hom_to_projective(M, i).homology()
             assert {(-t, N - u): d for (t, u), d in fwd.items()} == bwd
+
+
+def frobenius_dual(key):
+    """The path psi* whose product with psi is a loop: e_j <-> l_j and
+    a_jk <-> a_kj."""
+    if key[0] == "a":
+        return ("a", key[2], key[1])
+    return ("l" if key[0] == "e" else "e", key[1])
+
+
+@pytest.mark.parametrize("char", [None, 5])
+def test_hom_complexes_are_dual_at_chain_level(char):
+    # the vector (r, psi) of RHom(M, P_i) sits in bidegree (-t, N - d)
+    # exactly when (r, psi*) of RHom(P_i, M) sits in (t, d), and the two
+    # differentials are literal transposes with equal scalars
+    entries = pairs = 0
+    for n in (2, 3, 4):
+        for N in (2, 3, 4, 5):
+            rng = seeded(9000 + 10 * n + N + (char or 0))
+            degrees = tuple(rng.randint(1, N - 1) for _ in range(n - 1))
+            alg = make_algebra(n, N, degrees, char=char)
+            for _ in range(10):
+                M = random_two_term(alg, rng)
+                M = apply_word(random_word(alg, rng, max_len=4), M)
+                for i in range(1, n + 1):
+                    fwd = hom_from_projective(i, M)
+                    bwd = hom_to_projective(M, i)
+                    assert set(bwd.basis) == {-t for t in fwd.basis}
+                    for t, vecs in fwd.basis.items():
+                        assert sorted(bwd.basis[-t]) == sorted(
+                            (N - d, (r, frobenius_dual(key))) for d, (r, key) in vecs)
+                    pos = {m: {label: k for k, (_d, label) in enumerate(vecs)}
+                           for m, vecs in bwd.basis.items()}
+                    assert set(bwd.diffs) == {-t - 1 for t in fwd.diffs}
+                    for t, mat in fwd.diffs.items():
+                        back = bwd.diffs[-t - 1]
+                        for a, (_d, (r, key)) in enumerate(fwd.basis[t]):
+                            col = pos[-t][(r, frobenius_dual(key))]
+                            for b, (_d, (r2, key2)) in enumerate(fwd.basis[t + 1]):
+                                row = pos[-t - 1][(r2, frobenius_dual(key2))]
+                                assert back[row][col] == mat[a][b]
+                                pairs += 1
+                                entries += bool(mat[a][b])
+    assert entries > 400 and pairs > 4000
 
 
 def test_homology_table_of_projective(alg):
@@ -565,7 +610,8 @@ def test_sparse_constructions_equal_dense_reference(char):
         for M in reference_cases(alg, rng, 50):
             K = random_two_term(alg, rng)
             i = rng.randint(1, n)
-            ev = _tensor_projective(i, hom_from_projective(i, M), M)
+            tensor, mats = dense_tensor_projective(i, hom_from_projective(i, M), M)
+            ev = ChainMap(tensor, M, mats)
             for X in (M, reversed_summands(M)):
                 count += 1
                 maps = [ChainMap.identity(X), ChainMap.zero(X, K),
@@ -628,13 +674,13 @@ def test_minimize_returns_its_own_output_unchanged(alg3):
 
 def test_far_letters_return_the_old_construction(monkeypatch):
     # the summands lie on vertices 1 and 2 of the chain of five, so the
-    # letters 4 and 5 are far from all of them: no cone is built, and the
-    # result is literally the dense construction's
+    # letters 4 and 5 are far from all of them: no copy of P_4 or P_5 is
+    # glued to X, and the result is literally the dense construction's
     alg = make_algebra(5, 2)
     rng = seeded(23)
 
-    def refuse(f):
-        raise AssertionError("a cone was built for a far letter")
+    def refuse(*args):
+        raise AssertionError("a far letter glued copies of its projective")
 
     for _ in range(20):
         src, tgt = [[(rng.randint(1, 2), rng.randint(-2, 2))
@@ -645,7 +691,7 @@ def test_far_letters_return_the_old_construction(monkeypatch):
         for X in (M, apply_word(word, M)):
             want = {j: (dense_twist(j, X), dense_untwist(j, X)) for j in (4, 5)}
             with monkeypatch.context() as m:
-                m.setattr(sphtwist.twists, "cone", refuse)
+                m.setattr(sphtwist.twists, "_glue", refuse)
                 for j in (4, 5):
                     assert_literally_equal(twist(j, X), want[j][0])
                     assert_literally_equal(untwist(j, X), want[j][1])
@@ -717,7 +763,7 @@ def test_engine_builds_no_algebra_element(monkeypatch):
     monkeypatch.setattr(ZigzagAlgebra, "invert_local", refuse)
     M = apply_word([1, -2] * 3, P)
     assert M.total_summands() == 13
-    assert homology_table(M)[1] and hom_to_projective(M, 2).total_dim()
+    assert homology_table(M)[1] and sum(hom_to_projective(M, 2).dims().values())
     assert minimize(cone(ChainMap.identity(M))).is_zero()
     assert verify_relations(alg7).all_passed
     assert not compare_words([1, 2, 1], [2, 1, 2], alg).distinct

@@ -393,18 +393,13 @@ def cone(f):
     """Mapping cone of a chain map f: M -> K.
 
     Terms are M[1] (+) K; the differential is [[-d_M, f], [0, d_K]] in
-    block form (``_glue``).  ``f`` is trusted to commute with the
-    differentials: the ``ChainMap`` constructor validates maps at the API
-    boundary.
+    block form (``_glue``), with -d_M from ``shift``.  ``f`` is trusted to
+    commute with the differentials: the ``ChainMap`` constructor validates
+    maps at the API boundary.
     """
-    M, K = f.source, f.target
-    return _glue(
-        M.algebra,
-        {t - 1: row for t, row in M.terms.items()},
-        {t - 1: [{c: -x for c, x in row.items()} for row in mat]
-         for t, mat in M._rows.items()},
-        {t - 1: mat for t, mat in f._rows.items()},
-        K.terms, K._rows)
+    Ms, K = f.source.shift(1, 0), f.target
+    return _glue(K.algebra, Ms.terms, Ms._rows,
+                 {t - 1: mat for t, mat in f._rows.items()}, K.terms, K._rows)
 
 
 # ----------------------------------------------------------------------
@@ -535,35 +530,23 @@ class GradedVectorComplex:
         return out
 
     def homology(self):
-        """Bigraded homology dimensions, by exact rank computations."""
+        """Bigraded homology dimensions, by exact rank computations.  The
+        differential is homogeneous, so its internal-degree-s block is the
+        rows of the degree-s vectors, read as built."""
         where = {}  # (m, s) -> indices of the degree-s basis vectors of basis[m]
         for m, row in self.basis.items():
             for i, (s, _label) in enumerate(row):
                 where.setdefault((m, s), []).append(i)
-        ranks = {}
-
-        def rank(m, s):
-            """Rank of the internal-degree-s block of the differential at m."""
-            if (m, s) not in ranks:
-                rows = self._rows.get(m)
-                cols = set(where.get((m + 1, s), ()))
-                block = []
-                if rows and cols:
-                    block = [{c: x for c, x in rows[r].items() if c in cols}
-                             for r in where.get((m, s), ())]
-                ranks[(m, s)] = mat_rank(block) if block else 0
-            return ranks[(m, s)]
-
+        rows = self._rows
+        rank = {}  # of the blocks with rows and columns; the others are zero
+        for (m, s), idx in where.items():
+            if m in rows and (m + 1, s) in where:
+                rank[(m, s)] = mat_rank([rows[m][r] for r in idx])
         out = {}
-        internal = {s for row in self.basis.values() for s, _l in row}
-        for m in self.basis:
-            for s in internal:
-                n_here = len(where.get((m, s), ()))
-                if n_here == 0:
-                    continue
-                h = n_here - rank(m, s) - rank(m - 1, s)
-                if h:
-                    out[(m, s)] = h
+        for (m, s), idx in where.items():
+            h = len(idx) - rank.get((m, s), 0) - rank.get((m - 1, s), 0)
+            if h:
+                out[(m, s)] = h
         return out
 
 
@@ -615,7 +598,8 @@ def hom_from_projective(i, M):
 
 
 def hom_to_projective(M, i):
-    """The complex computing RHom(M, P_i); see ``_hom_projective``."""
+    """The complex computing RHom(M, P_i); see ``_hom_projective``.  Kept
+    public: the engine builds only its Frobenius dual ``hom_from_projective``."""
     return _hom_projective(i, M, dual=True)
 
 

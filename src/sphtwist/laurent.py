@@ -1,4 +1,4 @@
-"""Integer Laurent polynomials in one variable q, plus vectors and matrices."""
+"""Integer Laurent polynomials in one variable q, and a matrix-vector product."""
 
 
 class LaurentPoly:
@@ -115,26 +115,6 @@ def _add_product(acc, a, b):
                 acc[e] = c
             else:
                 del acc[e]
-
-
-def laurent_identity(n):
-    return [
-        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def laurent_mat_mul(A, B):
-    n = len(A)
-    m = len(B[0]) if B else 0
-    k = len(B)
-    return [
-        [
-            sum((A[i][t] * B[t][j] for t in range(k)), LaurentPoly.zero())
-            for j in range(m)
-        ]
-        for i in range(n)
-    ]
 
 
 def laurent_mat_vec(A, v):

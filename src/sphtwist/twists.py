@@ -11,7 +11,6 @@ from .complexes import (
     ProjComplex,
     _glue,
     hom_from_projective,
-    hom_to_projective,
     homology_table,
     is_isomorphic,
     minimize,
@@ -47,33 +46,40 @@ def check_word(letters, n):
 
 def _twist(i, M, dual):
     """The shared body of ``twist`` and (with ``dual``) ``untwist``: one
-    ``_glue`` of M and a copy of P_i per vector (d, (r, key)) of the hom
-    complex H on summand r of M^t.  Twist: P_i<d> in degree t - 1, before
-    M; its differential is -d_H and its evaluation entry into r is 1.
-    Untwist: P_i<-d> in degree t + 1, after M; its differential is -d_H
-    transposed and its co-evaluation entry from r is -1.
+    ``_glue`` of M and a copy of P_i, with differential -d_H, per vector
+    (d, (r, key)) of H = RHom(P_i, M) on summand r of M^t.  Twist: P_i<d>
+    in degree t - 1, before M, with evaluation entry 1 into r.  Untwist:
+    the copy of the vector's Frobenius dual in RHom(M, P_i), P_i<d - N> in
+    degree t + 1, after M, with co-evaluation entry -1 from r.
     """
     alg = M.algebra
-    H = hom_to_projective(M, i) if dual else hom_from_projective(i, M)
+    H = hom_from_projective(i, M)
     if not H.basis:  # the cone of 0 -> M, or of M -> 0 shifted back, is M
         return minimize(M)
     one = alg.field.one
+    basis, rows = H.basis, H._rows
+    if dual and not M._minimal:
+        # each summand's vectors in falling degree, the order in which
+        # hom_basis lists their duals' paths; a minimal M cancels each of its
+        # summands P_i<s> against the copy P_i<s> before any copy's pivot,
+        # so there the order cannot show
+        perm = {t: sorted(range(len(v)), key=lambda k: (v[k][1][0], -v[k][0]))
+                for t, v in basis.items()}
+        new = {t: {k: a for a, k in enumerate(p)} for t, p in perm.items()}
+        rows = {t: [{new[t + 1][c]: x for c, x in mat[k].items()} for k in perm[t]]
+                for t, mat in rows.items()}
+        basis = {t: [basis[t][k] for k in p] for t, p in perm.items()}
+    dt, ds = (1, -alg.params.N) if dual else (-1, 0)
+    copies = {t + dt: tuple((i, d + ds) for d, _l in vecs) for t, vecs in basis.items()}
+    dH = {t + dt: [{c: -x for c, x in row.items()} for row in mat]
+          for t, mat in rows.items()}
     if not dual:
-        copies = {t - 1: tuple((i, d) for d, _l in vecs) for t, vecs in H.basis.items()}
-        ev = {t - 1: [{r: one} for _d, (r, _k) in vecs] for t, vecs in H.basis.items()}
-        dH = {t - 1: [{c: -x for c, x in row.items()} for row in mat]
-              for t, mat in H._rows.items()}
+        ev = {t - 1: [{r: one} for _d, (r, _k) in vecs] for t, vecs in basis.items()}
         return minimize(_glue(alg, copies, dH, ev, M.terms, M._rows))
-    copies = {1 - m: tuple((i, -d) for d, _l in vecs) for m, vecs in H.basis.items()}
-    coev = {-m: [{} for _ in M.terms[-m]] for m in H.basis}
-    for m, vecs in H.basis.items():  # the vectors on the summands of M^-m
+    coev = {t: [{} for _ in M.terms[t]] for t in basis}
+    for t, vecs in basis.items():
         for k, (_d, (r, _key)) in enumerate(vecs):
-            coev[-m][r][k] = -one
-    dH = {-m: [{} for _ in H.basis[m + 1]] for m in H._rows}
-    for m, mat in H._rows.items():  # from the copies in degree -m to 1 - m
-        for a, row in enumerate(mat):
-            for b, x in row.items():
-                dH[-m][b][a] = -x
+            coev[t][r][k] = -one
     return minimize(_glue(alg, M.terms, M._rows, coev, copies, dH))
 
 
@@ -91,11 +97,12 @@ def twist(i, M):
 def untwist(i, M):
     """Inverse twist at vertex i, via the Frobenius-dual co-evaluation.
 
-    RHom(M, P_i) is dualized through the perfect trace pairing, giving the
-    co-evaluation M -> P_i (x) RHom(M, P_i)^dual whose entry into the copy
-    dual to a basis path psi in e_j A e_i is psi itself; the copy sits in
-    homological degree t with internal shift s - deg(psi).  The result is
-    the shifted cone minimize(cone(co-evaluation)[-1]), built in one step
+    The co-evaluation M -> P_i (x) RHom(M, P_i)^dual is read off
+    RHom(P_i, M): by the trace pairing, the basis path phi in e_i A e_j
+    against the summand (j, s) of M^t is dual to phi* in e_j A e_i, whose
+    copy P_i<deg(phi) + s - N> sits in homological degree t + 1 of the
+    result, with co-evaluation entry phi* itself.  The result is the
+    shifted cone minimize(cone(co-evaluation)[-1]), built in one step
     (``_twist``); the shifts are arranged so that twist and untwist are
     inverse on the nose.
     """

@@ -1,6 +1,6 @@
 """Shared helpers: seeded random complexes and words for fuzz-style tests,
 and dense-matrix references for cone, minimize, the twists and the
-K-theory shadows."""
+K-theory shadows, with the Laurent matrix product they need."""
 
 import random
 from fractions import Fraction
@@ -17,7 +17,7 @@ from sphtwist import (
     hom_to_projective,
 )
 from sphtwist.ktheory import imat_mul
-from sphtwist.laurent import laurent_identity, laurent_mat_mul
+from sphtwist.laurent import LaurentPoly
 
 
 def make_algebra(n, N, degrees=None, char=None):
@@ -290,6 +290,26 @@ def dense_untwist(i, M):
     tensor, coev = dense_tensor_projective(i, hom_to_projective(M, i), M, dual=True)
     cone = dense_cone(ChainMap(M, tensor, coev))
     return dense_minimize(cone.shift(-1, 0))
+
+
+def laurent_identity(n):
+    return [
+        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def laurent_mat_mul(A, B):
+    n = len(A)
+    m = len(B[0]) if B else 0
+    k = len(B)
+    return [
+        [
+            sum((A[i][t] * B[t][j] for t in range(k)), LaurentPoly.zero())
+            for j in range(m)
+        ]
+        for i in range(n)
+    ]
 
 
 def dense_burau_letter(g, algebra):

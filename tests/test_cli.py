@@ -1,6 +1,9 @@
 """Tests for the command-line surface: exit codes, output, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -383,3 +386,19 @@ def test_usage_error_on_missing_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_bench_tracer_installs():
+    # the bench tracer wraps sphtwist's functions and methods by name; a
+    # deletion from src/ that it still names fails here, not in the bench
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(here)
+    code = (
+        "import sys\n"
+        "import sphtwist, sphtwist.cli\n"
+        "sys.path.insert(0, %r)\n"
+        "import tracer\n"
+        "tracer.Tracer().install()\n" % os.path.join(root, "bench")
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

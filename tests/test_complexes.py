@@ -603,10 +603,12 @@ def assert_literally_equal(got, want):
 
 @pytest.mark.parametrize("char", [None, 7])
 def test_sparse_constructions_equal_dense_reference(char):
+    # the copies' internal shifts depend on N and the edge degrees
     count = 0
-    for n in (2, 3):
-        alg = make_algebra(n, 2, char=char)
-        rng = seeded(6000 + n + (char or 0))
+    for n, N, degrees in ((2, 2, None), (3, 2, None), (2, 3, (2,)),
+                          (3, 3, (1, 2)), (3, 4, (3, 1))):
+        alg = make_algebra(n, N, degrees, char=char)
+        rng = seeded(6000 + 100 * (N - 2) + n + (char or 0))
         for M in reference_cases(alg, rng, 50):
             K = random_two_term(alg, rng)
             i = rng.randint(1, n)
@@ -625,7 +627,19 @@ def test_sparse_constructions_equal_dense_reference(char):
                 for j in range(1, n + 1):
                     assert_literally_equal(twist(j, X), dense_twist(j, X))
                     assert_literally_equal(untwist(j, X), dense_untwist(j, X))
-    assert count == 200
+    assert count == 500
+
+
+def test_untwist_lists_each_summands_copies_as_their_duals(alg):
+    # two copies of P1<1> with idempotent entries: the minimal model keeps
+    # P1<-1> and P1<1> in degree 1, in the order in which hom_basis lists
+    # the duals of the paths e_1 and l_1 of RHom(P_1, P1<1>)
+    e1, z = alg.e(1), alg.zero()
+    X = two_term(alg, [(2, 2), (1, 1), (1, 1)], [(2, 2), (1, 1)],
+                 [[z, -2 * alg.arrow(2, 1)], [z, 2 * e1], [z, -e1]])
+    got = untwist(1, X)
+    assert got.terms[1] == ((2, 2), (1, 1), (1, -1))
+    assert_literally_equal(got, dense_untwist(1, X))
 
 
 @pytest.mark.parametrize("char", [None, 7])

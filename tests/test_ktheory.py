@@ -13,6 +13,8 @@ from conftest import (
     dense_definiteness,
     dense_pl_product,
     dense_pl_reflection,
+    laurent_identity,
+    laurent_mat_mul,
     make_algebra,
     random_two_term,
     random_word,
@@ -39,12 +41,7 @@ from sphtwist.ktheory import (
     imat_identity,
     imat_mul,
 )
-from sphtwist.laurent import (
-    LaurentPoly,
-    laurent_identity,
-    laurent_mat_mul,
-    laurent_mat_vec,
-)
+from sphtwist.laurent import LaurentPoly, laurent_mat_vec
 
 
 @pytest.fixture

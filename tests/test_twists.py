@@ -207,6 +207,23 @@ def test_verify_relations_applies_each_prefix_once(monkeypatch):
     assert applied_prefixes(calls) == want
 
 
+def test_twists_build_one_hom_direction(monkeypatch):
+    # both generators read RHom(P_i, M); RHom(M, P_i) is never built
+    duals = []
+    build = complexes._hom_projective
+
+    def record(i, M, dual):
+        duals.append(dual)
+        return build(i, M, dual)
+
+    monkeypatch.setattr(complexes, "_hom_projective", record)
+    alg = make_algebra(2, 3)
+    M = apply_word([-1, 2, -2, -1, 1], ProjComplex.projective(alg, 1))
+    assert apply_word([1, -2] * 3, M).total_summands() > 1
+    assert verify_relations(make_algebra(3, 2)).all_passed
+    assert duals and not any(duals)
+
+
 # ----------------------------------------------------------------------
 # hom matrices
 

@@ -58,11 +58,7 @@ def _twist(i, M, dual):
         return minimize(M)
     one = alg.field.one
     basis, rows = H.basis, H._rows
-    if dual and not M._minimal:
-        # each summand's vectors in falling degree, the order in which
-        # hom_basis lists their duals' paths; a minimal M cancels each of its
-        # summands P_i<s> against the copy P_i<s> before any copy's pivot,
-        # so there the order cannot show
+    if dual:  # each summand's vectors in the order hom_basis lists their duals
         perm = {t: sorted(range(len(v)), key=lambda k: (v[k][1][0], -v[k][0]))
                 for t, v in basis.items()}
         new = {t: {k: a for a, k in enumerate(p)} for t, p in perm.items()}

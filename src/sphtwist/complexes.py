@@ -21,12 +21,15 @@ entry from P_v<s> to P_v'<s'> is a scalar times the path of degree s - s'
 every matrix (a differential, a chain map, the differential of a hom
 complex) is a list of rows, one dict ``{column: scalar}`` per row holding
 its nonzero entries only, and every construction iterates over those
-entries.  Entries a -> b -> c of summands compose to a nonzero entry
+entries.  The scalars are engine scalars (``fields``), plain ints: residues
+in [0, p) over F_p, and over Q ints, or Fractions after a division that
+leaves a remainder.  The loops reduce them by ``mod``, the characteristic
+or 0 over Q.  Entries a -> b -> c of summands compose to a nonzero entry
 exactly when one of them is an idempotent or both are the arrows of a
 round trip (``_composes``), and the product's scalar is the product of
 theirs.  Only this module and ``twists._twist`` read or write that
-format.  Algebra elements appear at the boundary alone: the public
-constructors take dense matrices of them and convert them once
+format.  Algebra elements and public scalars appear at the boundary alone:
+the public constructors take dense matrices of them and convert them once
 (``_scalar_rows``, which validates them), and ``ProjComplex.diffs``,
 ``ChainMap.mats``, ``GradedVectorComplex.diffs`` and ``mat(t)`` are dense
 views built on first use.  The internal builders go through the
@@ -38,6 +41,7 @@ share them.
 
 from itertools import product as iproduct
 
+from .fields import div, raw
 from .linalg import mat_det, mat_rank, nullspace
 
 
@@ -48,10 +52,11 @@ def _composes(a, b, c):
     return a == b or b == c or a[0] == c[0] != b[0]
 
 
-def _add(row, c, x):
-    """row[c] += x in a dict row of nonzero scalars; x is nonzero."""
-    y = row.get(c)
-    y = x if y is None else y + x
+def _add(row, c, x, mod):
+    """row[c] += x, reduced by ``mod``, in a dict row of nonzero scalars."""
+    y = row.get(c, 0) + x
+    if mod:
+        y %= mod
     if y:
         row[c] = y
     else:
@@ -84,7 +89,7 @@ def _scalar_rows(alg, what, t, mat, srcs, tgts):
                         "%s entry (%d,%d) at degree %d is not in e_%d A e_%d "
                         "of degree %d" % (what, r, c, t, v, v2, s - s2)
                     )
-                scalars[c] = x.coeffs[key]
+                scalars[c] = raw(x.coeffs[key])
         out.append(scalars)
     return out
 
@@ -96,7 +101,7 @@ def _dense(alg, rows, srcs, tgts):
              for c, b in enumerate(tgts)] for a, row in zip(srcs, rows)]
 
 
-def _rows_product(A, B, src, mid, tgt):
+def _rows_product(A, B, src, mid, tgt, mod):
     """The product of dict-row matrices src -> mid and mid -> tgt."""
     out = []
     for a, row in zip(src, A):
@@ -104,7 +109,7 @@ def _rows_product(A, B, src, mid, tgt):
         for k, x in row.items():
             for c, y in B[k].items():
                 if _composes(a, mid[k], tgt[c]):
-                    _add(acc, c, x * y)
+                    _add(acc, c, x * y, mod)
         out.append(acc)
     return out
 
@@ -135,7 +140,7 @@ class ProjComplex:
         for t, rows in self._rows.items():
             if t + 1 in self._rows and any(_rows_product(
                     rows, self._rows[t + 1], self.terms[t], self.terms[t + 1],
-                    self.terms[t + 2])):
+                    self.terms[t + 2], algebra.field.char or 0)):
                 raise ValueError("d^2 != 0 between degrees %d and %d" % (t, t + 2))
 
     @classmethod
@@ -199,7 +204,8 @@ class ProjComplex:
         }
         rows = self._rows
         if t0 % 2:
-            rows = {t: [{c: -x for c, x in row.items()} for row in mat]
+            mod = self.algebra.field.char or 0
+            rows = {t: [{c: mod - x for c, x in row.items()} for row in mat]
                     for t, mat in rows.items()}
         return ProjComplex._from_rows(
             self.algebra, terms, {t - t0: mat for t, mat in rows.items()})
@@ -336,16 +342,17 @@ class ChainMap:
     def commutes(self):
         """True when d_M[t] . f[t+1] = f[t] . d_K[t] in every degree t."""
         M, K = self.source, self.target
+        mod = M.algebra.field.char or 0
         for t in M.terms:
             if t + 1 not in K.terms:
                 continue
             zero = [{} for _ in M.terms[t]]
             d, f1 = M._rows.get(t), self._rows.get(t + 1)
             f, dk = self._rows.get(t), K._rows.get(t)
-            lhs = (_rows_product(d, f1, M.terms[t], M.terms[t + 1], K.terms[t + 1])
-                   if d and f1 else zero)
-            rhs = (_rows_product(f, dk, M.terms[t], K.terms[t], K.terms[t + 1])
-                   if f and dk else zero)
+            lhs = (_rows_product(d, f1, M.terms[t], M.terms[t + 1], K.terms[t + 1],
+                                 mod) if d and f1 else zero)
+            rhs = (_rows_product(f, dk, M.terms[t], K.terms[t], K.terms[t + 1],
+                                 mod) if f and dk else zero)
             if lhs != rhs:
                 return False
         return True
@@ -356,8 +363,7 @@ class ChainMap:
 
     @classmethod
     def identity(cls, M):
-        one = M.algebra.field.one
-        rows = {t: [{r: one} for r in range(len(row))] for t, row in M.terms.items()}
+        rows = {t: [{r: 1} for r in range(len(row))] for t, row in M.terms.items()}
         return cls._from_rows(M, M, rows)
 
 
@@ -419,6 +425,7 @@ def minimize(M):
     """
     if M._minimal:
         return M
+    mod = M.algebra.field.char or 0
     rows = {t: [dict(row) for row in mat] for t, mat in M._rows.items()}
     dead = {t: set() for t in M.terms}  # cancelled summands, by degree
 
@@ -448,12 +455,13 @@ def minimize(M):
                 at[cc].discard(r)
             for rr in at.pop(c):
                 target = mat[rr]
-                factor = target.pop(c) / row[c]
+                factor = div(target.pop(c), row[c], mod)
                 for cc, y in row.items():
                     if cc == c or not _composes(src[rr], src[r], tgt[cc]):
                         continue
-                    x = target.get(cc)
-                    x = -(factor * y) if x is None else x - factor * y
+                    x = target.get(cc, 0) - factor * y
+                    if mod:
+                        x %= mod
                     if x:
                         if cc not in target:
                             at[cc].add(rr)
@@ -499,7 +507,7 @@ class GradedVectorComplex:
 
     ``basis[m]`` lists (internal_degree, label) pairs; ``rows[m]`` holds
     the differential basis[m] -> basis[m+1], homogeneous of internal degree
-    0, as dict rows of its nonzero scalars.
+    0, as dict rows of its nonzero engine scalars.
     """
 
     def __init__(self, field, basis, rows):
@@ -513,10 +521,10 @@ class GradedVectorComplex:
     def diffs(self):
         """Dense view {m: matrix} of the differentials."""
         if self._diffs is None:
-            zero = self.field.zero
+            of, zero = self.field.of, self.field.zero
             self._diffs = {
-                m: [[row.get(c, zero) for c in range(len(self.basis[m + 1]))]
-                    for row in rows]
+                m: [[of(row[c]) if c in row else zero
+                     for c in range(len(self.basis[m + 1]))] for row in rows]
                 for m, rows in self._rows.items()
             }
         return self._diffs
@@ -537,11 +545,11 @@ class GradedVectorComplex:
         for m, row in self.basis.items():
             for i, (s, _label) in enumerate(row):
                 where.setdefault((m, s), []).append(i)
-        rows = self._rows
+        rows, mod = self._rows, self.field.char or 0
         rank = {}  # of the blocks with rows and columns; the others are zero
         for (m, s), idx in where.items():
             if m in rows and (m + 1, s) in where:
-                rank[(m, s)] = mat_rank([rows[m][r] for r in idx])
+                rank[(m, s)] = mat_rank([rows[m][r] for r in idx], mod)
         out = {}
         for (m, s), idx in where.items():
             h = len(idx) - rank.get((m, s), 0) - rank.get((m - 1, s), 0)
@@ -563,6 +571,7 @@ def _hom_projective(i, M, dual):
     """
     alg = M.algebra
     alg.check_vertex(i)
+    mod = alg.field.char or 0
     sign = -1 if dual else 1
     basis = {}
     index = {}  # (t, r) -> {z: index of the vector on summand r of M^t at z}
@@ -587,7 +596,7 @@ def _hom_projective(i, M, dual):
                 ends = (M.terms[t][a], M.terms[t + 1][b])
                 for z, k in index[(src, u)].items():
                     if _composes(*ends, z) if dual else _composes(z, *ends):
-                        _add(out[k], index[(tgt, w)][z], x)
+                        _add(out[k], index[(tgt, w)][z], x, mod)
         rows[sign * src] = out
     return GradedVectorComplex(alg.field, basis, rows)
 
@@ -649,6 +658,7 @@ def _arrow_ranks(M):
     out.
     """
     blocks = {}
+    mod = M.algebra.field.char or 0
     for t, mat in M._rows.items():
         src, tgt = M.terms[t], M.terms[t + 1]
         for r, row in enumerate(mat):
@@ -658,7 +668,7 @@ def _arrow_ranks(M):
                 if v != v2:  # the entry is a multiple of the arrow v -> v2
                     block = blocks.setdefault((t, ("a", v, v2), s, s2), {})
                     block.setdefault(r, {})[c] = x
-    return {b: mat_rank(list(rows.values())) for b, rows in blocks.items()}
+    return {b: mat_rank(list(rows.values()), mod) for b, rows in blocks.items()}
 
 
 def _chain_map_unknowns(M, K):
@@ -678,6 +688,7 @@ def _chain_map_equations(M, K, pos):
     d_M[t] . f[t+1] - f[t] . d_K[t].
     """
     rows = {}
+    mod = M.algebra.field.char or 0
     for t in set(M.terms) | set(K.terms):
         m_src = M.terms.get(t, ())
         k_tgt = K.terms.get(t + 1, ())
@@ -690,7 +701,7 @@ def _chain_map_equations(M, K, pos):
                 for c, z in enumerate(k_tgt):
                     i = pos.get((t + 1, mid, c))
                     if i is not None and _composes(m_src[r], b, z):
-                        _add(rows.setdefault((t, r, c), {}), i, x)
+                        _add(rows.setdefault((t, r, c), {}), i, x, mod)
         # - f[t] . d_K[t]  contributions
         for r, a in enumerate(m_src):
             for mid, row in enumerate(K._rows.get(t, ())):
@@ -699,7 +710,7 @@ def _chain_map_equations(M, K, pos):
                     continue
                 for c, x in row.items():
                     if _composes(a, K.terms[t][mid], k_tgt[c]):
-                        _add(rows.setdefault((t, r, c), {}), i, -x)
+                        _add(rows.setdefault((t, r, c), {}), i, mod - x, mod)
     return [row for row in rows.values() if row]
 
 
@@ -785,7 +796,7 @@ def is_isomorphic(M, K, with_certificate=False):
         return True
     Mm = minimize(M)
     Km = minimize(K)
-    alg = Mm.algebra
+    mod = Mm.algebra.field.char or 0
 
     def done(ok, cert):
         return (ok, cert) if with_certificate else ok
@@ -798,7 +809,7 @@ def is_isomorphic(M, K, with_certificate=False):
     unknowns = _chain_map_unknowns(Mm, Km)
     upos = {u: i for i, u in enumerate(unknowns)}
     eqs = _chain_map_equations(Mm, Km, upos)
-    kernel = nullspace(eqs, len(unknowns), alg.field.one)
+    kernel = nullspace(eqs, len(unknowns), 1, mod)
     if not kernel:
         return done(False, None)
 
@@ -818,16 +829,17 @@ def is_isomorphic(M, K, with_certificate=False):
             matched.update(upos[(t, r, c)] for r, c in zip(rs, cs))
 
     def accept(weights):
-        terms = [(alg.field.of(w), vec) for w, vec in zip(weights, kernel) if w]
+        terms = [(w, vec) for w, vec in zip(weights, kernel) if w]
 
         def coeff(i):
-            acc = alg.field.zero
+            acc = 0
             for w, vec in terms:
                 if vec[i]:
                     acc = acc + w * vec[i]
-            return acc
+            return acc % mod if mod else acc
 
-        if not all(mat_det([[coeff(i) for i in row] for row in blk]) for blk in blocks):
+        if not all(mat_det([[coeff(i) for i in row] for row in blk], mod)
+                   for blk in blocks):
             return None
         rows = {}
         for i, (t, r, c) in enumerate(unknowns):
@@ -843,9 +855,9 @@ def is_isomorphic(M, K, with_certificate=False):
         # the free column of a kernel vector is its last nonzero entry
         free = [max(i for i, x in enumerate(vec) if x) for vec in kernel]
         yield [1 if fc in matched else 0 for fc in free]
-        if alg.field.char is not None:
+        if mod:
             # complete over F_p: all p^k weight vectors, in lexicographic order
-            yield from iproduct(range(alg.field.char), repeat=len(kernel))
+            yield from iproduct(range(mod), repeat=len(kernel))
         else:
             point = _symbolic_weights(blocks, kernel)
             if point is not None:

@@ -1,8 +1,19 @@
 """Exact scalar arithmetic: rationals (default) and prime fields.
 
-Every computation in the engine is exact.  Scalars are either
-``fractions.Fraction`` or :class:`Fp` elements; both support the arithmetic
-operators the rest of the code relies on (``+ - * / ==`` and truthiness).
+Every computation in the engine is exact.  Scalars come in two formats.
+
+* Public scalars, which the API takes and returns (``Field.of``, algebra
+  elements, dense views, ``to_dict``): ``fractions.Fraction`` over Q and
+  :class:`Fp` over F_p.  Both support ``+ - * / ==`` and truthiness.
+* Engine scalars, stored in the rows of differentials, chain maps and hom
+  complexes and handled by ``linalg``: plain Python ints.  Over F_p an
+  engine scalar is the residue in ``[0, p)``; over Q it is an int, or a
+  ``Fraction`` after a division that leaves a remainder or when the input
+  was not an integer.  The engine's loops carry ``mod``, the
+  characteristic or 0 over Q, reduce with ``x % mod`` when ``mod`` is
+  nonzero, negate as ``mod - x`` and divide with :func:`div`.  ``raw``
+  turns a public scalar into an engine scalar, and ``Field.of`` turns it
+  back.
 """
 
 from fractions import Fraction
@@ -86,6 +97,28 @@ class Fp:
         return "Fp(%d, %d)" % (self.v, self.p)
 
 
+def div(a, b, mod):
+    """Exact a / b of engine scalars, b nonzero: over F_p (``mod`` the
+    characteristic) a residue; over Q (``mod`` 0) an int when b divides a,
+    else a ``Fraction``.  Operands other than two ints use ``a / b``."""
+    if mod:
+        return a * pow(b, -1, mod) % mod
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def raw(x):
+    """The engine scalar of a public scalar: an Fp's residue, an integral
+    Fraction's int, anything else as it is."""
+    if isinstance(x, Fp):
+        return x.v
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -140,9 +173,8 @@ class Field:
         return self.of(1)
 
     def scalar_to_str(self, x):
-        if self.char is None:
-            return str(x)
-        return str(x.v)
+        """Decimal form of a public or an engine scalar."""
+        return str(x.v if isinstance(x, Fp) else x)
 
     def scalar_from_str(self, s):
         if self.char is None:

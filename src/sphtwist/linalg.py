@@ -1,7 +1,12 @@
 """Sparse exact linear algebra over the engine's scalar fields.
 
 A matrix is a list of rows, and a row is either a dense list of scalars
-(Fraction or Fp) or a dict ``{column: scalar}`` of its nonzero entries.
+or a dict ``{column: scalar}`` of its nonzero entries.  Every function
+takes ``mod``.  With the characteristic p of F_p, the scalars are engine
+scalars, ints in [0, p) (see ``fields``), and so are the results.  With the
+default 0, they are ints or Fractions over Q, or public scalars
+(``Fraction``, ``Fp``), which carry their own arithmetic.
+
 Everything here is one forward elimination, ``_eliminate``, on the dict
 form.  It clears the columns left to right, keeps an index from each column
 to the rows that are nonzero there, and takes the sparsest of those rows as
@@ -14,8 +19,10 @@ kernels and determinants are those of textbook Gaussian elimination.
 
 from heapq import heappop, heappush
 
+from .fields import div
 
-def _eliminate(rows):
+
+def _eliminate(rows, mod=0):
     """Forward elimination on a copy of ``rows``.
 
     Returns ``(echelon, order)``: one ``(column, row)`` pair per pivot in
@@ -47,12 +54,13 @@ def _eliminate(rows):
             if i == p:
                 continue
             row = live[i]
-            factor = row.pop(col) / pv
+            factor = div(row.pop(col), pv, mod)
             for c, x in prow.items():
                 if c == col:
                     continue
-                y = row.get(c)
-                y = -factor * x if y is None else y - factor * x
+                y = row.get(c, 0) - factor * x
+                if mod:
+                    y %= mod
                 if y:
                     if c not in row:
                         at[c].add(i)
@@ -65,23 +73,24 @@ def _eliminate(rows):
     return echelon, order
 
 
-def mat_rank(rows):
+def mat_rank(rows, mod=0):
     """Rank of a matrix."""
-    return len(_eliminate(rows)[0])
+    return len(_eliminate(rows, mod)[0])
 
 
-def nullspace(rows, ncols, one):
+def nullspace(rows, ncols, one, mod=0):
     """Basis of the right kernel of a matrix with ``ncols`` columns.
 
-    ``rows`` may be empty (kernel is everything).  ``one`` is the field's
-    multiplicative unit, used to build the basis vectors.  The vector for a
-    free column is 1 there and 0 at every other free column, which pins it
-    down uniquely, and its entries right of the free column are 0.  The
-    pivot entries come from back-substitution, which visits only the pivot
-    rows that meet an entry already set.
+    ``rows`` may be empty (kernel is everything).  ``one`` is the unit of
+    the rows' scalars (the int 1 for engine scalars), used to build the
+    basis vectors.  The vector for a free column is 1 there and 0 at every
+    other free column, which pins it down uniquely, and its entries right
+    of the free column are 0.  The pivot entries come from
+    back-substitution, which visits only the pivot rows that meet an entry
+    already set.
     """
     zero = one - one
-    echelon, _order = _eliminate(rows)
+    echelon, _order = _eliminate(rows, mod)
     pivot_cols = {col for col, _row in echelon}
     meets = {}  # column -> pivots with an entry there besides their pivot
     for k, (col, row) in enumerate(echelon):
@@ -103,9 +112,11 @@ def nullspace(rows, ncols, one):
             for c, x in row.items():
                 if c in v and c != col:
                     acc = acc + x * v[c]
+            if mod:
+                acc %= mod
             if not acc:
                 continue
-            v[col] = -acc / row[col]
+            v[col] = div(mod - acc, row[col], mod)
             for k in meets.get(col, ()):
                 if k not in queued:
                     queued.add(k)
@@ -114,12 +125,12 @@ def nullspace(rows, ncols, one):
     return basis
 
 
-def mat_det(rows):
+def mat_det(rows, mod=0):
     """Determinant of a square scalar matrix (returns a field scalar)."""
     n = len(rows)
     if n == 0:
         return None  # caller treats the empty matrix as invertible
-    echelon, order = _eliminate(rows)
+    echelon, order = _eliminate(rows, mod)
     if len(echelon) < n:
         for r in rows:  # a zero of the rows' field
             for x in r.values() if isinstance(r, dict) else r:
@@ -128,6 +139,8 @@ def mat_det(rows):
     product = 1
     for col, row in echelon:
         product = product * row[col]
+        if mod:
+            product %= mod
     # the pivot rows in pivot order form an upper triangular matrix; the
     # sign is that of the permutation k -> order[k]
     seen = [False] * n
@@ -138,6 +151,6 @@ def mat_det(rows):
         while j != k:
             seen[j] = True
             j = order[j]
-            product = -product
+            product = mod - product
         seen[k] = True
     return product

@@ -56,7 +56,7 @@ def _twist(i, M, dual):
     H = hom_from_projective(i, M)
     if not H.basis:  # the cone of 0 -> M, or of M -> 0 shifted back, is M
         return minimize(M)
-    one = alg.field.one
+    mod = alg.field.char or 0
     basis, rows = H.basis, H._rows
     if dual:  # each summand's vectors in the order hom_basis lists their duals
         perm = {t: sorted(range(len(v)), key=lambda k: (v[k][1][0], -v[k][0]))
@@ -67,15 +67,15 @@ def _twist(i, M, dual):
         basis = {t: [basis[t][k] for k in p] for t, p in perm.items()}
     dt, ds = (1, -alg.params.N) if dual else (-1, 0)
     copies = {t + dt: tuple((i, d + ds) for d, _l in vecs) for t, vecs in basis.items()}
-    dH = {t + dt: [{c: -x for c, x in row.items()} for row in mat]
+    dH = {t + dt: [{c: mod - x for c, x in row.items()} for row in mat]
           for t, mat in rows.items()}
     if not dual:
-        ev = {t - 1: [{r: one} for _d, (r, _k) in vecs] for t, vecs in basis.items()}
+        ev = {t - 1: [{r: 1} for _d, (r, _k) in vecs] for t, vecs in basis.items()}
         return minimize(_glue(alg, copies, dH, ev, M.terms, M._rows))
     coev = {t: [{} for _ in M.terms[t]] for t in basis}
     for t, vecs in basis.items():
         for k, (_d, (r, _key)) in enumerate(vecs):
-            coev[t][r][k] = -one
+            coev[t][r][k] = mod - 1
     return minimize(_glue(alg, M.terms, M._rows, coev, copies, dH))
 
 

@@ -402,3 +402,18 @@ def test_bench_tracer_installs():
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+@pytest.mark.parametrize("workload", ["ladder", "iso", "cli"])
+def test_bench_workload_checks_pass(workload):
+    # one warm-up pass and the minimum of timed passes of a bench workload:
+    # its outputs are checked against the bench's independent references
+    # and must repeat exactly in every pass
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "bench", "child.py"), "--workload",
+         workload, "--role", "run", "--seconds", "0", "--seed", "1"],
+        check=True, timeout=120, capture_output=True, text=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"], result["problems"]
+    assert result["failed_cases"] == []

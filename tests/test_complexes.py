@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,7 @@ from conftest import (
 from sphtwist import (
     AlgebraElement,
     ChainMap,
+    GradedVectorComplex,
     ProjComplex,
     ZigzagAlgebra,
     cone,
@@ -41,6 +43,7 @@ from sphtwist import (
     minimize,
 )
 from sphtwist.complexes import _arrow_ranks
+from sphtwist.fields import Fp
 from sphtwist.twists import apply_word, compare_words, twist, untwist, verify_relations
 
 
@@ -785,6 +788,71 @@ def test_engine_builds_no_algebra_element(monkeypatch):
     ok, cert = is_isomorphic(apply_word([1, 2, 1], M), apply_word([2, 1, 2], M),
                              with_certificate=True)
     assert ok and cert.commutes()
+
+
+@pytest.mark.parametrize("char", [None, 7])
+def test_engine_holds_plain_scalars(monkeypatch, char):
+    # every entry the engine stores is an int (a nonzero residue over F_p),
+    # or over Q a Fraction left by an uneven division; the dense views
+    # still hold the public Fraction or Fp
+    built = []
+    for cls in (ProjComplex, ChainMap):
+        def record(self, *args, _set=cls._set_rows):
+            _set(self, *args)
+            built.append(self)
+        monkeypatch.setattr(cls, "_set_rows", record)
+    init = GradedVectorComplex.__init__
+
+    def record_hom(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(GradedVectorComplex, "__init__", record_hom)
+    alg = make_algebra(3, 2, char=char)
+    rng = seeded(7100 + (char or 0))
+    outputs = [apply_word([1, -2] * 3 + [3, -1], ProjComplex.projective(alg, 1))]
+    for M in reference_cases(alg, rng, 20):
+        for X in (M, cone(ChainMap.identity(M))):
+            for i in range(1, 4):
+                outputs += [twist(i, X), untwist(i, X), hom_from_projective(i, X),
+                            hom_to_projective(X, i)]
+            Mm = minimize(X)
+            ok, cert = is_isomorphic(X, basis_change(Mm, rng), with_certificate=True)
+            assert ok
+            outputs.append(cert)
+    ints = 0
+    for obj in built:
+        for mat in obj._rows.values():
+            for row in mat:
+                for x in row.values():
+                    if type(x) is int:
+                        assert 0 < x < char if char else x != 0
+                        ints += 1
+                    else:
+                        assert char is None and type(x) is Fraction and x != 0, x
+    assert ints > 1000
+
+    public = Fraction if char is None else Fp
+    for out in outputs:
+        if isinstance(out, GradedVectorComplex):
+            views = [out.diffs]
+        else:
+            mats = out.mats if isinstance(out, ChainMap) else out.diffs
+            views = [{t: [[c for x in row for c in x.coeffs.values()]
+                          for row in mat] for t, mat in mats.items()}]
+            views.append({t: [[c for x in row for c in x.coeffs.values()]
+                              for row in out.mat(t)] for t in mats})
+        for view in views:
+            assert all(type(x) is public
+                       for mat in view.values() for row in mat for x in row)
+
+    # a pivot 2 leaves -1/2 of an arrow over Q, and its residue over F_7
+    a12 = alg.arrow(1, 2)
+    X = two_term(alg, [(1, 0), (1, 0)], [(1, 0), (2, -1)],
+                 [[2 * alg.e(1), a12], [alg.e(1), alg.zero()]])
+    got = minimize(X)._rows[0][0][0]
+    assert type(got) is (Fraction if char is None else int)
+    assert got == (Fraction(-1, 2) if char is None else 3)
 
 
 # ----------------------------------------------------------------------

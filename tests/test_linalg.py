@@ -1,11 +1,12 @@
 """Exact linear algebra: rank, kernel and determinant on seeded matrices."""
 
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from conftest import seeded
-from sphtwist.fields import Field
+from sphtwist.fields import Field, raw
 from sphtwist.linalg import mat_det, mat_rank, nullspace
 
 FIELDS = [Field(None), Field(7)]
@@ -23,6 +24,23 @@ def random_matrix(field, rng, nrows, ncols):
                 [field.of(rng.choice([0, 0, 0, 1, -1, 2, -3, 5])) for _ in range(ncols)]
             )
     return rows
+
+
+def assert_engine_scalars_agree(field, rows, ncols):
+    """Rank, kernel and determinant (of a square ``rows``) are equal on the
+    public scalars and on their engine scalars, ints reduced by ``mod``,
+    and the engine results hold engine scalars only."""
+    mod = field.char or 0
+    engine = [[raw(x) for x in row] for row in rows]
+    assert mat_rank(engine, mod) == mat_rank(rows)
+    kernel = nullspace(engine, ncols, 1, mod)
+    assert kernel == nullspace(rows, ncols, field.one)
+    values = [x for v in kernel for x in v]
+    if len(rows) == ncols:
+        values.append(mat_det(engine, mod))
+        assert values[-1] == mat_det(rows)
+    for x in values:
+        assert 0 <= x < mod and type(x) is int if mod else type(x) in (int, Fraction)
 
 
 def leibniz_det(field, rows):
@@ -48,6 +66,7 @@ def test_det_matches_leibniz_expansion(field):
         rows = random_matrix(field, rng, n, n)
         want = leibniz_det(field, rows)
         assert mat_det(rows) == want
+        assert_engine_scalars_agree(field, rows, n)
         singular += not want
     assert singular > 10
 
@@ -63,6 +82,7 @@ def test_rank_nullity_and_kernel_shape(field):
         rank = mat_rank(rows)
         kernel = nullspace(rows, ncols, field.one)
         assert rank + len(kernel) == ncols
+        assert_engine_scalars_agree(field, rows, ncols)
         deficient += rank < min(nrows, ncols)
         # a column is free when it does not raise the rank of the columns
         # before it; the kernel vector for it is 1 there and 0 at the others
@@ -164,6 +184,7 @@ def test_sparse_matrices_up_to_60(field):
         rank = mat_rank(rows)
         kernel = nullspace(as_dicts(rows), size, field.one)
         assert 0 < rank < size and rank + len(kernel) == size
+        assert_engine_scalars_agree(field, rows, size)
         # the vector for a free column is 1 there, 0 at the other free
         # columns and 0 right of its own
         free = [max(c for c, x in enumerate(v) if x) for v in kernel]
@@ -179,3 +200,4 @@ def test_sparse_matrices_up_to_60(field):
         assert mat_det(A) and mat_det(matmul(field, A, B)) == mat_det(A) * mat_det(B)
         assert mat_det(A) == textbook_det(field, A)
         assert mat_det(B) == textbook_det(field, B)
+        assert_engine_scalars_agree(field, A, size)

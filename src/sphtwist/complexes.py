@@ -683,10 +683,17 @@ def _chain_map_unknowns(M, K):
 def _chain_map_equations(M, K, pos):
     """Rows {unknown index: coeff} of the linear system d_M . f = f . d_K.
 
-    ``pos`` maps each unknown (t, r, c) to its index.  One row per
-    equation (t, r, c): the scalar of entry (r, c) of
-    d_M[t] . f[t+1] - f[t] . d_K[t].
+    ``pos`` maps each unknown (t, r, c) to its index, in the order of
+    ``_chain_map_unknowns``.  One row per equation (t, r, c): the scalar
+    of entry (r, c) of d_M[t] . f[t+1] - f[t] . d_K[t].  The unknowns are
+    grouped by (t, r) once, so each product visits only the unknowns on
+    its middle summand.  Each unknown meets an equation through one middle
+    summand only, so its coefficient is one nonzero scalar of d_M or d_K
+    (negated, as mod - x, for d_K), set once.
     """
+    unknowns = {}
+    for (t, r, c), i in pos.items():
+        unknowns.setdefault((t, r), []).append((c, i))
     rows = {}
     mod = M.algebra.field.char or 0
     for t in set(M.terms) | set(K.terms):
@@ -696,22 +703,23 @@ def _chain_map_equations(M, K, pos):
             continue
         # d_M[t] . f[t+1]  contributions
         for r, row in enumerate(M._rows.get(t, ())):
+            a = m_src[r]
             for mid, x in row.items():
                 b = M.terms[t + 1][mid]
-                for c, z in enumerate(k_tgt):
-                    i = pos.get((t + 1, mid, c))
-                    if i is not None and _composes(m_src[r], b, z):
-                        _add(rows.setdefault((t, r, c), {}), i, x, mod)
+                for c, i in unknowns.get((t + 1, mid), ()):
+                    if _composes(a, b, k_tgt[c]):
+                        rows.setdefault((t, r, c), {})[i] = x
         # - f[t] . d_K[t]  contributions
+        k_rows = K._rows.get(t)
+        if not k_rows:
+            continue
         for r, a in enumerate(m_src):
-            for mid, row in enumerate(K._rows.get(t, ())):
-                i = pos.get((t, r, mid))
-                if i is None:
-                    continue
-                for c, x in row.items():
-                    if _composes(a, K.terms[t][mid], k_tgt[c]):
-                        _add(rows.setdefault((t, r, c), {}), i, mod - x, mod)
-    return [row for row in rows.values() if row]
+            for mid, i in unknowns.get((t, r), ()):
+                b = K.terms[t][mid]
+                for c, x in k_rows[mid].items():
+                    if _composes(a, b, k_tgt[c]):
+                        rows.setdefault((t, r, c), {})[i] = mod - x
+    return list(rows.values())
 
 
 def _quick_weights(m):

@@ -9,8 +9,9 @@ Orientation convention: matrices act on column vectors, and a word
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
-from .laurent import LaurentPoly, _add_product
+from .laurent import LaurentPoly
 
 
 # ----------------------------------------------------------------------
@@ -19,14 +20,17 @@ from .laurent import LaurentPoly, _add_product
 
 def euler_class(M):
     """Graded Euler characteristic: component i is
-    sum over (t, s) of (-1)^t q^s (multiplicity of P_i<s> in degree t)."""
-    n = M.algebra.params.n
-    out = [LaurentPoly.zero() for _ in range(n)]
+    sum over (t, s) of (-1)^t q^s (multiplicity of P_i<s> in degree t).
+
+    Each component is summed as one {exponent: coefficient} dict and
+    wrapped in LaurentPoly once."""
+    out = [{} for _ in range(M.algebra.params.n)]
     for t, row in M.terms.items():
         sign = -1 if t % 2 else 1
         for v, s in row:
-            out[v - 1] = out[v - 1] + LaurentPoly.q(s, sign)
-    return out
+            acc = out[v - 1]
+            acc[s] = acc.get(s, 0) + sign
+    return [LaurentPoly(acc) for acc in out]
 
 
 def chi_q(algebra, i, j):
@@ -38,47 +42,81 @@ def chi_q(algebra, i, j):
 
 
 def _letter_row(g, algebra):
-    """Row |g| of the matrix of letter g, as {column: {exponent: coefficient}}.
+    """Row |g| of the matrix of letter g, as (i, c, e, neighbours): the
+    diagonal entry is c q^e at row and column i (0-based), and each
+    neighbour (j, c_j, e_j) is the entry c_j q^(e_j) at column j.
 
     The twist at i acts by [M] -> [M] - chi_q(P_i, M) [P_i]; its inverse
     uses the dual pairing, which substitutes q -> q^{-1} and transposes
     the hom direction.  Every other row is the identity's, and the row is
-    nonzero only where e_i A e_j is, at j = i-1, i, i+1.
+    nonzero only where e_i A e_j is, at j = i-1, i, i+1.  Each entry is a
+    monomial: e_i A e_i = span{e_i, l_i} makes the diagonal 1 - (1 + q^N)
+    = -q^N (q^-N for the inverse), and e_i A e_j is one arrow for j = i±1.
     """
     i = abs(g)
     algebra.check_vertex(i)
-    row = {}
+    neighbours = []
     for j in range(1, algebra.params.n + 1):
         if g > 0:
             pairing = chi_q(algebra, i, j)
         else:
             pairing = chi_q(algebra, j, i).substitute_inverse()
         entry = (LaurentPoly.one() - pairing if i == j else -pairing).coeffs
-        if entry:
-            row[j - 1] = entry
-    return row
+        if i == j:
+            (e, c), = entry.items()
+        elif entry:
+            (e_j, c_j), = entry.items()
+            neighbours.append((j - 1, c_j, e_j))
+    return i - 1, c, e, tuple(neighbours)
 
 
 def burau_matrix(letters, algebra):
     """Matrix of a braid word on Euler classes (column action).
 
-    A letter changes one row of the product: row |g| becomes its letter
-    row times the product, which reads at most three rows.  The product
-    is kept as coefficient dicts and wrapped in LaurentPoly once.
+    A letter changes one row of the product: row i = |g| becomes its letter
+    row times the product, which reads at most three rows.  Row r is kept
+    as a sign, a lowest exponent low[r] and one dense coefficient list per
+    column, whose index k holds the coefficient of q^(low[r] + k) divided
+    by the sign; an empty list is a zero entry.  The letter's diagonal
+    entry is the monomial -q^(±N) (see _letter_row), so it only flips row
+    i's sign and moves low[i].  Each neighbour entry ±q^e is added into
+    row i's lists in place, one slice per column, after padding them at
+    the front when the neighbour reaches below low[i].  Each entry is
+    wrapped in LaurentPoly once, at the end.
     """
     n = algebra.params.n
-    out = [[{0: 1} if r == c else {} for c in range(n)] for r in range(n)]
-    rows = {}
+    sign = [1] * n
+    low = [0] * n
+    out = [[[1] if r == c else [] for c in range(n)] for r in range(n)]
+    steps = {}
     for g in letters:
-        row = rows.get(g)
-        if row is None:
-            row = rows[g] = _letter_row(g, algebra)
-        new = [{} for _ in range(n)]
-        for j, entry in row.items():
-            for acc, poly in zip(new, out[j]):
-                _add_product(acc, entry, poly)
-        out[abs(g) - 1] = new
-    return [[LaurentPoly(poly) for poly in row] for row in out]
+        step = steps.get(g)
+        if step is None:
+            step = steps[g] = _letter_row(g, algebra)
+        i, c, e, neighbours = step
+        sign[i] *= c
+        low[i] += e
+        row = out[i]
+        for j, c_j, e_j in neighbours:
+            shift = low[j] + e_j - low[i]
+            if shift < 0:
+                pad = [0] * -shift
+                for a in row:
+                    if a:
+                        a[:0] = pad
+                low[i] += shift
+                shift = 0
+            op = add if c_j * sign[i] * sign[j] > 0 else sub
+            for a, b in zip(row, out[j]):
+                if b:
+                    end = shift + len(b)
+                    if len(a) < end:
+                        a.extend([0] * (end - len(a)))
+                    a[shift:end] = map(op, a[shift:end], b)
+    return [
+        [LaurentPoly({lo + k: s * x for k, x in enumerate(a) if x}) for a in row]
+        for row, s, lo in zip(out, sign, low)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -404,7 +404,7 @@ def test_bench_tracer_installs():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-@pytest.mark.parametrize("workload", ["ladder", "iso", "cli"])
+@pytest.mark.parametrize("workload", ["ladder", "iso", "cli", "shadows"])
 def test_bench_workload_checks_pass(workload):
     # one warm-up pass and the minimum of timed passes of a bench workload:
     # its outputs are checked against the bench's independent references

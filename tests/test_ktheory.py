@@ -141,13 +141,33 @@ def _seeded_chain(rng, n):
     return make_algebra(n, N, degrees)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+def _edge_words(rng, n):
+    """Words at the edges of burau_matrix's row layout: the empty word,
+    runs of one letter, inverse-heavy words (a neighbour row reaches below
+    the updated row's lowest exponent, so its lists are padded at the
+    front) and words whose cancellation leaves zeros at a list's ends."""
+    inverse_heavy = [(1 if rng.random() < 0.1 else -1) * rng.randint(1, n)
+                     for _ in range(40)]
+    words = [[], [1] * 7, [-n] * 7, inverse_heavy,
+             [-g for g in range(n, 0, -1)] * 3, [1, -1] * 3, [n, -n, -n, n]]
+    if n > 1:
+        words += [[1, 2, 1, -2, -1, -2], [2, 1, 2, -1, -2, -1] * 2,
+                  [1, 2, -1, -2, 2, 1, -2, -1]]
+    return words
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_burau_matrix_equals_dense_reference(n):
     rng = seeded(700 + n)
+    cases = []
     for k in range(6):
         alg = make_algebra(n, 2) if k < 3 else _seeded_chain(rng, n)
         length = 60 if k == 0 else rng.randint(0, 60)
-        w = [rng.choice([1, -1]) * rng.randint(1, n) for _ in range(length)]
+        cases.append((alg, [rng.choice([1, -1]) * rng.randint(1, n)
+                            for _ in range(length)]))
+    for alg in (make_algebra(n, 2), _seeded_chain(rng, n)):
+        cases += [(alg, w) for w in _edge_words(rng, n)]
+    for alg, w in cases:
         got = burau_matrix(w, alg)
         assert all(isinstance(p, LaurentPoly) for row in got for p in row)
         assert _coeffs(got) == _coeffs(dense_burau_matrix(w, alg))

@@ -11,7 +11,8 @@ Conventions (fixed once, used everywhere):
 * Only bidegree-(0,0) chain maps are first class; shifts live on objects.
 * cone(f: M -> K) has terms M[1] (+) K in each degree and differential
   d(m, k) = (-d_M m, f(m) + d_K k).  ``_glue`` lays out this block form
-  for ``cone`` and for the twists (``twists._twist``) alike.
+  for ``cone``; the twists (``twists._twist``) write their cones' rows in
+  the same layout directly, from the vectors of ``_hom_vectors``.
 * Homological shift [t0] relabels degrees t -> t - t0 and multiplies the
   differential by (-1)^t0; internal shift <s0> adds s0 to every summand.
 
@@ -34,8 +35,9 @@ the public constructors take dense matrices of them and convert them once
 ``ChainMap.mats``, ``GradedVectorComplex.diffs`` and ``mat(t)`` are dense
 views built on first use.  The internal builders go through the
 unvalidated ``_from_rows`` constructors.  Rows are never changed once a
-complex or map holds them (``minimize`` works on copies), so objects may
-share them.
+complex or map holds them, so objects may share them: ``minimize`` works
+on copies, unless the complex is marked ``_fresh``, a cone whose rows its
+builder made for it alone and hands over to be reduced in place.
 """
 
 
@@ -123,6 +125,7 @@ class ProjComplex:
     """
 
     _minimal = False  # set on the outputs of ``minimize``
+    _fresh = False  # set by a builder that hands its rows to ``minimize``
 
     def __init__(self, algebra, terms, diffs=None):
         self.algebra = algebra
@@ -421,12 +424,15 @@ def minimize(M):
     d <- d - (column) . pivot^{-1} . (row) to the same differential.  Pivots
     are taken in the order of the first invertible entry by (degree, row,
     column).  The result has all entries in the span of arrows and loops.
-    An output of ``minimize`` is returned unchanged.
+    An output of ``minimize`` is returned unchanged.  The reduction works
+    on copies of the rows, or on the rows themselves when M is marked
+    ``_fresh`` (a complex that no one else holds, like the twists' cones).
     """
     if M._minimal:
         return M
     mod = M.algebra.field.char or 0
-    rows = {t: [dict(row) for row in mat] for t, mat in M._rows.items()}
+    rows = M._rows if M._fresh else {t: [dict(row) for row in mat]
+                                     for t, mat in M._rows.items()}
     dead = {t: set() for t in M.terms}  # cancelled summands, by degree
 
     # One sweep suffices.  A cancellation at (t, r, c) changes entries of
@@ -483,9 +489,12 @@ def minimize(M):
     out = {}
     for t in terms:
         if t + 1 in terms:
-            cols = new[t + 1]
-            out[t] = [{cols[c]: x for c, x in rows[t][r].items() if c in cols}
-                      for r in new[t]]
+            cols, mat = new[t + 1], rows[t]
+            if dead[t + 1]:
+                out[t] = [{cols[c]: x for c, x in mat[r].items() if c in cols}
+                          for r in new[t]]
+            else:  # no column renumbered: the surviving rows as they are
+                out[t] = [mat[r] for r in new[t]]
     out = ProjComplex._from_rows(M.algebra, terms, out)
     out._minimal = True
     return out
@@ -558,47 +567,88 @@ class GradedVectorComplex:
         return out
 
 
-def _hom_projective(i, M, dual):
-    """RHom(P_i, M), or RHom(M, P_i) with ``dual``, as graded vector spaces.
+def _hom_vectors(i, M, dual, descending=False):
+    """The basis of RHom(P_i, M), or RHom(M, P_i) with ``dual``.
 
     A basis path phi in e_i A e_j (dual: e_j A e_i) against summand r =
     (j, s) of M^t is the basis vector labelled (r, key) in bidegree
     (t, deg(phi) + s) (dual: (-t, deg(phi) - s)).  Then phi runs from
     (dual: to) the summand z = P_i<deg(phi) + s> (dual: P_i<s - deg(phi)>),
-    and z names the vector among those on r.  The differential
-    post-composes phi with d_M (dual: pre-composes), so the dual one runs
-    from the summands of M^{t+1} to those of M^t.
+    and z names the vector among those on r.  Returns ``(basis, index)``:
+    basis[m] lists the (internal degree, label) pairs of the nonempty
+    degrees m, summand by summand, each summand's paths in ``hom_basis``
+    order, or in descending degree with ``descending``; index[(t, r)] maps
+    z to the position in basis[+-t] of the vector on summand r of M^t, for
+    the summands r that carry a vector.
     """
     alg = M.algebra
     alg.check_vertex(i)
-    mod = alg.field.char or 0
     sign = -1 if dual else 1
+    paths = alg._hom_basis  # hom_basis without its vertex checks: M's are valid
     basis = {}
-    index = {}  # (t, r) -> {z: index of the vector on summand r of M^t at z}
+    index = {}
     for t, row in M.terms.items():
         vecs = []
         for r, (j, s) in enumerate(row):
+            keys = paths.get((j, i) if dual else (i, j))
+            if not keys:
+                continue
             at = index[(t, r)] = {}
-            for key in alg.hom_basis(j, i) if dual else alg.hom_basis(i, j):
+            for key in keys[::-1] if descending else keys:
                 d = alg.deg[key] + sign * s
                 at[(i, sign * d)] = len(vecs)
                 vecs.append((d, (r, key)))
-        basis[sign * t] = vecs
-    rows = {}
+        if vecs:
+            basis[sign * t] = vecs
+    return basis, index
+
+
+def _hom_into(M, index, dual, rows, neg=False, shift=None):
+    """Write the differential of a hom complex of M into ``rows``.
+
+    ``index`` is that of ``_hom_vectors``; rows[m][k] is the dict row of
+    the k-th vector of degree m, and receives each entry at its column
+    plus shift[m] (default 0), as mod - x with ``neg``.  The differential
+    post-composes a path with d_M (dual: pre-composes), so the dual one
+    runs from the summands of M^{t+1} to those of M^t.  A (vector,
+    column) pair meets one entry of d_M, so each entry is set once.
+    """
+    mod = M.algebra.field.char or 0
+    sign = -1 if dual else 1
+    shift = shift or {}
     for t, mat in M._rows.items():
         src, tgt = (t + 1, t) if dual else (t, t + 1)
-        out = [{} for _ in basis[sign * src]]
+        out = rows.get(sign * src)
+        if out is None:  # no vector on M^src
+            continue
+        off = shift.get(sign * src, 0)
+        terms, terms1 = M.terms[t], M.terms[t + 1]
         for a, row in enumerate(mat):
+            if not dual and (t, a) not in index:
+                continue
             for b, x in row.items():
                 # x runs from summand a of M^t to summand b of M^{t+1}; the
                 # path phi sits on summand u of M^src, the result on w
                 u, w = (b, a) if dual else (a, b)
-                ends = (M.terms[t][a], M.terms[t + 1][b])
-                for z, k in index[(src, u)].items():
-                    if _composes(*ends, z) if dual else _composes(z, *ends):
-                        _add(out[k], index[(tgt, w)][z], x, mod)
-        rows[sign * src] = out
-    return GradedVectorComplex(alg.field, basis, rows)
+                at = index.get((src, u))
+                if at is None:
+                    continue
+                sa, sb = terms[a], terms1[b]
+                if neg:
+                    x = mod - x
+                cols = index.get((tgt, w))  # present when a product is nonzero
+                for z, k in at.items():
+                    if _composes(sa, sb, z) if dual else _composes(z, sa, sb):
+                        out[k][off + cols[z]] = x
+
+
+def _hom_projective(i, M, dual):
+    """RHom(P_i, M), or RHom(M, P_i) with ``dual``, as graded vector spaces
+    (``_hom_vectors``, ``_hom_into``)."""
+    basis, index = _hom_vectors(i, M, dual)
+    rows = {m: [{} for _ in vecs] for m, vecs in basis.items()}
+    _hom_into(M, index, dual, rows)
+    return GradedVectorComplex(M.algebra.field, basis, rows)
 
 
 def hom_from_projective(i, M):

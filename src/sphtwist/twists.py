@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 from .complexes import (
     ProjComplex,
-    _glue,
-    hom_from_projective,
+    _hom_into,
+    _hom_vectors,
     homology_table,
     is_isomorphic,
     minimize,
@@ -45,47 +45,78 @@ def check_word(letters, n):
 
 
 def _twist(i, M, dual):
-    """The shared body of ``twist`` and (with ``dual``) ``untwist``: one
-    ``_glue`` of M and a copy of P_i, with differential -d_H, per vector
-    (d, (r, key)) of H = RHom(P_i, M) on summand r of M^t.  Twist: P_i<d>
-    in degree t - 1, before M, with evaluation entry 1 into r.  Untwist:
-    the copy of the vector's Frobenius dual in RHom(M, P_i), P_i<d - N> in
-    degree t + 1, after M, with co-evaluation entry -1 from r.
+    """The shared body of ``twist`` and (with ``dual``) ``untwist``.
+
+    One copy of P_i per vector (d, (r, key)) of H = RHom(P_i, M) on
+    summand r of M^t, with differential -d_H.  Twist: P_i<d> in degree
+    t - 1, the copies before M in each degree, with evaluation entry 1
+    into r.  Untwist: the copy of the vector's Frobenius dual in
+    RHom(M, P_i), P_i<d - N> in degree t + 1, after M, with co-evaluation
+    entry -1 from r; each summand's vectors are listed in descending
+    degree, the order ``hom_basis`` lists their duals in.  The cone's
+    dict rows are written once, in that layout (the copies' rows by
+    ``_hom_into``), and ``minimize`` reduces them in place.  A letter with
+    no vector is the cone of 0 -> M, or of M -> 0 shifted back: M.
     """
-    alg = M.algebra
-    H = hom_from_projective(i, M)
-    if not H.basis:  # the cone of 0 -> M, or of M -> 0 shifted back, is M
+    basis, index = _hom_vectors(i, M, False, descending=dual)
+    if not basis:
         return minimize(M)
-    mod = alg.field.char or 0
-    basis, rows = H.basis, H._rows
-    if dual:  # each summand's vectors in the order hom_basis lists their duals
-        perm = {t: sorted(range(len(v)), key=lambda k: (v[k][1][0], -v[k][0]))
-                for t, v in basis.items()}
-        new = {t: {k: a for a, k in enumerate(p)} for t, p in perm.items()}
-        rows = {t: [{new[t + 1][c]: x for c, x in mat[k].items()} for k in perm[t]]
-                for t, mat in rows.items()}
-        basis = {t: [basis[t][k] for k in p] for t, p in perm.items()}
-    dt, ds = (1, -alg.params.N) if dual else (-1, 0)
-    copies = {t + dt: tuple((i, d + ds) for d, _l in vecs) for t, vecs in basis.items()}
-    dH = {t + dt: [{c: mod - x for c, x in row.items()} for row in mat]
-          for t, mat in rows.items()}
+    mod = M.algebra.field.char or 0
+    terms, mrows = M.terms, M._rows
+    rows = {}
     if not dual:
-        ev = {t - 1: [{r: 1} for _d, (r, _k) in vecs] for t, vecs in basis.items()}
-        return minimize(_glue(alg, copies, dH, ev, M.terms, M._rows))
-    coev = {t: [{} for _ in M.terms[t]] for t in basis}
-    for t, vecs in basis.items():
-        for k, (_d, (r, _key)) in enumerate(vecs):
-            coev[t][r][k] = mod - 1
-    return minimize(_glue(alg, M.terms, M._rows, coev, copies, dH))
+        # degree u: the copies of H^{u+1}, then M^u
+        copies = {t - 1: tuple((i, d) for d, _l in vecs) for t, vecs in basis.items()}
+        hrows = {t: [{len(basis.get(t + 1, ())) + r: 1} for _d, (r, _k) in vecs]
+                 for t, vecs in basis.items()}
+        _hom_into(M, index, False, hrows, neg=True)
+        glued = {u: copies.get(u, ()) + terms.get(u, ())
+                 for u in copies.keys() | terms.keys()}
+        for u in glued:
+            if u + 1 in glued:
+                off = len(copies.get(u + 1, ()))
+                mat = rows[u] = hrows.get(u + 1, [])
+                if u not in mrows:
+                    mat.extend({} for _ in terms.get(u, ()))
+                elif off:
+                    mat.extend([{off + c: x for c, x in row.items()}
+                                for row in mrows[u]])
+                else:
+                    mat.extend(map(dict, mrows[u]))
+    else:
+        # degree u: M^u, then the copies of H^{u-1}
+        N = M.algebra.params.N
+        copies = {t + 1: tuple((i, d - N) for d, _l in vecs)
+                  for t, vecs in basis.items()}
+        hrows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
+        _hom_into(M, index, False, hrows, neg=True,
+                  shift={t: len(terms.get(t + 2, ())) for t in basis})
+        glued = {u: terms.get(u, ()) + copies.get(u, ())
+                 for u in terms.keys() | copies.keys()}
+        for u in glued:
+            if u + 1 in glued:
+                off = len(terms.get(u + 1, ()))
+                mat = rows[u] = ([dict(row) for row in mrows[u]] if u in mrows
+                                 else [{} for _ in terms.get(u, ())])
+                if u in basis:
+                    for r, row in enumerate(mat):
+                        for k in index.get((u, r), {}).values():
+                            row[off + k] = mod - 1
+                mat.extend(hrows.get(u - 1, ()))
+    cone = ProjComplex._from_rows(M.algebra, glued, rows)
+    cone._fresh = True
+    return minimize(cone)
 
 
 def twist(i, M):
     """Twist at vertex i: the cone of the evaluation P_i (x) RHom(P_i, M) -> M.
 
     A basis path phi in e_i A e_j against the summand (j, s) of M^t
-    contributes a summand P_i<deg(phi) + s> in homological degree t; the
-    evaluation entry for that copy is phi itself.  The cone is built in one
-    step (``_twist``) and minimized.
+    contributes a summand P_i<deg(phi) + s> in homological degree t of the
+    tensor, t - 1 of the cone; the evaluation entry for that copy is phi
+    itself.  The cone's rows are written once, in their final layout, from
+    the vectors of RHom(P_i, M) without building that hom complex, and
+    ``minimize`` reduces them in place (``_twist``).
     """
     return _twist(i, M, dual=False)
 
@@ -98,9 +129,9 @@ def untwist(i, M):
     against the summand (j, s) of M^t is dual to phi* in e_j A e_i, whose
     copy P_i<deg(phi) + s - N> sits in homological degree t + 1 of the
     result, with co-evaluation entry phi* itself.  The result is the
-    shifted cone minimize(cone(co-evaluation)[-1]), built in one step
-    (``_twist``); the shifts are arranged so that twist and untwist are
-    inverse on the nose.
+    shifted cone minimize(cone(co-evaluation)[-1]), its rows written once
+    from the vectors of RHom(P_i, M) and reduced in place (``_twist``); the
+    shifts are arranged so that twist and untwist are inverse on the nose.
     """
     return _twist(i, M, dual=True)
 

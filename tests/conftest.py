@@ -1,6 +1,7 @@
 """Shared helpers: seeded random complexes and words for fuzz-style tests,
-and dense-matrix references for cone, minimize, the twists and the
-K-theory shadows, with the Laurent matrix product they need."""
+dense-matrix references for cone, minimize, the twists and the K-theory
+shadows, with the Laurent matrix product they need, and the twists glued
+block by block from their hom complex."""
 
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from sphtwist import (
     hom_from_projective,
     hom_to_projective,
 )
+from sphtwist.complexes import _glue, minimize
 from sphtwist.ktheory import imat_mul
 from sphtwist.laurent import LaurentPoly
 
@@ -290,6 +292,47 @@ def dense_untwist(i, M):
     tensor, coev = dense_tensor_projective(i, hom_to_projective(M, i), M, dual=True)
     cone = dense_cone(ChainMap(M, tensor, coev))
     return dense_minimize(cone.shift(-1, 0))
+
+
+# ----------------------------------------------------------------------
+# glued reference: the twists through the hom complex RHom(P_i, M), one
+# ``_glue`` of M and the copies of P_i, and ``minimize`` on copied rows
+
+
+def _glued(i, M, dual):
+    alg = M.algebra
+    H = hom_from_projective(i, M)
+    if not H.basis:
+        return minimize(M)
+    mod = alg.field.char or 0
+    basis, rows = H.basis, H._rows
+    if dual:  # each summand's vectors in the order hom_basis lists their duals
+        perm = {t: sorted(range(len(v)), key=lambda k: (v[k][1][0], -v[k][0]))
+                for t, v in basis.items()}
+        new = {t: {k: a for a, k in enumerate(p)} for t, p in perm.items()}
+        rows = {t: [{new[t + 1][c]: x for c, x in mat[k].items()} for k in perm[t]]
+                for t, mat in rows.items()}
+        basis = {t: [basis[t][k] for k in p] for t, p in perm.items()}
+    dt, ds = (1, -alg.params.N) if dual else (-1, 0)
+    copies = {t + dt: tuple((i, d + ds) for d, _l in vecs) for t, vecs in basis.items()}
+    dH = {t + dt: [{c: mod - x for c, x in row.items()} for row in mat]
+          for t, mat in rows.items()}
+    if not dual:
+        ev = {t - 1: [{r: 1} for _d, (r, _k) in vecs] for t, vecs in basis.items()}
+        return minimize(_glue(alg, copies, dH, ev, M.terms, M._rows))
+    coev = {t: [{} for _ in M.terms[t]] for t in basis}
+    for t, vecs in basis.items():
+        for k, (_d, (r, _key)) in enumerate(vecs):
+            coev[t][r][k] = mod - 1
+    return minimize(_glue(alg, M.terms, M._rows, coev, copies, dH))
+
+
+def glued_twist(i, M):
+    return _glued(i, M, dual=False)
+
+
+def glued_untwist(i, M):
+    return _glued(i, M, dual=True)
 
 
 def laurent_identity(n):

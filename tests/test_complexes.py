@@ -20,6 +20,8 @@ from conftest import (
     dense_twist,
     dense_untwist,
     fallback_pair,
+    glued_twist,
+    glued_untwist,
     make_algebra,
     random_element,
     random_two_term,
@@ -633,6 +635,28 @@ def test_sparse_constructions_equal_dense_reference(char):
     assert count == 500
 
 
+@pytest.mark.parametrize("char", [None, 7])
+def test_twists_equal_glued_reference(char):
+    # the rows written in the cone's layout and reduced in place are the
+    # rows of the block-by-block construction: same degrees in the same
+    # order, same summand tuples, same dict rows; the cone of the identity
+    # is never minimal
+    count = 0
+    for n, N, degrees in ((2, 2, None), (3, 2, None), (2, 3, None),
+                          (3, 3, (1, 2)), (3, 3, (2, 1)), (2, 3, (2,))):
+        alg = make_algebra(n, N, degrees, char=char)
+        rng = seeded(7000 + 10 * N + n + (char or 0))
+        for M in reference_cases(alg, rng, 30):
+            for X in (M, reversed_summands(M), minimize(M), cone(ChainMap.identity(M))):
+                count += not is_minimal(X)
+                for j in range(1, n + 1):
+                    for got, want in ((twist(j, X), glued_twist(j, X)),
+                                      (untwist(j, X), glued_untwist(j, X))):
+                        assert list(got.terms.items()) == list(want.terms.items())
+                        assert got._rows == want._rows
+    assert count >= 180
+
+
 def test_untwist_lists_each_summands_copies_as_their_duals(alg):
     # two copies of P1<1> with idempotent entries: the minimal model keeps
     # P1<-1> and P1<1> in degree 1, in the order in which hom_basis lists
@@ -697,7 +721,7 @@ def test_far_letters_return_the_old_construction(monkeypatch):
     rng = seeded(23)
 
     def refuse(*args):
-        raise AssertionError("a far letter glued copies of its projective")
+        raise AssertionError("a far letter built rows for copies of its projective")
 
     for _ in range(20):
         src, tgt = [[(rng.randint(1, 2), rng.randint(-2, 2))
@@ -708,7 +732,7 @@ def test_far_letters_return_the_old_construction(monkeypatch):
         for X in (M, apply_word(word, M)):
             want = {j: (dense_twist(j, X), dense_untwist(j, X)) for j in (4, 5)}
             with monkeypatch.context() as m:
-                m.setattr(sphtwist.twists, "_glue", refuse)
+                m.setattr(sphtwist.twists, "_hom_into", refuse)
                 for j in (4, 5):
                     assert_literally_equal(twist(j, X), want[j][0])
                     assert_literally_equal(untwist(j, X), want[j][1])

@@ -208,20 +208,34 @@ def test_verify_relations_applies_each_prefix_once(monkeypatch):
 
 
 def test_twists_build_one_hom_direction(monkeypatch):
-    # both generators read RHom(P_i, M); RHom(M, P_i) is never built
+    # both generators enumerate the vectors of RHom(P_i, M) through the
+    # shared helper; the vectors of RHom(M, P_i) are never enumerated
     duals = []
-    build = complexes._hom_projective
+    build = complexes._hom_vectors
 
-    def record(i, M, dual):
+    def record(i, M, dual, *args, **kwargs):
         duals.append(dual)
-        return build(i, M, dual)
+        return build(i, M, dual, *args, **kwargs)
 
-    monkeypatch.setattr(complexes, "_hom_projective", record)
+    for module in (complexes, twists):
+        monkeypatch.setattr(module, "_hom_vectors", record)
     alg = make_algebra(2, 3)
     M = apply_word([-1, 2, -2, -1, 1], ProjComplex.projective(alg, 1))
     assert apply_word([1, -2] * 3, M).total_summands() > 1
     assert verify_relations(make_algebra(3, 2)).all_passed
     assert duals and not any(duals)
+
+
+def test_apply_word_builds_no_hom_complex(monkeypatch):
+    # the twists write the cone's rows from the hom vectors directly
+    def refuse(*args):
+        raise AssertionError("GradedVectorComplex built")
+
+    monkeypatch.setattr(complexes.GradedVectorComplex, "__init__", refuse)
+    M = apply_word([1, -2] * 3, ProjComplex.projective(make_algebra(2, 3), 1))
+    assert M.total_summands() == 13
+    P2 = ProjComplex.projective(make_algebra(3, 2), 2)
+    assert not apply_word([-2, 1, 2, -1], P2).is_zero()
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,20 @@ def _letter_row(g, algebra):
     return i - 1, c, e, tuple(neighbours)
 
 
+def _trim(row, low, i):
+    """Drop the zero margin of row i of ``burau_matrix``: each list's
+    trailing zeros, then the leading zeros its nonzero lists share."""
+    for a in row:
+        while a and not a[-1]:
+            a.pop()
+    lead = min((next(k for k, x in enumerate(a) if x) for a in row if a), default=0)
+    if lead:
+        for a in row:
+            if a:
+                del a[:lead]
+        low[i] += lead
+
+
 def burau_matrix(letters, algebra):
     """Matrix of a braid word on Euler classes (column action).
 
@@ -81,7 +95,8 @@ def burau_matrix(letters, algebra):
     entry is the monomial -q^(±N) (see _letter_row), so it only flips row
     i's sign and moves low[i].  Each neighbour entry ±q^e is added into
     row i's lists in place, one slice per column, after padding them at
-    the front when the neighbour reaches below low[i].  Each entry is
+    the front when the neighbour reaches below low[i]; after a letter that
+    padded, row i's zero margin is dropped (``_trim``).  Each entry is
     wrapped in LaurentPoly once, at the end.
     """
     n = algebra.params.n
@@ -97,6 +112,7 @@ def burau_matrix(letters, algebra):
         sign[i] *= c
         low[i] += e
         row = out[i]
+        padded = False
         for j, c_j, e_j in neighbours:
             shift = low[j] + e_j - low[i]
             if shift < 0:
@@ -106,6 +122,7 @@ def burau_matrix(letters, algebra):
                         a[:0] = pad
                 low[i] += shift
                 shift = 0
+                padded = True
             op = add if c_j * sign[i] * sign[j] > 0 else sub
             for a, b in zip(row, out[j]):
                 if b:
@@ -113,6 +130,8 @@ def burau_matrix(letters, algebra):
                     if len(a) < end:
                         a.extend([0] * (end - len(a)))
                     a[shift:end] = map(op, a[shift:end], b)
+        if padded:
+            _trim(row, low, i)
     return [
         [LaurentPoly({lo + k: s * x for k, x in enumerate(a) if x}) for a in row]
         for row, s, lo in zip(out, sign, low)

@@ -7,39 +7,99 @@ scalars, ints in [0, p) (see ``fields``), and so are the results.  With the
 default 0, they are ints or Fractions over Q, or public scalars
 (``Fraction``, ``Fp``), which carry their own arithmetic.
 
-Everything here is one forward elimination, ``_eliminate``, on the dict
-form.  It clears the columns left to right, keeps an index from each column
-to the rows that are nonzero there, and takes the sparsest of those rows as
-the pivot, which keeps the fill-in small on the chain-map systems of
-``complexes.is_isomorphic`` (thousands of unknowns, a few entries a row).
-The choice of pivot row changes neither the pivot columns nor the kernel
-basis (1 at its free column, 0 at the other free columns), so ranks,
-kernels and determinants are those of textbook Gaussian elimination.
+The public functions copy their input into dict rows and hand the copy to
+one forward elimination, ``_eliminate``, which reduces the rows it is given
+in place (``complexes.is_isomorphic`` hands over the fresh rows of its
+chain-map system without a copy).  It works in two steps.
+
+* The peel.  A row with one entry forces its column to zero in every
+  kernel vector; the column is dropped from every row, which may leave
+  more rows with one entry, and so on.  On the chain-map systems (hundreds
+  of thousands of unknowns, a few entries a row, chains of one-entry
+  equations from the ends of the complexes) the peel settles almost every
+  column, and it touches each entry once.
+* The elimination of what is left.  It clears the columns left to right,
+  keeps an index from each column to the rows that are nonzero there, and
+  takes the sparsest of those rows as the pivot, which keeps the fill-in
+  small.  Over Q, rows of engine scalars are scaled to coprime integers
+  and cleared by integer combinations, so no Fraction is made before
+  back-substitution or the final division of a determinant; rows of F_p
+  residues and of public scalars keep their field arithmetic.
+
+A forced column is never free, and neither the peel nor the choice of
+pivot row changes the kernel, so the pivot columns and the kernel basis
+(1 at its free column, 0 at the other free columns and right of its own)
+are those of textbook Gaussian elimination, and so are ranks and
+determinants.
 """
 
 from heapq import heappop, heappush
+from math import gcd, lcm
 
 from .fields import div
 
 
-def _eliminate(rows, mod=0):
-    """Forward elimination on a copy of ``rows``.
+def _rows(rows):
+    """Dict copies of ``rows`` holding their nonzero entries."""
+    return [{c: x for c, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
+            for r in rows]
 
-    Returns ``(echelon, order)``: one ``(column, row)`` pair per pivot in
-    column order, each row a dict that is zero left of its pivot column and
-    whose pivot entry is nonzero; and the index in ``rows`` of each pivot
-    row.  A pivot row is not cleared by later pivots.
+
+def _eliminate(rows, mod=0):
+    """Forward elimination, in place, on ``rows``: a list of dict rows of
+    nonzero entries that the caller hands over.
+
+    Returns ``(pivot, echelon, num, den)``.  ``pivot`` maps the index of
+    each pivot row to its column, the peeled ones first.  ``echelon`` holds
+    the ``(column, row)`` pairs of the eliminated pivots in column order,
+    each row zero left of its column and in every peeled column; a peeled
+    row is left with its single entry.  The determinant of a square matrix
+    of full rank is ``num / den`` times the product of the pivot entries
+    and the sign of the permutation ``pivot``.
     """
-    live = {}
-    at = {}
-    for i, r in enumerate(rows):
-        row = {c: x for c, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
-        if row:
-            live[i] = row
-            for c in row:
-                at.setdefault(c, set()).add(i)
+    at = {}  # column -> the rows nonzero there
+    single = []
+    for i, row in enumerate(rows):
+        for c in row:
+            if c in at:
+                at[c].append(i)
+            else:
+                at[c] = [i]
+        if len(row) == 1:
+            single.append(i)
+    pivot = {}
+    while single:
+        i = single.pop()
+        row = rows[i]
+        if not row:  # emptied by an earlier peel
+            continue
+        col, = row
+        pivot[i] = col
+        for j in at.pop(col):
+            if j != i:
+                other = rows[j]
+                del other[col]
+                if len(other) == 1:
+                    single.append(j)
+    # every other row is now empty or has two entries or more
+    live = {i: row for i, row in enumerate(rows) if len(row) > 1}
+    num = den = 1
+    # engine scalars over Q hold ints; public Fractions never do
+    integral = not mod and any(type(x) is int for row in live.values() for x in row.values())
+    for row in live.values() if integral else ():
+        try:
+            g = gcd(*row.values())
+        except TypeError:  # engine Fractions: clear the denominators
+            d = lcm(*(x.denominator for x in row.values()))
+            den *= d
+            for c, x in row.items():
+                row[c] = int(x * d)
+            g = gcd(*row.values())
+        if g != 1:
+            num *= g
+            for c, x in row.items():
+                row[c] = x // g
     echelon = []
-    order = []
     for col in sorted(at):
         cand = at.pop(col)
         if not cand:
@@ -49,12 +109,23 @@ def _eliminate(rows, mod=0):
         pv = prow[col]
         for c in prow:
             if c != col:
-                at[c].discard(p)
+                at[c].remove(p)
         for i in cand:
             if i == p:
                 continue
             row = live[i]
-            factor = div(row.pop(col), pv, mod)
+            x = row.pop(col)
+            scale = 1
+            if integral:
+                factor, r = divmod(x, pv)
+                if r:  # row := a row - b prow with a pv = b x, a and b coprime
+                    g = gcd(x, pv)
+                    scale, factor = pv // g, x // g
+                    den *= scale
+                    for c in row:
+                        row[c] *= scale
+            else:
+                factor = div(x, pv, mod)
             for c, x in prow.items():
                 if c == col:
                     continue
@@ -63,19 +134,25 @@ def _eliminate(rows, mod=0):
                     y %= mod
                 if y:
                     if c not in row:
-                        at[c].add(i)
+                        at[c].append(i)
                     row[c] = y
                 elif c in row:
                     del row[c]
-                    at[c].discard(i)
+                    at[c].remove(i)
+            if scale != 1 and row:  # keep the row primitive
+                g = gcd(*row.values())
+                if g != 1:
+                    num *= g
+                    for c, x in row.items():
+                        row[c] = x // g
+        pivot[p] = col
         echelon.append((col, prow))
-        order.append(p)
-    return echelon, order
+    return pivot, echelon, num, den
 
 
 def mat_rank(rows, mod=0):
     """Rank of a matrix."""
-    return len(_eliminate(rows, mod)[0])
+    return len(_eliminate(_rows(rows), mod)[0])
 
 
 def nullspace(rows, ncols, one, mod=0):
@@ -85,13 +162,23 @@ def nullspace(rows, ncols, one, mod=0):
     the rows' scalars (the int 1 for engine scalars), used to build the
     basis vectors.  The vector for a free column is 1 there and 0 at every
     other free column, which pins it down uniquely, and its entries right
-    of the free column are 0.  The pivot entries come from
-    back-substitution, which visits only the pivot rows that meet an entry
-    already set.
+    of the free column are 0.
     """
     zero = one - one
-    echelon, _order = _eliminate(rows, mod)
-    pivot_cols = {col for col, _row in echelon}
+    return [[v.get(c, zero) for c in range(ncols)]
+            for v in _kernel(_rows(rows), ncols, one, mod)]
+
+
+def _kernel(rows, ncols, one, mod=0):
+    """``nullspace`` of dict rows of nonzero entries, which it reduces in
+    place, with each basis vector as a dict of its nonzero entries.
+
+    A peeled column is 0 in every kernel vector.  The other pivot entries
+    come from back-substitution, which visits only the pivot rows that
+    meet an entry already set.
+    """
+    pivot, echelon, _num, _den = _eliminate(rows, mod)
+    pivot_cols = set(pivot.values())
     meets = {}  # column -> pivots with an entry there besides their pivot
     for k, (col, row) in enumerate(echelon):
         for c in row:
@@ -121,7 +208,7 @@ def nullspace(rows, ncols, one, mod=0):
                 if k not in queued:
                     queued.add(k)
                     heappush(heap, -k)
-        basis.append([v.get(c, zero) for c in range(ncols)])
+        basis.append(v)
     return basis
 
 
@@ -130,27 +217,22 @@ def mat_det(rows, mod=0):
     n = len(rows)
     if n == 0:
         return None  # caller treats the empty matrix as invertible
-    echelon, order = _eliminate(rows, mod)
-    if len(echelon) < n:
+    reduced = _rows(rows)
+    pivot, _echelon, num, den = _eliminate(reduced, mod)
+    if len(pivot) < n:
         for r in rows:  # a zero of the rows' field
             for x in r.values() if isinstance(r, dict) else r:
                 return x * 0
         return 0
-    product = 1
-    for col, row in echelon:
-        product = product * row[col]
+    product = num
+    for i, col in pivot.items():
+        product = product * reduced[i][col]
         if mod:
             product %= mod
-    # the pivot rows in pivot order form an upper triangular matrix; the
-    # sign is that of the permutation k -> order[k]
-    seen = [False] * n
+    # the sign of the permutation row -> column
     for k in range(n):
-        if seen[k]:
-            continue
-        j = order[k]
+        j = pivot.pop(k, k)
         while j != k:
-            seen[j] = True
-            j = order[j]
+            j = pivot.pop(j)
             product = mod - product
-        seen[k] = True
-    return product
+    return div(product, den, mod)

@@ -1,7 +1,7 @@
 """Shared helpers: seeded random complexes and words for fuzz-style tests,
 dense-matrix references for cone, minimize, the twists and the K-theory
-shadows, with the Laurent matrix product they need, and the twists glued
-block by block from their hom complex."""
+shadows, with the Laurent matrix product they need, the twists glued
+block by block from their hom complex, and a textbook kernel basis."""
 
 import random
 from fractions import Fraction
@@ -451,3 +451,34 @@ def dense_definiteness(lattice):
     else:
         verdict = "indefinite"
     return DefinitenessReport(verdict, (pos, neg, zero), zero)
+
+
+def dense_nullspace(rows, ncols, field):
+    """Kernel basis of dense rows by textbook reduced row echelon form in
+    public scalars: the vector for a free column is 1 there, 0 at the other
+    free columns, and minus that column's entry of each reduced pivot row
+    at its pivot."""
+    m = [[field.of(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        p = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        m[r], m[p] = m[p], m[r]
+        inv = field.one / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [field.zero] * ncols
+            v[fc] = field.one
+            for r, c in enumerate(pivots):
+                v[c] = -m[r][fc]
+            basis.append(v)
+    return basis

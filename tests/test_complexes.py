@@ -1,5 +1,6 @@
 """Tests for complexes: shifts, cones, minimization, homs, isomorphism, JSON."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -881,6 +882,36 @@ def test_engine_holds_plain_scalars(monkeypatch, char):
 
 # ----------------------------------------------------------------------
 # scale: the pseudo-Anosov ladder [1,-2]^8
+
+
+# sha256 of the certificate rows (``certificate_digest``) of [1,-2]^m . P1
+# against its rewrite by [-1,-2,-1] then [2,1,2], as the full elimination of
+# the chain-map system gave them; m = 7 and 8 are too slow for this suite
+LADDER_CERTIFICATES = {
+    (None, 4): "709eb839f1a10e560806c385628b047ff758e1ab904d52247b6fd8b79249efdd",
+    (None, 5): "2df3b463acd57eadaab8fb7cf621561ef7769a10a061cb87e908954c26fe6555",
+    (None, 6): "6a08090ab2e96c468c7789cf234a74b959aa729f19c7c31b3f3d6d053295e12c",
+    (7, 4): "ba42431ffd66bbb2ebf81adc25398882e6cbcb2a8053b8b7c7232d110d03a03d",
+    (7, 5): "aed1678da7523df19234898170e422ab3665b29c2e76b28ccf528471f4d8fa8a",
+    (7, 6): "5f282106784687a79990a43879997fca6131c879f66ff23e3f7d3a9d470d8e48",
+}
+
+
+def certificate_digest(cert):
+    """sha256 of a chain map's dict rows: per degree, every (r, c, scalar)."""
+    rows = {str(t): [[r, c, str(x)] for r, row in enumerate(mat) for c, x in sorted(row.items())]
+            for t, mat in sorted(cert._rows.items())}
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("char", [None, 7], ids=["Q", "F7"])
+def test_ladder_certificates_are_pinned(char):
+    alg = ZigzagAlgebra((2, 2), char)
+    for m in (4, 5, 6):
+        M = apply_word([1, -2] * m, ProjComplex.projective(alg, 1))
+        K = apply_word([2, 1, 2], apply_word([-1, -2, -1], M))
+        ok, cert = is_isomorphic(M, K, with_certificate=True)
+        assert ok and certificate_digest(cert) == LADDER_CERTIFICATES[(char, m)]
 
 
 def test_ladder_m8_is_fast(alg):

@@ -1,13 +1,15 @@
 """Exact linear algebra: rank, kernel and determinant on seeded matrices."""
 
+import copy
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, isqrt, prod
 
 import pytest
 
-from conftest import seeded
+from conftest import dense_nullspace, seeded
 from sphtwist.fields import Field, raw
-from sphtwist.linalg import mat_det, mat_rank, nullspace
+from sphtwist.linalg import _eliminate, _rows, mat_det, mat_rank, nullspace
 
 FIELDS = [Field(None), Field(7)]
 
@@ -201,3 +203,163 @@ def test_sparse_matrices_up_to_60(field):
         assert mat_det(A) == textbook_det(field, A)
         assert mat_det(B) == textbook_det(field, B)
         assert_engine_scalars_agree(field, A, size)
+
+
+# ----------------------------------------------------------------------
+# the peel and the integral elimination
+
+
+def scalar(field, rng):
+    """A nonzero public scalar: an int, small or up to 10^6, divided about
+    half the time by a denominator up to 10^6 that is prime to 14 (so that
+    it is invertible in F_2 and F_7)."""
+    while True:
+        x = field.of(rng.choice([1, -1, 2, -3, 5, rng.randint(-10**6, 10**6)]))
+        if rng.random() < 0.5:
+            d = rng.randint(1, 10**6)
+            while gcd(d, 14) != 1:
+                d += 1
+            x = x / field.of(d)
+        if x:
+            return x
+
+
+def cascade_system(field, rng, ncols, chain, extra):
+    """Dense rows whose peel cascades along a chain of ``chain`` columns.
+
+    The first chain row has one entry, and each later one adds the next
+    chain column to entries on earlier ones, so peeling one forces the
+    next.  Two more rows empty out: a second one-entry row on the chain's
+    start and a row on two chain columns.  ``extra`` random rows on all
+    columns are left for the elimination; the rows are shuffled.
+    """
+    cols = rng.sample(range(ncols), chain)
+    rows = []
+
+    def row(entries):
+        r = [field.zero] * ncols
+        for c in entries:
+            r[c] = scalar(field, rng)
+        rows.append(r)
+
+    for k, c in enumerate(cols):
+        row([c] + rng.sample(cols[:k], min(k, rng.randint(1, 2))))
+    row(cols[:1])
+    row(rng.sample(cols, 2))
+    for _ in range(extra):
+        row(rng.sample(range(ncols), rng.randint(2, min(ncols, 4))))
+    rng.shuffle(rows)
+    return rows, cols
+
+
+def engine(field, rows):
+    return [[raw(x) for x in row] for row in rows]
+
+
+def check_against_references(field, rows, ncols):
+    """``nullspace``, ``mat_rank`` and (square) ``mat_det`` on the engine
+    scalars and on the public ones equal the dense textbook reference, and
+    leave their input rows as they were."""
+    mod = field.char or 0
+    want = dense_nullspace(rows, ncols, field)
+    eng = engine(field, rows)
+    for args in ((eng, ncols, 1, mod), (rows, ncols, field.one),
+                 (as_dicts(eng), ncols, 1, mod), (as_dicts(rows), ncols, field.one)):
+        before = copy.deepcopy(args[0])
+        assert nullspace(*args) == want
+        assert mat_rank(args[0], *args[3:]) == ncols - len(want)
+        if len(rows) == ncols:
+            assert mat_det(args[0], *args[3:]) == textbook_det(field, rows)
+        assert args[0] == before
+    assert_engine_scalars_agree(field, rows, ncols)
+    return want
+
+
+FIELDS3 = [Field(None), Field(2), Field(7)]
+
+
+@pytest.mark.parametrize("field", FIELDS3, ids=["Q", "F2", "F7"])
+def test_peel_cascades_and_agrees_with_textbook_kernel(field):
+    rng = seeded(35)
+    mod = field.char or 0
+    mixed = emptied = 0
+    for _ in range(60):
+        ncols = rng.randint(8, 16)
+        chain = rng.randint(5, min(ncols, 9))
+        rows, cols = cascade_system(field, rng, ncols, chain, rng.randint(0, ncols // 2))
+        kernel = check_against_references(field, rows, ncols)
+        for v in kernel:
+            assert all(not v[c] for c in cols)  # the chain is forced to zero
+        pivot, echelon, _num, _den = _eliminate(_rows(engine(field, rows)), mod)
+        peeled = len(pivot) - len(echelon)
+        assert peeled >= chain
+        emptied += peeled < len(rows) - len(echelon)
+        if not mod:
+            kinds = {type(raw(x)) for row in rows for x in row if x}
+            mixed += kinds == {int, Fraction}
+    assert emptied == 60
+    assert mod or mixed > 40
+
+
+@pytest.mark.parametrize("field", FIELDS3, ids=["Q", "F2", "F7"])
+def test_peel_that_leaves_nothing(field):
+    rng = seeded(36)
+    mod = field.char or 0
+    for _ in range(30):
+        ncols = rng.randint(5, 12)
+        chain = rng.randint(5, ncols)
+        rows, cols = cascade_system(field, rng, ncols, chain, 0)
+        kernel = check_against_references(field, rows, ncols)
+        pivot, echelon, _num, _den = _eliminate(_rows(engine(field, rows)), mod)
+        assert echelon == [] and sorted(pivot.values()) == sorted(cols)
+        assert len(kernel) == ncols - chain
+
+
+@pytest.mark.parametrize("field", FIELDS3, ids=["Q", "F2", "F7"])
+def test_square_cascades_match_textbook_det(field):
+    rng = seeded(37)
+    nonzero = 0
+    for _ in range(40):
+        n = rng.randint(5, 12)
+        rows, _cols = cascade_system(field, rng, n, rng.randint(5, n), n)
+        rows = rows[:n]
+        check_against_references(field, rows, n)
+        nonzero += bool(textbook_det(field, rows))
+    assert nonzero > 5
+
+
+def test_dense_rational_system_keeps_its_coefficients_small():
+    """A dense 40 x 40 rational system of rank 37: 37 random rows and three
+    rational combinations of them.  The integral elimination keeps each
+    pivot row primitive, and within the Hadamard bound of the input scaled
+    to primitive integer rows, which bounds every minor."""
+    field = Field(None)
+    rng = seeded(38)
+    base = [[Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(40)]
+            for _ in range(37)]
+    weights = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in base]
+               for _ in range(3)]
+    rows = base + [[sum((w * r[c] for w, r in zip(ws, base)), Fraction(0))
+                    for c in range(40)] for ws in weights]
+    rng.shuffle(rows)
+    eng = engine(field, rows)
+    before = copy.deepcopy(eng)
+    kernel = dense_nullspace(rows, 40, field)
+    assert len(kernel) == 3
+    assert nullspace(eng, 40, 1) == kernel == nullspace(rows, 40, field.one)
+    assert mat_rank(eng) == 37 and mat_det(eng) == 0
+    assert eng == before
+    pivot, echelon, _num, _den = _eliminate(_rows(eng), 0)
+    norms = []
+    for row in _rows(eng):
+        d = 1
+        for x in row.values():
+            d = d * Fraction(x).denominator // gcd(d, Fraction(x).denominator)
+        ints = [int(x * d) for x in row.values()]
+        g = gcd(*ints)
+        norms.append(isqrt(sum((x // g) ** 2 for x in ints)) + 1)
+    bound = prod(sorted(norms)[-37:])
+    assert len(pivot) == 37
+    for _col, row in echelon:
+        assert gcd(*row.values()) == 1
+        assert max(abs(x) for x in row.values()) <= bound

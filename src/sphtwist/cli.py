@@ -255,8 +255,8 @@ def main(argv=None):
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    if args.command == "lattice" and not (args.t or args.matrix):
-        print("lattice: one of --t or --matrix is required", file=sys.stderr)
+    if args.command == "lattice" and bool(args.t) == bool(args.matrix):
+        print("lattice: exactly one of --t or --matrix is required", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -13,6 +13,8 @@ Conventions (fixed once, used everywhere):
   d(m, k) = (-d_M m, f(m) + d_K k).  ``_glue`` lays out this block form
   for ``cone``; the twists (``twists._twist``) write their cones' rows in
   the same layout directly, from the vectors of ``_hom_vectors``.
+* Only RHom(P_i, M) is built (``_hom_vectors``, ``_hom_into``); its dual
+  RHom(M, P_i) is read off it by the trace pairing (``hom_to_projective``).
 * Homological shift [t0] relabels degrees t -> t - t0 and multiplies the
   differential by (-1)^t0; internal shift <s0> adds s0 to every summand.
 
@@ -567,99 +569,95 @@ class GradedVectorComplex:
         return out
 
 
-def _hom_vectors(i, M, dual, descending=False):
-    """The basis of RHom(P_i, M), or RHom(M, P_i) with ``dual``.
-
-    A basis path phi in e_i A e_j (dual: e_j A e_i) against summand r =
-    (j, s) of M^t is the basis vector labelled (r, key) in bidegree
-    (t, deg(phi) + s) (dual: (-t, deg(phi) - s)).  Then phi runs from
-    (dual: to) the summand z = P_i<deg(phi) + s> (dual: P_i<s - deg(phi)>),
-    and z names the vector among those on r.  Returns ``(basis, index)``:
-    basis[m] lists the (internal degree, label) pairs of the nonempty
-    degrees m, summand by summand, each summand's paths in ``hom_basis``
+def _hom_vectors(i, M, descending=False):
+    """The basis of RHom(P_i, M): a basis path phi in e_i A e_j against
+    summand r = (j, s) of M^t is the vector labelled (r, key) in bidegree
+    (t, deg(phi) + s), and runs from the summand z = P_i<deg(phi) + s>,
+    which names the vector among those on r.  Returns ``(basis, index)``:
+    basis[t] lists the (internal degree, label) pairs of the nonempty
+    degrees t, summand by summand, each summand's paths in ``hom_basis``
     order, or in descending degree with ``descending``; index[(t, r)] maps
-    z to the position in basis[+-t] of the vector on summand r of M^t, for
+    z to the position in basis[t] of the vector on summand r of M^t, for
     the summands r that carry a vector.
     """
     alg = M.algebra
     alg.check_vertex(i)
-    sign = -1 if dual else 1
     paths = alg._hom_basis  # hom_basis without its vertex checks: M's are valid
     basis = {}
     index = {}
     for t, row in M.terms.items():
         vecs = []
         for r, (j, s) in enumerate(row):
-            keys = paths.get((j, i) if dual else (i, j))
+            keys = paths.get((i, j))
             if not keys:
                 continue
             at = index[(t, r)] = {}
             for key in keys[::-1] if descending else keys:
-                d = alg.deg[key] + sign * s
-                at[(i, sign * d)] = len(vecs)
+                d = alg.deg[key] + s
+                at[(i, d)] = len(vecs)
                 vecs.append((d, (r, key)))
         if vecs:
-            basis[sign * t] = vecs
+            basis[t] = vecs
     return basis, index
 
 
-def _hom_into(M, index, dual, rows, neg=False, shift=None):
-    """Write the differential of a hom complex of M into ``rows``.
-
-    ``index`` is that of ``_hom_vectors``; rows[m][k] is the dict row of
-    the k-th vector of degree m, and receives each entry at its column
-    plus shift[m] (default 0), as mod - x with ``neg``.  The differential
-    post-composes a path with d_M (dual: pre-composes), so the dual one
-    runs from the summands of M^{t+1} to those of M^t.  A (vector,
-    column) pair meets one entry of d_M, so each entry is set once.
-    """
+def _hom_into(M, index, rows, neg=False, shift=None):
+    """Write the differential of RHom(P_i, M), a path followed by d_M, into
+    ``rows``: rows[t][k], the dict row of the k-th vector of degree t (as
+    ``_hom_vectors`` indexes them in ``index``), receives each entry at its
+    column plus shift[t] (default 0), as mod - x with ``neg``.  A (vector,
+    column) pair meets one entry of d_M, so each entry is set once."""
     mod = M.algebra.field.char or 0
-    sign = -1 if dual else 1
     shift = shift or {}
     for t, mat in M._rows.items():
-        src, tgt = (t + 1, t) if dual else (t, t + 1)
-        out = rows.get(sign * src)
-        if out is None:  # no vector on M^src
+        out = rows.get(t)
+        if out is None:  # no vector on M^t
             continue
-        off = shift.get(sign * src, 0)
+        off = shift.get(t, 0)
         terms, terms1 = M.terms[t], M.terms[t + 1]
         for a, row in enumerate(mat):
-            if not dual and (t, a) not in index:
+            at = index.get((t, a))
+            if at is None:
                 continue
+            sa = terms[a]
             for b, x in row.items():
-                # x runs from summand a of M^t to summand b of M^{t+1}; the
-                # path phi sits on summand u of M^src, the result on w
-                u, w = (b, a) if dual else (a, b)
-                at = index.get((src, u))
-                if at is None:
-                    continue
-                sa, sb = terms[a], terms1[b]
+                # x runs from summand a of M^t to summand b of M^{t+1}
+                sb = terms1[b]
                 if neg:
                     x = mod - x
-                cols = index.get((tgt, w))  # present when a product is nonzero
+                cols = index.get((t + 1, b))  # present when a product is nonzero
                 for z, k in at.items():
-                    if _composes(sa, sb, z) if dual else _composes(z, sa, sb):
+                    if _composes(z, sa, sb):
                         out[k][off + cols[z]] = x
 
 
-def _hom_projective(i, M, dual):
-    """RHom(P_i, M), or RHom(M, P_i) with ``dual``, as graded vector spaces
-    (``_hom_vectors``, ``_hom_into``)."""
-    basis, index = _hom_vectors(i, M, dual)
-    rows = {m: [{} for _ in vecs] for m, vecs in basis.items()}
-    _hom_into(M, index, dual, rows)
+def hom_from_projective(i, M):
+    """The complex computing RHom(P_i, M) (``_hom_vectors``, ``_hom_into``)."""
+    basis, index = _hom_vectors(i, M)
+    rows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
+    _hom_into(M, index, rows)
     return GradedVectorComplex(M.algebra.field, basis, rows)
 
 
-def hom_from_projective(i, M):
-    """The complex computing RHom(P_i, M); see ``_hom_projective``."""
-    return _hom_projective(i, M, dual=False)
-
-
 def hom_to_projective(M, i):
-    """The complex computing RHom(M, P_i); see ``_hom_projective``.  Kept
-    public: the engine builds only its Frobenius dual ``hom_from_projective``."""
-    return _hom_projective(i, M, dual=True)
+    """The complex computing RHom(M, P_i), read off its dual RHom(P_i, M):
+    by the trace pairing, the vector (r, phi) in bidegree (t, d) pairs with
+    (r, phi*) in (-t, N - d), phi* the path of degree N - deg(phi) back to
+    i, and the differential of degree -t-1 is the transpose of that of
+    degree t.  Each summand's paths in descending degree list their duals
+    in ``hom_basis`` order."""
+    alg, N = M.algebra, M.algebra.params.N
+    basis, index = _hom_vectors(i, M, descending=True)
+    rows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
+    _hom_into(M, index, rows)
+    back = {-t - 1: [{} for _ in rows[t + 1]] for t in rows if t + 1 in rows}
+    for t, mat in rows.items():  # the last degree's rows are empty
+        for a, row in enumerate(mat):
+            for b, x in row.items():
+                back[-t - 1][b][a] = x
+    return GradedVectorComplex(alg.field, {
+        -t: [(N - d, (r, alg.path[(alg.tgt[key], i, N - alg.deg[key])]))
+             for d, (r, key) in vecs] for t, vecs in basis.items()}, back)
 
 
 def homology_table(M):

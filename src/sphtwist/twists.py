@@ -44,8 +44,8 @@ def check_word(letters, n):
     return list(letters)
 
 
-def _twist(i, M, dual):
-    """The shared body of ``twist`` and (with ``dual``) ``untwist``.
+def _twist(i, M, inverse):
+    """The shared body of ``twist`` and (with ``inverse``) ``untwist``.
 
     One copy of P_i per vector (d, (r, key)) of H = RHom(P_i, M) on
     summand r of M^t, with differential -d_H.  Twist: P_i<d> in degree
@@ -58,18 +58,18 @@ def _twist(i, M, dual):
     ``_hom_into``), and ``minimize`` reduces them in place.  A letter with
     no vector is the cone of 0 -> M, or of M -> 0 shifted back: M.
     """
-    basis, index = _hom_vectors(i, M, False, descending=dual)
+    basis, index = _hom_vectors(i, M, descending=inverse)
     if not basis:
         return minimize(M)
     mod = M.algebra.field.char or 0
     terms, mrows = M.terms, M._rows
     rows = {}
-    if not dual:
+    if not inverse:
         # degree u: the copies of H^{u+1}, then M^u
         copies = {t - 1: tuple((i, d) for d, _l in vecs) for t, vecs in basis.items()}
         hrows = {t: [{len(basis.get(t + 1, ())) + r: 1} for _d, (r, _k) in vecs]
                  for t, vecs in basis.items()}
-        _hom_into(M, index, False, hrows, neg=True)
+        _hom_into(M, index, hrows, neg=True)
         glued = {u: copies.get(u, ()) + terms.get(u, ())
                  for u in copies.keys() | terms.keys()}
         for u in glued:
@@ -89,7 +89,7 @@ def _twist(i, M, dual):
         copies = {t + 1: tuple((i, d - N) for d, _l in vecs)
                   for t, vecs in basis.items()}
         hrows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
-        _hom_into(M, index, False, hrows, neg=True,
+        _hom_into(M, index, hrows, neg=True,
                   shift={t: len(terms.get(t + 2, ())) for t in basis})
         glued = {u: terms.get(u, ()) + copies.get(u, ())
                  for u in terms.keys() | copies.keys()}
@@ -118,7 +118,7 @@ def twist(i, M):
     the vectors of RHom(P_i, M) without building that hom complex, and
     ``minimize`` reduces them in place (``_twist``).
     """
-    return _twist(i, M, dual=False)
+    return _twist(i, M, inverse=False)
 
 
 def untwist(i, M):
@@ -133,7 +133,7 @@ def untwist(i, M):
     from the vectors of RHom(P_i, M) and reduced in place (``_twist``); the
     shifts are arranged so that twist and untwist are inverse on the nose.
     """
-    return _twist(i, M, dual=True)
+    return _twist(i, M, inverse=True)
 
 
 def apply_letter(g, M):

@@ -1,7 +1,8 @@
 """Shared helpers: seeded random complexes and words for fuzz-style tests,
-dense-matrix references for cone, minimize, the twists and the K-theory
-shadows, with the Laurent matrix product they need, the twists glued
-block by block from their hom complex, and a textbook kernel basis."""
+dense-matrix references for cone, minimize, RHom(M, P_i), the twists and
+the K-theory shadows, with the Laurent matrix product they need, the
+twists glued block by block from their hom complex, and a textbook kernel
+basis."""
 
 import random
 from fractions import Fraction
@@ -10,14 +11,15 @@ from sphtwist import (
     ChainMap,
     ChainParams,
     DefinitenessReport,
+    GradedVectorComplex,
     ProjComplex,
     ZigzagAlgebra,
     an_minus2_lattice,
     chi_q,
     hom_from_projective,
-    hom_to_projective,
 )
 from sphtwist.complexes import _glue, minimize
+from sphtwist.fields import raw
 from sphtwist.ktheory import imat_mul
 from sphtwist.laurent import LaurentPoly
 
@@ -258,6 +260,32 @@ def dense_minimize(M):
     return ProjComplex(alg, terms, diffs)
 
 
+def dense_hom_to_projective(M, i):
+    """RHom(M, P_i) enumerated on its own: the basis path psi in e_j A e_i
+    against the summand r = (j, s) of M^t is the vector (r, psi) in
+    bidegree (-t, deg(psi) - s), summand by summand in hom_basis order, and
+    the differential pre-composes psi with M's dense differential."""
+    alg = M.algebra
+    alg.check_vertex(i)
+    basis, pos = {}, {}
+    for t, row in M.terms.items():
+        vecs = [(alg.deg[key] - s, (r, key))
+                for r, (j, s) in enumerate(row) for key in alg.hom_basis(j, i)]
+        if vecs:
+            basis[-t] = vecs
+            pos[-t] = {label: k for k, (_d, label) in enumerate(vecs)}
+    rows = {}
+    for t in M.diffs:
+        if -t - 1 in basis and -t in basis:
+            d = M.mat(t)
+            rows[-t - 1] = [{} for _ in basis[-t - 1]]
+            for k, (_d, (b, key)) in enumerate(basis[-t - 1]):
+                for a, drow in enumerate(d):
+                    for key2, x in (drow[b] * alg.from_key(key)).coeffs.items():
+                        rows[-t - 1][k][pos[-t][(a, key2)]] = raw(x)
+    return GradedVectorComplex(alg.field, basis, rows)
+
+
 def dense_tensor_projective(i, H, M, dual=False):
     """P_i (x) H with its (co-)evaluation matrices, from H's dense view."""
     alg = M.algebra
@@ -289,7 +317,8 @@ def dense_twist(i, M):
 def dense_untwist(i, M):
     if M.is_zero():
         return M
-    tensor, coev = dense_tensor_projective(i, hom_to_projective(M, i), M, dual=True)
+    tensor, coev = dense_tensor_projective(i, dense_hom_to_projective(M, i), M,
+                                           dual=True)
     cone = dense_cone(ChainMap(M, tensor, coev))
     return dense_minimize(cone.shift(-1, 0))
 

@@ -170,6 +170,14 @@ def test_lattice_requires_input(capsys):
     assert code == 2
 
 
+def test_lattice_takes_one_input(capsys):
+    # both inputs: neither is silently dropped
+    code, out, err = run(capsys, "lattice", "--t", "2,2,2", "--matrix", "[[1]]")
+    assert code == 2 and not out and "exactly one of --t or --matrix" in err
+    code, out, _ = run(capsys, "lattice", "--t", "2,2,2")
+    assert code == 0 and "rank: 4" in out
+
+
 def test_lattice_explicit_matrix(capsys):
     code, out, _ = run(capsys, "lattice", "--matrix", "[[-2, 1], [1, -2]]")
     assert code == 0

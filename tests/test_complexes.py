@@ -16,6 +16,7 @@ from conftest import (
     FALLBACK_SEEDS,
     _matmul,
     dense_cone,
+    dense_hom_to_projective,
     dense_minimize,
     dense_tensor_projective,
     dense_twist,
@@ -219,6 +220,24 @@ def test_hom_to_projective_neighbor(alg):
     assert sum(hom_to_projective(P2, 1).dims().values()) == 1
 
 
+def test_vertex_is_checked_at_the_api_boundary():
+    # a vertex off the chain raises, whether or not M has vectors at a
+    # vertex on it: the word image of P1 has vectors at 1, P3 none at 1
+    # (n = 3), and the zero complex none at all
+    alg = make_algebra(3, 2)
+    M = apply_word([1, -2], ProjComplex.projective(alg, 1))
+    P3 = ProjComplex.projective(alg, 3)
+    assert hom_from_projective(1, M).basis and hom_to_projective(M, 1).basis
+    assert not hom_from_projective(1, P3).basis and not hom_to_projective(P3, 1).basis
+    for X in (M, P3, ProjComplex.zero(alg)):
+        for v in (0, 4, -1):
+            for call in (lambda: hom_from_projective(v, X),
+                         lambda: hom_to_projective(X, v),
+                         lambda: twist(v, X), lambda: untwist(v, X)):
+                with pytest.raises(ValueError, match="vertex %d out of range" % v):
+                    call()
+
+
 def test_hom_duality_on_homology(alg):
     # perfect trace pairing: H^{(t,u)} RHom(P_i, M) is dual to
     # H^{(-t, N-u)} RHom(M, P_i)
@@ -240,12 +259,9 @@ def frobenius_dual(key):
     return ("l" if key[0] == "e" else "e", key[1])
 
 
-@pytest.mark.parametrize("char", [None, 5])
-def test_hom_complexes_are_dual_at_chain_level(char):
-    # the vector (r, psi) of RHom(M, P_i) sits in bidegree (-t, N - d)
-    # exactly when (r, psi*) of RHom(P_i, M) sits in (t, d), and the two
-    # differentials are literal transposes with equal scalars
-    entries = pairs = 0
+def hom_cases(char):
+    """Seeded (M, i) at n = 2..4 and N = 2..5: a random two-term complex
+    after a random word, against every vertex."""
     for n in (2, 3, 4):
         for N in (2, 3, 4, 5):
             rng = seeded(9000 + 10 * n + N + (char or 0))
@@ -255,25 +271,51 @@ def test_hom_complexes_are_dual_at_chain_level(char):
                 M = random_two_term(alg, rng)
                 M = apply_word(random_word(alg, rng, max_len=4), M)
                 for i in range(1, n + 1):
-                    fwd = hom_from_projective(i, M)
-                    bwd = hom_to_projective(M, i)
-                    assert set(bwd.basis) == {-t for t in fwd.basis}
-                    for t, vecs in fwd.basis.items():
-                        assert sorted(bwd.basis[-t]) == sorted(
-                            (N - d, (r, frobenius_dual(key))) for d, (r, key) in vecs)
-                    pos = {m: {label: k for k, (_d, label) in enumerate(vecs)}
-                           for m, vecs in bwd.basis.items()}
-                    assert set(bwd.diffs) == {-t - 1 for t in fwd.diffs}
-                    for t, mat in fwd.diffs.items():
-                        back = bwd.diffs[-t - 1]
-                        for a, (_d, (r, key)) in enumerate(fwd.basis[t]):
-                            col = pos[-t][(r, frobenius_dual(key))]
-                            for b, (_d, (r2, key2)) in enumerate(fwd.basis[t + 1]):
-                                row = pos[-t - 1][(r2, frobenius_dual(key2))]
-                                assert back[row][col] == mat[a][b]
-                                pairs += 1
-                                entries += bool(mat[a][b])
+                    yield M, i
+
+
+@pytest.mark.parametrize("char", [None, 5])
+def test_hom_complexes_are_dual_at_chain_level(char):
+    # the vector (r, psi) of RHom(M, P_i) sits in bidegree (-t, N - d)
+    # exactly when (r, psi*) of RHom(P_i, M) sits in (t, d), and the two
+    # differentials are literal transposes with equal scalars
+    entries = pairs = 0
+    for M, i in hom_cases(char):
+        N = M.algebra.params.N
+        fwd = hom_from_projective(i, M)
+        bwd = dense_hom_to_projective(M, i)
+        assert set(bwd.basis) == {-t for t in fwd.basis}
+        for t, vecs in fwd.basis.items():
+            assert sorted(bwd.basis[-t]) == sorted(
+                (N - d, (r, frobenius_dual(key))) for d, (r, key) in vecs)
+        pos = {m: {label: k for k, (_d, label) in enumerate(vecs)}
+               for m, vecs in bwd.basis.items()}
+        assert set(bwd.diffs) == {-t - 1 for t in fwd.diffs}
+        for t, mat in fwd.diffs.items():
+            back = bwd.diffs[-t - 1]
+            for a, (_d, (r, key)) in enumerate(fwd.basis[t]):
+                col = pos[-t][(r, frobenius_dual(key))]
+                for b, (_d, (r2, key2)) in enumerate(fwd.basis[t + 1]):
+                    row = pos[-t - 1][(r2, frobenius_dual(key2))]
+                    assert back[row][col] == mat[a][b]
+                    pairs += 1
+                    entries += bool(mat[a][b])
     assert entries > 400 and pairs > 4000
+
+
+@pytest.mark.parametrize("char", [None, 5])
+def test_hom_to_projective_matches_dense_reference(char):
+    # the engine reads RHom(M, P_i) off RHom(P_i, M); the reference
+    # enumerates it on its own and pre-composes with the dense d_M: equal
+    # basis lists in order and equal dense differentials
+    entries = 0
+    for M, i in hom_cases(char):
+        got, want = hom_to_projective(M, i), dense_hom_to_projective(M, i)
+        assert got.basis == want.basis
+        assert got.diffs == want.diffs
+        entries += sum(bool(x) for mat in want.diffs.values()
+                       for row in mat for x in row)
+    assert entries > 400
 
 
 def test_homology_table_of_projective(alg):

@@ -1,6 +1,7 @@
 """Tests for the twist functors, word evaluation and the distinguisher."""
 
 import copy
+import inspect
 
 import pytest
 
@@ -209,21 +210,36 @@ def test_verify_relations_applies_each_prefix_once(monkeypatch):
 
 def test_twists_build_one_hom_direction(monkeypatch):
     # both generators enumerate the vectors of RHom(P_i, M) through the
-    # shared helper; the vectors of RHom(M, P_i) are never enumerated
-    duals = []
+    # shared helper, twists in hom_basis order and untwists in descending
+    # degree; no helper has a mode that enumerates RHom(M, P_i)
+    assert list(inspect.signature(complexes._hom_vectors).parameters) == [
+        "i", "M", "descending"]
+    assert "dual" not in inspect.signature(complexes._hom_into).parameters
+    calls = []
     build = complexes._hom_vectors
 
-    def record(i, M, dual, *args, **kwargs):
-        duals.append(dual)
-        return build(i, M, dual, *args, **kwargs)
+    def record(i, M, descending=False):
+        calls.append(descending)
+        return build(i, M, descending)
 
     for module in (complexes, twists):
         monkeypatch.setattr(module, "_hom_vectors", record)
     alg = make_algebra(2, 3)
     M = apply_word([-1, 2, -2, -1, 1], ProjComplex.projective(alg, 1))
+    assert calls == [True, False, True, True, False]
+    for i in (1, 2):
+        calls.clear()
+        twist(i, M)
+        assert calls == [False]
+        calls.clear()
+        untwist(i, M)
+        assert calls == [True]
+    calls.clear()
     assert apply_word([1, -2] * 3, M).total_summands() > 1
+    assert calls == [False, True] * 3
+    calls.clear()
     assert verify_relations(make_algebra(3, 2)).all_passed
-    assert duals and not any(duals)
+    assert set(calls) == {False, True}
 
 
 def test_apply_word_builds_no_hom_complex(monkeypatch):

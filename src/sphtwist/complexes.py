@@ -46,7 +46,7 @@ builder made for it alone and hands over to be reduced in place.
 from itertools import product as iproduct
 
 from .fields import div, raw
-from .linalg import _kernel, mat_det, mat_rank
+from .linalg import _add, _kernel, mat_rank
 
 
 def _composes(a, b, c):
@@ -54,17 +54,6 @@ def _composes(a, b, c):
     one of them is an idempotent, or both are the arrows of a round trip,
     whose product is the loop."""
     return a == b or b == c or a[0] == c[0] != b[0]
-
-
-def _add(row, c, x, mod):
-    """row[c] += x, reduced by ``mod``, in a dict row of nonzero scalars."""
-    y = row.get(c, 0) + x
-    if mod:
-        y %= mod
-    if y:
-        row[c] = y
-    else:
-        del row[c]
 
 
 def _path(alg, a, b):
@@ -876,9 +865,14 @@ def is_isomorphic(M, K, with_certificate=False):
        F_p, every weight vector, or over Q a point where the symbolically
        expanded product of the block determinants does not vanish, if the
        product is not zero (``_symbolic_weights``, sympy).  The first
-       combination with invertible blocks is the certificate: isomorphic;
-       when the stream runs out: not isomorphic.
+       combination whose every block has full rank (``mat_rank``) is the
+       certificate: isomorphic; when the stream runs out: not isomorphic.
+
+    Raises ValueError when M and K live over algebras with different
+    parameters or fields.
     """
+    if M.algebra.params != K.algebra.params or M.algebra.field != K.algebra.field:
+        raise ValueError("the complexes live over different algebras")
     if not with_certificate and (M == K or _sorted_summands(M) == _sorted_summands(K)):
         return True
     Mm = minimize(M)
@@ -894,7 +888,7 @@ def is_isomorphic(M, K, with_certificate=False):
         return done(False, None)
 
     index, count = _chain_map_unknowns(Mm, Km)
-    kernel = _kernel(_chain_map_equations(Mm, Km, index), count, 1, mod)
+    kernel = _kernel(_chain_map_equations(Mm, Km, index), count, mod)
     if not kernel:
         return done(False, None)
 
@@ -922,8 +916,8 @@ def is_isomorphic(M, K, with_certificate=False):
                     combo[i] = combo.get(i, 0) + w * x
         if mod:
             combo = {i: x % mod for i, x in combo.items()}
-        if not all(mat_det([[combo.get(i, 0) for i in row] for row in blk], mod)
-                   for blk in blocks):
+        if not all(mat_rank([[combo.get(i, 0) for i in row] for row in blk], mod)
+                   == len(blk) for blk in blocks):
             return None
         rows = {}
         for t, f in index.items():

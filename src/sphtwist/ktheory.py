@@ -12,6 +12,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .laurent import LaurentPoly
+from .linalg import _add
 
 
 # ----------------------------------------------------------------------
@@ -304,8 +305,8 @@ def definiteness(lattice):
             diag = row_i.get(i, 0) + 2 * row_i[j] + row_j.get(j, 0)
             for c, x in list(row_j.items()):
                 if c != i:
-                    _add_entry(row_i, c, x)
-                    _add_entry(A[c], i, x)
+                    _add(row_i, c, x, 0)
+                    _add(A[c], i, x, 0)
             row_i[i] = diag
             continue
         row_k = A[k]
@@ -320,7 +321,7 @@ def definiteness(lattice):
             del row_i[k]
             factor = a / pivot
             for j, b in row_k.items():
-                _add_entry(row_i, j, -factor * b)
+                _add(row_i, j, -factor * b, 0)
     if pos == 0 and zero == 0:
         verdict = "negative_definite"
     elif pos == 0:
@@ -328,15 +329,6 @@ def definiteness(lattice):
     else:
         verdict = "indefinite"
     return DefinitenessReport(verdict, (pos, neg, zero), zero)
-
-
-def _add_entry(row, j, x):
-    """row[j] += x in a dict row of nonzero entries."""
-    y = row.get(j, 0) + x
-    if y:
-        row[j] = y
-    else:
-        row.pop(j, None)
 
 
 def strange_duality_rank_check(b, c):

@@ -1,16 +1,19 @@
 """Sparse exact linear algebra over the engine's scalar fields.
 
 A matrix is a list of rows, and a row is either a dense list of scalars
-or a dict ``{column: scalar}`` of its nonzero entries.  Every function
-takes ``mod``.  With the characteristic p of F_p, the scalars are engine
-scalars, ints in [0, p) (see ``fields``), and so are the results.  With the
-default 0, they are ints or Fractions over Q, or public scalars
-(``Fraction``, ``Fp``), which carry their own arithmetic.
+or a dict ``{column: scalar}`` of its nonzero entries.  The scalars are
+engine scalars (see ``fields``), and every function takes ``mod``: the
+characteristic p, with residues in [0, p), or 0 over Q, with ints, or
+Fractions where a division left a remainder.  The results hold engine
+scalars too.  Only two questions are asked of a matrix: its rank
+(``mat_rank``) and its right kernel (``nullspace``).  This module also
+holds ``_add``, the one update of a dict row that the engine's other
+modules share.
 
 The public functions copy their input into dict rows and hand the copy to
 one forward elimination, ``_eliminate``, which reduces the rows it is given
 in place (``complexes.is_isomorphic`` hands over the fresh rows of its
-chain-map system without a copy).  It works in two steps.
+chain-map system to ``_kernel`` without a copy).  It works in two steps.
 
 * The peel.  A row with one entry forces its column to zero in every
   kernel vector; the column is dropped from every row, which may leave
@@ -21,22 +24,32 @@ chain-map system without a copy).  It works in two steps.
 * The elimination of what is left.  It clears the columns left to right,
   keeps an index from each column to the rows that are nonzero there, and
   takes the sparsest of those rows as the pivot, which keeps the fill-in
-  small.  Over Q, rows of engine scalars are scaled to coprime integers
-  and cleared by integer combinations, so no Fraction is made before
-  back-substitution or the final division of a determinant; rows of F_p
-  residues and of public scalars keep their field arithmetic.
+  small.  Over Q every row is first scaled to coprime integers and cleared
+  by integer combinations, so no Fraction is made before
+  back-substitution; over F_p the rows keep the field arithmetic.
 
 A forced column is never free, and neither the peel nor the choice of
 pivot row changes the kernel, so the pivot columns and the kernel basis
 (1 at its free column, 0 at the other free columns and right of its own)
-are those of textbook Gaussian elimination, and so are ranks and
-determinants.
+are those of textbook Gaussian elimination, and so is the rank.
 """
 
 from heapq import heappop, heappush
 from math import gcd, lcm
 
 from .fields import div
+
+
+def _add(row, c, x, mod):
+    """row[c] += x, reduced by ``mod``, in a dict row of nonzero scalars;
+    x is nonzero."""
+    y = row.get(c, 0) + x
+    if mod:
+        y %= mod
+    if y:
+        row[c] = y
+    else:
+        del row[c]
 
 
 def _rows(rows):
@@ -49,13 +62,11 @@ def _eliminate(rows, mod=0):
     """Forward elimination, in place, on ``rows``: a list of dict rows of
     nonzero entries that the caller hands over.
 
-    Returns ``(pivot, echelon, num, den)``.  ``pivot`` maps the index of
-    each pivot row to its column, the peeled ones first.  ``echelon`` holds
-    the ``(column, row)`` pairs of the eliminated pivots in column order,
-    each row zero left of its column and in every peeled column; a peeled
-    row is left with its single entry.  The determinant of a square matrix
-    of full rank is ``num / den`` times the product of the pivot entries
-    and the sign of the permutation ``pivot``.
+    Returns ``(pivot, echelon)``.  ``pivot`` maps the index of each pivot
+    row to its column, the peeled ones first.  ``echelon`` holds the
+    ``(column, row)`` pairs of the eliminated pivots in column order, each
+    row zero left of its column and in every peeled column; a peeled row is
+    left with its single entry.
     """
     at = {}  # column -> the rows nonzero there
     single = []
@@ -83,20 +94,15 @@ def _eliminate(rows, mod=0):
                     single.append(j)
     # every other row is now empty or has two entries or more
     live = {i: row for i, row in enumerate(rows) if len(row) > 1}
-    num = den = 1
-    # engine scalars over Q hold ints; public Fractions never do
-    integral = not mod and any(type(x) is int for row in live.values() for x in row.values())
-    for row in live.values() if integral else ():
+    for row in live.values() if not mod else ():  # coprime integers
         try:
             g = gcd(*row.values())
-        except TypeError:  # engine Fractions: clear the denominators
+        except TypeError:  # Fractions: clear the denominators
             d = lcm(*(x.denominator for x in row.values()))
-            den *= d
             for c, x in row.items():
                 row[c] = int(x * d)
             g = gcd(*row.values())
         if g != 1:
-            num *= g
             for c, x in row.items():
                 row[c] = x // g
     echelon = []
@@ -116,12 +122,11 @@ def _eliminate(rows, mod=0):
             row = live[i]
             x = row.pop(col)
             scale = 1
-            if integral:
+            if not mod:
                 factor, r = divmod(x, pv)
                 if r:  # row := a row - b prow with a pv = b x, a and b coprime
                     g = gcd(x, pv)
                     scale, factor = pv // g, x // g
-                    den *= scale
                     for c in row:
                         row[c] *= scale
             else:
@@ -142,12 +147,11 @@ def _eliminate(rows, mod=0):
             if scale != 1 and row:  # keep the row primitive
                 g = gcd(*row.values())
                 if g != 1:
-                    num *= g
                     for c, x in row.items():
                         row[c] = x // g
         pivot[p] = col
         echelon.append((col, prow))
-    return pivot, echelon, num, den
+    return pivot, echelon
 
 
 def mat_rank(rows, mod=0):
@@ -155,21 +159,18 @@ def mat_rank(rows, mod=0):
     return len(_eliminate(_rows(rows), mod)[0])
 
 
-def nullspace(rows, ncols, one, mod=0):
+def nullspace(rows, ncols, mod=0):
     """Basis of the right kernel of a matrix with ``ncols`` columns.
 
-    ``rows`` may be empty (kernel is everything).  ``one`` is the unit of
-    the rows' scalars (the int 1 for engine scalars), used to build the
-    basis vectors.  The vector for a free column is 1 there and 0 at every
-    other free column, which pins it down uniquely, and its entries right
-    of the free column are 0.
+    ``rows`` may be empty (kernel is everything).  The vector for a free
+    column is 1 there and 0 at every other free column, which pins it down
+    uniquely, and its entries right of the free column are 0.
     """
-    zero = one - one
-    return [[v.get(c, zero) for c in range(ncols)]
-            for v in _kernel(_rows(rows), ncols, one, mod)]
+    return [[v.get(c, 0) for c in range(ncols)]
+            for v in _kernel(_rows(rows), ncols, mod)]
 
 
-def _kernel(rows, ncols, one, mod=0):
+def _kernel(rows, ncols, mod=0):
     """``nullspace`` of dict rows of nonzero entries, which it reduces in
     place, with each basis vector as a dict of its nonzero entries.
 
@@ -177,7 +178,7 @@ def _kernel(rows, ncols, one, mod=0):
     come from back-substitution, which visits only the pivot rows that
     meet an entry already set.
     """
-    pivot, echelon, _num, _den = _eliminate(rows, mod)
+    pivot, echelon = _eliminate(rows, mod)
     pivot_cols = set(pivot.values())
     meets = {}  # column -> pivots with an entry there besides their pivot
     for k, (col, row) in enumerate(echelon):
@@ -188,7 +189,7 @@ def _kernel(rows, ncols, one, mod=0):
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        v = {fc: one}
+        v = {fc: 1}
         queued = set(meets.get(fc, ()))
         heap = sorted(-k for k in queued)
         # a pivot's entry depends only on the columns right of its own, so
@@ -210,29 +211,3 @@ def _kernel(rows, ncols, one, mod=0):
                     heappush(heap, -k)
         basis.append(v)
     return basis
-
-
-def mat_det(rows, mod=0):
-    """Determinant of a square scalar matrix (returns a field scalar)."""
-    n = len(rows)
-    if n == 0:
-        return None  # caller treats the empty matrix as invertible
-    reduced = _rows(rows)
-    pivot, _echelon, num, den = _eliminate(reduced, mod)
-    if len(pivot) < n:
-        for r in rows:  # a zero of the rows' field
-            for x in r.values() if isinstance(r, dict) else r:
-                return x * 0
-        return 0
-    product = num
-    for i, col in pivot.items():
-        product = product * reduced[i][col]
-        if mod:
-            product %= mod
-    # the sign of the permutation row -> column
-    for k in range(n):
-        j = pivot.pop(k, k)
-        while j != k:
-            j = pivot.pop(j)
-            product = mod - product
-    return div(product, den, mod)

@@ -9,7 +9,8 @@ import pytest
 from conftest import make_algebra
 from sphtwist import ChainParams, ZigzagAlgebra
 from sphtwist.algebra import key_str
-from sphtwist.linalg import mat_det
+from sphtwist.fields import raw
+from sphtwist.linalg import mat_rank
 
 
 # ----------------------------------------------------------------------
@@ -187,8 +188,8 @@ def test_trace_examples():
 @pytest.mark.parametrize("n,N", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
 def test_gram_matrix_nondegenerate(n, N):
     alg = make_algebra(n, N)
-    gram = alg.gram_matrix()
-    assert mat_det(gram) != 0
+    gram = [[raw(x) for x in row] for row in alg.gram_matrix()]
+    assert mat_rank(gram, alg.field.char or 0) == len(gram) == alg.dimension()
 
 
 @pytest.mark.parametrize("n,N", [(2, 2), (3, 3)])
@@ -209,7 +210,8 @@ def test_prime_field_profile():
     assert alg.dimension() == 10
     assert alg.arrow(1, 2) * alg.arrow(2, 1) == alg.loop(1)
     assert alg.trace(alg.loop(2)) == 1
-    assert mat_det(alg.gram_matrix()) != 0
+    gram = [[raw(x) for x in row] for row in alg.gram_matrix()]
+    assert mat_rank(gram, 5) == len(gram) == 10
     x = alg.from_key(("e", 1), 3)
     assert (x + x + x + x).coeff(("e", 1)) == 2  # 12 mod 5
 

@@ -349,6 +349,22 @@ def test_distinct_shifts_not_isomorphic(alg):
     assert not is_isomorphic(P, ProjComplex.projective(alg, 2))
 
 
+def test_isomorphism_needs_one_algebra():
+    """Complexes over algebras with different fields or parameters are
+    refused, with and without a certificate, even when their data agree;
+    equal parameters and field over two algebra objects are accepted."""
+    q2 = make_algebra(2, 2)
+    for other in (make_algebra(2, 2, char=7), make_algebra(3, 2), make_algebra(2, 3)):
+        M, K = ProjComplex.projective(q2, 1), ProjComplex.projective(other, 1)
+        for flag in (False, True):
+            with pytest.raises(ValueError, match="different algebras"):
+                is_isomorphic(M, K, with_certificate=flag)
+            with pytest.raises(ValueError, match="different algebras"):
+                is_isomorphic(K, M, with_certificate=flag)
+    assert is_isomorphic(ProjComplex.projective(q2, 1),
+                         ProjComplex.projective(make_algebra(2, 2), 1))
+
+
 def test_isomorphic_after_scaling_differential(alg):
     M = two_term(alg, [(1, 1)], [(2, 0)], [[alg.arrow(1, 2)]])
     K = two_term(alg, [(1, 1)], [(2, 0)], [[alg.arrow(1, 2).scale(5)]])

@@ -1,4 +1,5 @@
-"""Exact linear algebra: rank, kernel and determinant on seeded matrices."""
+"""Exact linear algebra: rank and kernel on seeded matrices, with
+invertibility checked against determinant references."""
 
 import copy
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import dense_nullspace, seeded
 from sphtwist.fields import Field, raw
-from sphtwist.linalg import _eliminate, _rows, mat_det, mat_rank, nullspace
+from sphtwist.linalg import _eliminate, _rows, mat_rank, nullspace
 
 FIELDS = [Field(None), Field(7)]
 
@@ -28,21 +29,27 @@ def random_matrix(field, rng, nrows, ncols):
     return rows
 
 
+def engine(field, rows):
+    return [[raw(x) for x in row] for row in rows]
+
+
 def assert_engine_scalars_agree(field, rows, ncols):
-    """Rank, kernel and determinant (of a square ``rows``) are equal on the
-    public scalars and on their engine scalars, ints reduced by ``mod``,
-    and the engine results hold engine scalars only."""
+    """Rank and kernel on the engine scalars of the public ``rows``, ints
+    reduced by ``mod``, equal those of the textbook ``dense_nullspace``,
+    and the kernel holds engine scalars only."""
     mod = field.char or 0
-    engine = [[raw(x) for x in row] for row in rows]
-    assert mat_rank(engine, mod) == mat_rank(rows)
-    kernel = nullspace(engine, ncols, 1, mod)
-    assert kernel == nullspace(rows, ncols, field.one)
-    values = [x for v in kernel for x in v]
-    if len(rows) == ncols:
-        values.append(mat_det(engine, mod))
-        assert values[-1] == mat_det(rows)
-    for x in values:
+    want = dense_nullspace(rows, ncols, field)
+    eng = engine(field, rows)
+    kernel = nullspace(eng, ncols, mod)
+    assert kernel == want
+    assert mat_rank(eng, mod) == ncols - len(want)
+    for x in (x for v in kernel for x in v):
         assert 0 <= x < mod and type(x) is int if mod else type(x) in (int, Fraction)
+
+
+def invertible(field, rows):
+    """``mat_rank`` says whether a square matrix of public scalars is invertible."""
+    return mat_rank(engine(field, rows), field.char or 0) == len(rows)
 
 
 def leibniz_det(field, rows):
@@ -67,7 +74,7 @@ def test_det_matches_leibniz_expansion(field):
         n = rng.randint(1, 6)
         rows = random_matrix(field, rng, n, n)
         want = leibniz_det(field, rows)
-        assert mat_det(rows) == want
+        assert invertible(field, rows) == bool(want)
         assert_engine_scalars_agree(field, rows, n)
         singular += not want
     assert singular > 10
@@ -76,13 +83,15 @@ def test_det_matches_leibniz_expansion(field):
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
 def test_rank_nullity_and_kernel_shape(field):
     rng = seeded(32)
+    mod = field.char or 0
     deficient = 0
     for _ in range(200):
         nrows = rng.randint(0, 6)
         ncols = rng.randint(1, 6)
         rows = random_matrix(field, rng, nrows, ncols)
-        rank = mat_rank(rows)
-        kernel = nullspace(rows, ncols, field.one)
+        eng = engine(field, rows)
+        rank = mat_rank(eng, mod)
+        kernel = nullspace(eng, ncols, mod)
         assert rank + len(kernel) == ncols
         assert_engine_scalars_agree(field, rows, ncols)
         deficient += rank < min(nrows, ncols)
@@ -91,28 +100,27 @@ def test_rank_nullity_and_kernel_shape(field):
         free = [
             c
             for c in range(ncols)
-            if mat_rank([r[: c + 1] for r in rows]) == mat_rank([r[:c] for r in rows])
+            if mat_rank([r[: c + 1] for r in eng], mod) == mat_rank([r[:c] for r in eng], mod)
         ]
         assert len(kernel) == len(free)
         for v, fc in zip(kernel, free):
             assert len(v) == ncols
-            assert [v[c] for c in free] == [field.one if c == fc else 0 for c in free]
+            assert [v[c] for c in free] == [1 if c == fc else 0 for c in free]
             for row in rows:
-                assert sum((a * b for a, b in zip(row, v)), field.zero) == 0
+                assert sum((a * field.of(b) for a, b in zip(row, v)), field.zero) == 0
     assert deficient > 20
 
 
 def test_edge_cases():
-    one = Field(None).one
-    assert mat_rank([]) == 0
-    assert mat_rank([[]]) == 0
-    assert nullspace([], 3, one) == [
-        [one, 0 * one, 0 * one],
-        [0 * one, one, 0 * one],
-        [0 * one, 0 * one, one],
-    ]
-    assert nullspace([], 0, one) == []
-    assert mat_det([]) is None
+    for mod in (0, 7):
+        assert mat_rank([], mod) == 0  # the empty block counts as invertible
+        assert mat_rank([[]], mod) == 0
+        assert mat_rank([{}], mod) == 0
+        assert nullspace([], 3, mod) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert nullspace([[0, 0, 0]], 3, mod) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert nullspace([], 0, mod) == []
+        for v in nullspace([], 3, mod):
+            assert all(type(x) is int for x in v)
 
 
 def as_dicts(rows):
@@ -168,23 +176,25 @@ def textbook_det(field, rows):
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
 def test_dict_rows_agree_with_dense_rows(field):
     rng = seeded(33)
+    mod = field.char or 0
     for _ in range(150):
         nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
-        rows = random_matrix(field, rng, nrows, ncols)
-        assert mat_rank(as_dicts(rows)) == mat_rank(rows)
-        assert nullspace(as_dicts(rows), ncols, field.one) == nullspace(
-            rows, ncols, field.one)
+        rows = engine(field, random_matrix(field, rng, nrows, ncols))
+        assert mat_rank(as_dicts(rows), mod) == mat_rank(rows, mod)
+        assert nullspace(as_dicts(rows), ncols, mod) == nullspace(rows, ncols, mod)
         square = random_matrix(field, rng, ncols, ncols)
-        assert mat_det(as_dicts(square)) == mat_det(square)
+        full = mat_rank(as_dicts(engine(field, square)), mod) == ncols
+        assert full == invertible(field, square) == bool(textbook_det(field, square))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
 def test_sparse_matrices_up_to_60(field):
     rng = seeded(34)
+    mod = field.char or 0
     for size in (10, 25, 40, 60):
         rows = sparse_matrix(field, rng, rng.randint(size // 2, size), size)
-        rank = mat_rank(rows)
-        kernel = nullspace(as_dicts(rows), size, field.one)
+        rank = mat_rank(engine(field, rows), mod)
+        kernel = nullspace(as_dicts(engine(field, rows)), size, mod)
         assert 0 < rank < size and rank + len(kernel) == size
         assert_engine_scalars_agree(field, rows, size)
         # the vector for a free column is 1 there, 0 at the other free
@@ -192,16 +202,18 @@ def test_sparse_matrices_up_to_60(field):
         free = [max(c for c, x in enumerate(v) if x) for v in kernel]
         assert free == sorted(set(free))
         for v, fc in zip(kernel, free):
-            assert [v[c] for c in free] == [field.one if c == fc else 0 for c in free]
+            assert [v[c] for c in free] == [1 if c == fc else 0 for c in free]
             for row in rows:
-                assert sum((a * b for a, b in zip(row, v)), field.zero) == 0
+                assert sum((a * field.of(b) for a, b in zip(row, v)), field.zero) == 0
         A = sparse_matrix(field, rng, size, size)
         B = sparse_matrix(field, rng, size, size)
         for i in range(size):  # a unit diagonal makes singularity rare
             A[i][i] = A[i][i] + field.one
-        assert mat_det(A) and mat_det(matmul(field, A, B)) == mat_det(A) * mat_det(B)
-        assert mat_det(A) == textbook_det(field, A)
-        assert mat_det(B) == textbook_det(field, B)
+        # A is invertible, so A.B is invertible exactly when B is
+        AB = matmul(field, A, B)
+        assert invertible(field, A) and textbook_det(field, A)
+        assert invertible(field, AB) == invertible(field, B) == bool(textbook_det(field, B))
+        assert bool(textbook_det(field, AB)) == invertible(field, AB)
         assert_engine_scalars_agree(field, A, size)
 
 
@@ -252,25 +264,21 @@ def cascade_system(field, rng, ncols, chain, extra):
     return rows, cols
 
 
-def engine(field, rows):
-    return [[raw(x) for x in row] for row in rows]
-
-
 def check_against_references(field, rows, ncols):
-    """``nullspace``, ``mat_rank`` and (square) ``mat_det`` on the engine
-    scalars and on the public ones equal the dense textbook reference, and
-    leave their input rows as they were."""
+    """``nullspace`` and ``mat_rank`` on the engine scalars of ``rows``, as
+    dense and as dict rows, equal the dense textbook reference, a square
+    matrix has full rank exactly when its textbook determinant is nonzero,
+    and the input rows are left as they were."""
     mod = field.char or 0
     want = dense_nullspace(rows, ncols, field)
     eng = engine(field, rows)
-    for args in ((eng, ncols, 1, mod), (rows, ncols, field.one),
-                 (as_dicts(eng), ncols, 1, mod), (as_dicts(rows), ncols, field.one)):
-        before = copy.deepcopy(args[0])
-        assert nullspace(*args) == want
-        assert mat_rank(args[0], *args[3:]) == ncols - len(want)
+    for given in (eng, as_dicts(eng)):
+        before = copy.deepcopy(given)
+        assert nullspace(given, ncols, mod) == want
+        assert mat_rank(given, mod) == ncols - len(want)
         if len(rows) == ncols:
-            assert mat_det(args[0], *args[3:]) == textbook_det(field, rows)
-        assert args[0] == before
+            assert (mat_rank(given, mod) == ncols) == bool(textbook_det(field, rows))
+        assert given == before
     assert_engine_scalars_agree(field, rows, ncols)
     return want
 
@@ -290,7 +298,7 @@ def test_peel_cascades_and_agrees_with_textbook_kernel(field):
         kernel = check_against_references(field, rows, ncols)
         for v in kernel:
             assert all(not v[c] for c in cols)  # the chain is forced to zero
-        pivot, echelon, _num, _den = _eliminate(_rows(engine(field, rows)), mod)
+        pivot, echelon = _eliminate(_rows(engine(field, rows)), mod)
         peeled = len(pivot) - len(echelon)
         assert peeled >= chain
         emptied += peeled < len(rows) - len(echelon)
@@ -310,7 +318,7 @@ def test_peel_that_leaves_nothing(field):
         chain = rng.randint(5, ncols)
         rows, cols = cascade_system(field, rng, ncols, chain, 0)
         kernel = check_against_references(field, rows, ncols)
-        pivot, echelon, _num, _den = _eliminate(_rows(engine(field, rows)), mod)
+        pivot, echelon = _eliminate(_rows(engine(field, rows)), mod)
         assert echelon == [] and sorted(pivot.values()) == sorted(cols)
         assert len(kernel) == ncols - chain
 
@@ -346,10 +354,10 @@ def test_dense_rational_system_keeps_its_coefficients_small():
     before = copy.deepcopy(eng)
     kernel = dense_nullspace(rows, 40, field)
     assert len(kernel) == 3
-    assert nullspace(eng, 40, 1) == kernel == nullspace(rows, 40, field.one)
-    assert mat_rank(eng) == 37 and mat_det(eng) == 0
+    assert nullspace(eng, 40) == kernel
+    assert mat_rank(eng) == 37
     assert eng == before
-    pivot, echelon, _num, _den = _eliminate(_rows(eng), 0)
+    pivot, echelon = _eliminate(_rows(eng), 0)
     norms = []
     for row in _rows(eng):
         d = 1
@@ -363,3 +371,48 @@ def test_dense_rational_system_keeps_its_coefficients_small():
     for _col, row in echelon:
         assert gcd(*row.values()) == 1
         assert max(abs(x) for x in row.values()) <= bound
+
+
+def fractions_only(rows):
+    """``rows`` with each row divided by the least q >= 2 that leaves every
+    nonzero entry a Fraction that is not an integer; the kernel and the
+    rank stay."""
+    out = []
+    for row in rows:
+        ints = [x.numerator for x in row if x and x.denominator == 1]
+        q = 2
+        while any(n % q == 0 for n in ints):
+            q += 1
+        out.append([x / q for x in row])
+    return out
+
+
+def test_rows_of_fractions_only():
+    """Rows over Q that hold no int at all, only Fractions that are not
+    integers, take the integer elimination like every other row set: the
+    kernel and the rank equal the textbook reference, on dense and dict
+    rows, a square matrix has full rank exactly when its determinant is
+    nonzero, and the input rows are unchanged."""
+    field = Field(None)
+    rng = seeded(39)
+    singular = regular = eliminated = 0
+    for k in range(90):
+        ncols = rng.randint(6, 14)
+        if k % 3 == 0:
+            chain = rng.randint(5, min(ncols, 9))
+            rows, _cols = cascade_system(field, rng, ncols, chain, rng.randint(1, ncols))
+        elif k % 3 == 1:
+            rows = random_matrix(field, rng, ncols, ncols)
+        else:
+            rows = [[Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(ncols)]
+                    for _ in range(rng.randint(2, ncols + 2))]
+        rows = fractions_only(rows)
+        eng = engine(field, rows)
+        assert all(type(x) is Fraction and x.denominator > 1
+                   for row in eng for x in row if x)
+        check_against_references(field, rows, ncols)
+        eliminated += bool(_eliminate(_rows(eng), 0)[1])
+        if len(rows) == ncols:
+            singular += not textbook_det(field, rows)
+            regular += bool(textbook_det(field, rows))
+    assert eliminated > 60 and singular > 5 and regular > 5

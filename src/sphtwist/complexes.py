@@ -285,13 +285,16 @@ class ProjComplex:
 class ChainMap:
     """A bidegree-(0,0) chain map between two complexes over one algebra.
 
-    ``mats`` may give dense matrices for some degrees; a missing one is
-    zero.  Each is converted with its shape and entries validated, and the
-    map must commute with the differentials.
+    The complexes may live over two algebra objects with equal parameters
+    and field, as ``is_isomorphic`` accepts them.  ``mats`` may give dense
+    matrices for some degrees; a missing one is zero.  Each is converted
+    with its shape and entries validated, and the map must commute with
+    the differentials.
     """
 
     def __init__(self, source, target, mats):
-        if source.algebra is not target.algebra:
+        a, b = source.algebra, target.algebra
+        if a.params != b.params or a.field != b.field:
             raise ValueError("source and target live over different algebras")
         self._set_rows(source, target, {
             t: _scalar_rows(source.algebra, "chain map", t, mat, source.summands(t),

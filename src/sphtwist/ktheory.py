@@ -9,6 +9,7 @@ Orientation convention: matrices act on column vectors, and a word
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import add, sub
 
 from .laurent import LaurentPoly
@@ -143,65 +144,104 @@ def burau_matrix(letters, algebra):
 # intersection lattices and Picard-Lefschetz reflections
 
 
-@dataclass(frozen=True)
 class IntersectionLattice:
-    """A free abelian group with a symmetric integer bilinear form."""
+    """A free abelian group with a symmetric integer bilinear form.
 
-    form: tuple
+    The form is held as one dict row {j: x} of nonzero entries per basis
+    vector.  ``form`` is a dense tuple-of-tuples view of it, built on first
+    use; only ``to_dict`` needs it.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.form, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in self.form
+    __slots__ = ("_rows", "_form")
+
+    def __init__(self, form):
+        if not isinstance(form, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in form
         ):
             raise ValueError("form matrix must be a list of rows")
-        for row in self.form:
+        for row in form:
             for x in row:
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise ValueError("form entry %r is not an integer" % (x,))
-        form = tuple(tuple(row) for row in self.form)
         r = len(form)
         if any(len(row) != r for row in form):
             raise ValueError("form matrix must be square")
-        for i in range(r):
-            for j in range(r):
-                if form[i][j] != form[j][i]:
+        rows = [{j: x for j, x in enumerate(row) if x} for row in form]
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if rows[j].get(i, 0) != x:
                     raise ValueError("form matrix must be symmetric")
-        object.__setattr__(self, "form", form)
+        self._rows = rows
+        self._form = None
+
+    @classmethod
+    def _from_rows(cls, rows):
+        """Unvalidated constructor from symmetric dict rows of nonzero
+        integer entries."""
+        self = cls.__new__(cls)
+        self._rows = rows
+        self._form = None
+        return self
+
+    @property
+    def form(self):
+        if self._form is None:
+            r = len(self._rows)
+            dense = []
+            for row in self._rows:
+                line = [0] * r
+                for j, x in row.items():
+                    line[j] = x
+                dense.append(tuple(line))
+            self._form = tuple(dense)
+        return self._form
 
     @property
     def rank(self):
-        return len(self.form)
+        return len(self._rows)
 
     def pairing(self, x, y):
         return sum(
-            x[i] * self.form[i][j] * y[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
+            x[i] * a * y[j]
+            for i, row in enumerate(self._rows)
+            for j, a in row.items()
         )
 
     def to_dict(self):
         return {"rank": self.rank, "form": [list(row) for row in self.form]}
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self):
+        return hash(tuple(frozenset(row.items()) for row in self._rows))
+
+    def __repr__(self):
+        return "IntersectionLattice(form=%r)" % (self.form,)
+
 
 def an_minus2_lattice(n):
     """The A_n root lattice with all spheres of square -2 (adjacency +1)."""
-    form = [[0] * n for _ in range(n)]
-    for i in range(n):
-        form[i][i] = -2
-        if i + 1 < n:
-            form[i][i + 1] = form[i + 1][i] = 1
-    return IntersectionLattice(tuple(tuple(r) for r in form))
+    rows = [{i: -2} for i in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = rows[i + 1][i] = 1
+    return IntersectionLattice._from_rows(rows)
 
 
 def pl_reflection(v, lattice):
     """Reflection x -> x + <x, v> v in a -2-vector, as a column-action matrix.
 
-    Its matrix is I + v w^T with w = form.v, summed over the nonzero
-    entries of v only.
+    Its matrix is I + v w^T with w = form.v, summed from the rows of the
+    nonzero entries of v only.
     """
     r = lattice.rank
     support = [(k, v[k]) for k in range(r) if v[k]]
-    w = [sum(row[k] * x for k, x in support) for row in lattice.form]
+    w = [0] * r
+    for k, x in support:
+        for j, a in lattice._rows[k].items():
+            w[j] += a * x
     square = sum(x * w[k] for k, x in support)
     if square != -2:
         raise ValueError("reflection vector must have square -2, got %d" % square)
@@ -215,22 +255,18 @@ def pl_product(letters, n):
     """Product of A_n basis reflections for a braid word (column action).
 
     The reflection in e_i changes one row of the product: row i gains
-    sum_j form[i][j] * row j.
+    sum_j form[i][j] * row j, added in one pass per nonzero form[i][j].
     """
-    support = [
-        [(j, c) for j, c in enumerate(row) if c]
-        for row in an_minus2_lattice(n).form
-    ]
+    rows = an_minus2_lattice(n)._rows
     out = imat_identity(n)
     for g in letters:
         i = abs(g)
         if not 1 <= i <= n:
             raise ValueError("letter %r out of range" % (g,))
-        coeffs = [(c, out[j]) for j, c in support[i - 1]]
-        out[i - 1] = [
-            x + sum(c * row[col] for c, row in coeffs)
-            for col, x in enumerate(out[i - 1])
-        ]
+        new = out[i - 1]
+        for j, c in rows[i - 1].items():
+            new = [x + c * y for x, y in zip(new, out[j])]
+        out[i - 1] = new
     return out
 
 
@@ -245,17 +281,15 @@ def build_tdiagram(b1, b2, b3):
         if b < 2:
             raise ValueError("arm lengths must be >= 2, got %r" % (b,))
     rank = sum(bs) - 2
-    form = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        form[i][i] = -2
+    rows = [{i: -2} for i in range(rank)]
     node = 1
     for b in bs:
         prev = 0  # central node
         for _ in range(b - 1):
-            form[prev][node] = form[node][prev] = 1
+            rows[prev][node] = rows[node][prev] = 1
             prev = node
             node += 1
-    return IntersectionLattice(tuple(tuple(r) for r in form))
+    return IntersectionLattice._from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -276,52 +310,74 @@ def definiteness(lattice):
     """Exact inertia of the form via sparse rational congruence
     diagonalization.
 
-    No floating point: works over Fractions on dict rows that hold only the
-    nonzero entries among the active indices, and handles zero diagonals
-    with the hyperbolic-pair basis change e_i -> e_i + e_j.  The form stays
-    symmetric, so row k also serves as column k.  Pivot: the first active
-    index with a nonzero diagonal, else the first pair (i, j) with
-    A[i][j] != 0.
+    No floating point: works on dict rows that hold only the nonzero
+    entries among the active indices, ints until an exact Fraction
+    multiplier meets them.  The form stays symmetric, so row k also serves
+    as column k.  An eliminated index keeps an empty row, and an empty row
+    stays empty, since no other row has an entry in its column.
+
+    Pivot: the active index with a nonzero diagonal and the fewest
+    entries, ties broken by the lower index (minimum-degree order).  A heap
+    of (entries, index) finds it with lazy deletion: an entry whose row has
+    since lost its diagonal or changed its count is skipped when popped,
+    and every row a step changes is pushed afresh.  On a tree, such as a
+    T-diagram or A_n, this takes a leaf each time and makes no fill-in
+    (Rose, J. Math. Anal. Appl. 32, 1970).  When no diagonal is nonzero,
+    the first nonempty row i and its lowest neighbour j take the
+    hyperbolic-pair basis change e_i -> e_i + e_j, which makes the diagonal
+    entry 2*A[i][j] != 0; past the last nonempty row, the active indices
+    left span the kernel.
+
+    Every step is a congruence, so by Sylvester's law of inertia the
+    signature, and with it the verdict and the kernel rank, does not depend
+    on the pivot order.
     """
-    A = [
-        {j: Fraction(x) for j, x in enumerate(row) if x}
-        for row in lattice.form
-    ]
-    active = list(range(lattice.rank))
-    pos = neg = zero = 0
-    while active:
-        k = next((i for i in active if i in A[i]), None)
-        if k is None:
-            pair = next(
-                ((i, min(j for j in A[i] if j != i)) for i in active if A[i]),
-                None,
-            )
-            if pair is None:
-                zero += len(active)
+    A = [dict(row) for row in lattice._rows]
+    left = len(A)
+    heap = [(len(row), i) for i, row in enumerate(A) if i in row]
+    heapify(heap)
+    first = 0  # every row below it is empty for good
+    pos = neg = 0
+    while left:
+        k = None
+        while heap:
+            size, i = heappop(heap)
+            if i in A[i] and len(A[i]) == size:
+                k = i
                 break
-            i, j = pair
-            # e_i -> e_i + e_j makes the diagonal entry 2*A[i][j] != 0
-            row_i, row_j = A[i], A[j]
-            diag = row_i.get(i, 0) + 2 * row_i[j] + row_j.get(j, 0)
-            for c, x in list(row_j.items()):
+        if k is None:
+            while first < len(A) and not A[first]:
+                first += 1
+            if first == len(A):
+                break
+            i = first
+            row_i = A[i]
+            j = min(row_i)
+            diag = 2 * row_i[j]  # A[i][i] = A[j][j] = 0
+            for c, x in A[j].items():
                 if c != i:
                     _add(row_i, c, x, 0)
                     _add(A[c], i, x, 0)
             row_i[i] = diag
+            heappush(heap, (len(row_i), i))
             continue
         row_k = A[k]
+        A[k] = {}
         pivot = row_k.pop(k)
         if pivot > 0:
             pos += 1
         else:
             neg += 1
-        active.remove(k)
+        left -= 1
         for i, a in row_k.items():
             row_i = A[i]
             del row_i[k]
-            factor = a / pivot
+            factor = Fraction(a, pivot)
             for j, b in row_k.items():
                 _add(row_i, j, -factor * b, 0)
+            if i in row_i:
+                heappush(heap, (len(row_i), i))
+    zero = left
     if pos == 0 and zero == 0:
         verdict = "negative_definite"
     elif pos == 0:

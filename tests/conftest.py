@@ -1,10 +1,11 @@
 """Shared helpers: seeded random complexes and words for fuzz-style tests,
 dense-matrix references for cone, minimize, RHom(M, P_i), the twists and
-the K-theory shadows, with the Laurent matrix product they need, the
-twists glued block by block from their hom complex, and a textbook kernel
-basis."""
+the K-theory shadows, with the Laurent matrix product and the dense-form
+lattice they need, the twists glued block by block from their hom
+complex, and a textbook kernel basis."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from sphtwist import (
@@ -406,6 +407,64 @@ def dense_burau_matrix(letters, algebra):
     return out
 
 
+@dataclass(frozen=True)
+class DenseLattice:
+    """The dense-form lattice that ``IntersectionLattice`` replaced: the same
+    checks, in the same order, with the same messages, on a tuple of rows."""
+
+    form: tuple
+
+    def __post_init__(self):
+        if not isinstance(self.form, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in self.form
+        ):
+            raise ValueError("form matrix must be a list of rows")
+        for row in self.form:
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ValueError("form entry %r is not an integer" % (x,))
+        form = tuple(tuple(row) for row in self.form)
+        r = len(form)
+        if any(len(row) != r for row in form):
+            raise ValueError("form matrix must be square")
+        for i in range(r):
+            for j in range(r):
+                if form[i][j] != form[j][i]:
+                    raise ValueError("form matrix must be symmetric")
+        object.__setattr__(self, "form", form)
+
+    @property
+    def rank(self):
+        return len(self.form)
+
+    def pairing(self, x, y):
+        return sum(
+            x[i] * self.form[i][j] * y[j]
+            for i in range(self.rank)
+            for j in range(self.rank)
+        )
+
+    def to_dict(self):
+        return {"rank": self.rank, "form": [list(row) for row in self.form]}
+
+
+def dense_tdiagram(b1, b2, b3):
+    """The dense form of T(b1, b2, b3), entry by entry: node 0 is the centre
+    and each arm numbers its nodes outwards."""
+    rank = b1 + b2 + b3 - 2
+    form = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        form[i][i] = -2
+    node = 1
+    for b in (b1, b2, b3):
+        prev = 0
+        for _ in range(b - 1):
+            form[prev][node] = form[node][prev] = 1
+            prev = node
+            node += 1
+    return form
+
+
 def dense_pl_reflection(v, lattice):
     """The reflection matrix from the dense pairing of every column with v."""
     if lattice.pairing(v, v) != -2:
@@ -422,7 +481,7 @@ def dense_pl_reflection(v, lattice):
 
 
 def dense_pl_product(letters, n):
-    lattice = an_minus2_lattice(n)
+    lattice = DenseLattice(an_minus2_lattice(n).form)
     out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for g in letters:
         i = abs(g)
@@ -434,8 +493,11 @@ def dense_pl_product(letters, n):
 
 
 def dense_definiteness(lattice):
-    """Congruence diagonalization on the full Fraction matrix, with the
-    same pivot rule as ktheory.definiteness."""
+    """Congruence diagonalization on the full Fraction matrix, pivoting in
+    index order: the first active index with a nonzero diagonal, else the
+    first pair (i, j) with A[i][j] != 0 for e_i -> e_i + e_j.
+    ``ktheory.definiteness`` pivots in minimum-degree order instead; by
+    Sylvester's law of inertia both give the same report."""
     r = lattice.rank
     A = [[Fraction(x) for x in row] for row in lattice.form]
     active = list(range(r))

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from conftest import DenseLattice, dense_definiteness, dense_pl_reflection, dense_tdiagram
 from sphtwist import ComparisonReport, ProjComplex, RelationReport, cli
 from sphtwist.cli import main
 
@@ -215,6 +216,26 @@ def test_lattice_reflections_json(capsys):
     data = json.loads(out)
     assert code == 0
     assert len(data["reflections"]) == 8
+
+
+@pytest.mark.parametrize("argv", [["--t", "2,3,7"], ["--t", "4,2,5", "--reflections"],
+                                  ["--matrix", "[[0, 1, 0], [1, 0, 0], [0, 0, -3]]"]])
+def test_lattice_json_prints_the_dense_form(capsys, argv):
+    """--json prints the bytes that the dense form gave."""
+    code, out, _ = run(capsys, "lattice", *argv, "--json")
+    if argv[0] == "--t":
+        dense = DenseLattice(dense_tdiagram(*map(int, argv[1].split(","))))
+    else:
+        dense = DenseLattice(json.loads(argv[1]))
+    want = {"lattice": dense.to_dict(), "definiteness": dense_definiteness(dense).to_dict()}
+    if "--reflections" in argv:
+        r = dense.rank
+        want["reflections"] = [
+            dense_pl_reflection([1 if i == k else 0 for i in range(r)], dense)
+            for k in range(r)
+        ]
+    assert code == 0
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
 def test_lattice_too_large_exits_before_building(capsys):

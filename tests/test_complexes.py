@@ -365,6 +365,30 @@ def test_isomorphism_needs_one_algebra():
                          ProjComplex.projective(make_algebra(2, 2), 1))
 
 
+def test_chain_map_takes_equal_algebras_as_one():
+    """``ChainMap`` accepts the certificate ``is_isomorphic`` returns for
+    complexes over two algebra objects with equal parameters and field,
+    and refuses a Q against an F_7 algebra, or n = 2 against n = 3, with
+    the same message as before."""
+    for char in (None, 7):
+        a, b = make_algebra(2, 2, char=char), make_algebra(2, 2, char=char)
+        for M, K in [(ProjComplex.projective(a, 1), ProjComplex.projective(b, 1)),
+                     (twist(1, ProjComplex.projective(a, 2)),
+                      twist(1, ProjComplex.projective(b, 2)))]:
+            ok, cert = is_isomorphic(M, K, with_certificate=True)
+            assert ok and cert.source.algebra is not cert.target.algebra
+            f = ChainMap(cert.source, cert.target, cert.mats)
+            assert f.commutes() and f.mats == cert.mats
+    q2 = make_algebra(2, 2)
+    P = ProjComplex.projective(q2, 1)
+    for other in (make_algebra(2, 2, char=7), make_algebra(3, 2)):
+        Q = ProjComplex.projective(other, 1)
+        for source, target in ((P, Q), (Q, P)):
+            with pytest.raises(ValueError) as got:
+                ChainMap(source, target, {})
+            assert str(got.value) == "source and target live over different algebras"
+
+
 def test_isomorphic_after_scaling_differential(alg):
     M = two_term(alg, [(1, 1)], [(2, 0)], [[alg.arrow(1, 2)]])
     K = two_term(alg, [(1, 1)], [(2, 0)], [[alg.arrow(1, 2).scale(5)]])

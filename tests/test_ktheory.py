@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    DenseLattice,
     dense_burau_letter,
     dense_burau_matrix,
     dense_definiteness,
     dense_pl_product,
     dense_pl_reflection,
+    dense_tdiagram,
     laurent_identity,
     laurent_mat_mul,
     make_algebra,
@@ -22,6 +24,7 @@ from conftest import (
 )
 from sphtwist import (
     IntersectionLattice,
+    cli,
     ProjComplex,
     an_minus2_lattice,
     apply_word,
@@ -309,6 +312,7 @@ def _root(lattice, rng, steps):
 
 def test_pl_reflection_equals_dense_reference():
     lat = build_tdiagram(19, 15, 11)
+    dense = DenseLattice(dense_tdiagram(19, 15, 11))
     r = lat.rank
     vectors = [[1 if k == j else 0 for k in range(r)] for j in range(r)]
     rng = seeded(743)
@@ -316,12 +320,12 @@ def test_pl_reflection_equals_dense_reference():
     assert any(max(map(abs, v)) > 2 for v in vectors)
     for v in vectors:
         assert lat.pairing(v, v) == -2
-        assert pl_reflection(v, lat) == dense_pl_reflection(v, lat)
+        assert pl_reflection(v, lat) == dense_pl_reflection(v, dense)
     bad = [2 * x for x in vectors[-1]]  # square -8
     with pytest.raises(ValueError) as got:
         pl_reflection(bad, lat)
     with pytest.raises(ValueError) as want:
-        dense_pl_reflection(bad, lat)
+        dense_pl_reflection(bad, dense)
     assert str(got.value) == str(want.value)
 
 
@@ -464,6 +468,181 @@ def test_definiteness_agrees_with_char_poly_oracle():
                 lat = build_tdiagram(b1, b2, b3)
                 report = definiteness(lat)
                 assert report.signature == _signature_from_char_poly(lat.form)
+
+
+# sparse rows: the public constructor, the dense view and the pivot order
+
+
+CONSTRUCTOR_INPUTS = [
+    5, "ab", None, {"a": 1}, [1, 2], [[1, 2], 3], ([0], "0"),
+    [[-2.5, 1], [1, -2]], [[True, 1], [1, -2]], [["-2", 1], [1, -2]],
+    [[1.5], [1, 2]], [[1, 2], [2]], [[1], [2, 3]], [[]], [[1, 2], [2, 1, 0]],
+    [[0, 1], [2, 0]], [[0, 0], [1, 0]], [[1, 0, 2], [0, 1, 0], [0, 0, 1]],
+    [], (), [[0]], [[5]], [[-2, 1], [1, -2]], ((1, 2), (2, -1)),
+    [(0, 3), [3, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    dense_tdiagram(2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("form", CONSTRUCTOR_INPUTS, ids=repr)
+def test_lattice_constructor_matches_dense_reference(form):
+    """The constructor accepts and refuses what the dense one did, with the
+    same message, and an accepted lattice reads as the dense one."""
+    try:
+        want = DenseLattice(form)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            IntersectionLattice(form)
+        assert str(got.value) == str(e)
+        return
+    lat = IntersectionLattice(form)
+    assert lat.form == want.form and lat.rank == want.rank
+    assert lat.to_dict() == want.to_dict()
+    assert repr(lat) == "IntersectionLattice(form=%r)" % (want.form,)
+    rng = seeded(767)
+    r = lat.rank
+    vectors = [[1 if k == j else 0 for k in range(r)] for j in range(r)]
+    vectors += [[rng.randint(-3, 3) for _ in range(r)] for _ in range(4)]
+    for x in vectors:
+        for y in vectors:
+            assert lat.pairing(x, y) == want.pairing(x, y)
+
+
+def test_lattice_equality_and_hash_follow_the_form():
+    rng = seeded(769)
+    forms = [_seeded_form(rng, kind, rng.randint(1, 8))
+             for kind in ("gram", "hyperbolic", "root", "random") for _ in range(10)]
+    forms += [dense_tdiagram(2, 3, 5), dense_tdiagram(3, 3, 3), [[0] * 8] * 8]
+    for a in forms:
+        for b in forms:
+            x, y = IntersectionLattice(a), IntersectionLattice(b)
+            assert (x == y) == (DenseLattice(a) == DenseLattice(b))
+            if x == y:
+                assert hash(x) == hash(y)
+    for t in [(2, 3, 5), (3, 3, 3), (7, 2, 4)]:
+        built, parsed = build_tdiagram(*t), IntersectionLattice(dense_tdiagram(*t))
+        assert built == parsed and hash(built) == hash(parsed)
+        assert built.form == parsed.form == DenseLattice(dense_tdiagram(*t)).form
+    A = an_minus2_lattice(5)
+    assert A == IntersectionLattice(A.form) and hash(A) == hash(IntersectionLattice(A.form))
+    assert len({build_tdiagram(2, 3, 5), IntersectionLattice(dense_tdiagram(2, 3, 5)),
+                an_minus2_lattice(8)}) == 2
+    assert A != A.form and A != DenseLattice(A.form)
+
+
+def test_sparse_paths_never_build_the_dense_form(monkeypatch, capsys):
+    """Building the lattices, definiteness, reflections, Picard-Lefschetz
+    products and text-mode ``lattice --t`` read the rows only."""
+    t = (55, 35, 2)
+    want_t = dense_definiteness(DenseLattice(dense_tdiagram(*t)))
+    rng = seeded(773)
+    word = [rng.choice([1, -1]) * rng.randint(1, 8) for _ in range(200)]
+    want_pl = dense_pl_product(word, 8)
+    e = [[1 if k == j else 0 for k in range(8)] for j in range(8)]
+    want_refl = [dense_pl_reflection(v, DenseLattice(dense_tdiagram(2, 3, 5))) for v in e]
+
+    def no_dense_form(self):
+        raise AssertionError("the dense form was built")
+
+    monkeypatch.setattr(IntersectionLattice, "form", property(no_dense_form))
+    assert definiteness(build_tdiagram(*t)) == want_t
+    assert definiteness(an_minus2_lattice(100)).signature == (0, 100, 0)
+    assert pl_product(word, 8) == want_pl
+    assert [pl_reflection(v, build_tdiagram(2, 3, 5)) for v in e] == want_refl
+    assert strange_duality_rank_check((2, 3, 7), (2, 3, 7))
+    start = time.perf_counter()
+    assert cli.main(["lattice", "--t", "3160,2,2"]) == 0
+    assert time.perf_counter() - start < 1.0  # about 2 s with the dense form
+    out = capsys.readouterr().out
+    assert out == ("rank: 3162\ndefiniteness: negative_definite\n"
+                   "signature (pos, neg, zero): (0, 3162, 0)\n")
+    assert len(out.encode()) == 84
+    assert cli.main(["lattice", "--t", "2,3,5", "--reflections"]) == 0
+    assert "reflection in node 8: %s" % (want_refl[7],) in capsys.readouterr().out
+
+
+def _sparse_form(rng, kind, r):
+    """A seeded symmetric form of rank r on a sparse graph.
+
+    The graph is a forest.  Its first tree holds index 0 and every other
+    node joins it by a random earlier node, the centre 0 with probability
+    one half, so index 0 has many neighbours and is eliminated last in
+    minimum-degree order; the other trees, on the remaining indices in a
+    seeded order, make disconnected blocks, and a few isolated nodes
+    add zero rows.  For kind "cycles" some extra edges close cycles.
+    Edge weights are seeded nonzero integers; the diagonal is -2
+    ("root"), zero everywhere ("hyperbolic"), or seeded in -3..3.  Kind
+    "laplacian" is minus a weighted graph Laplacian instead: positive edge
+    weights and each diagonal minus the sum of its row's weights, negative
+    semidefinite with one kernel vector per block.
+    """
+    form = [[0] * r for _ in range(r)]
+    rest = list(range(1, r))
+    rng.shuffle(rest)
+    blocks = [[0]]
+    for v in rest:
+        if rng.random() < 0.1:
+            blocks.append([v])
+        elif rng.random() < 0.05 and len(blocks[0]) > 1:
+            blocks.append([v])  # isolated unless a later node joins it
+        else:
+            blocks[-1 if len(blocks) > 1 and rng.random() < 0.5 else 0].append(v)
+    edges = []
+    for block in blocks:
+        for k, v in enumerate(block[1:], 1):
+            u = block[0] if rng.random() < 0.5 else block[rng.randrange(k)]
+            edges.append((u, v))
+    if kind == "cycles":
+        for _ in range(r // 6):
+            u, v = rng.randrange(r), rng.randrange(r)
+            if u != v:
+                edges.append((u, v))
+    weights = [1, 1, 2] if kind == "laplacian" else [-2, -1, 1, 1, 1, 2]
+    for u, v in edges:
+        form[u][v] = form[v][u] = rng.choice(weights)
+    for i in range(r):
+        if kind == "laplacian":
+            form[i][i] = -sum(form[i])
+        elif kind == "root":
+            form[i][i] = -2
+        elif kind != "hyperbolic":
+            form[i][i] = rng.choice([-3, -2, -2, -1, 0, 1, 2])
+    return form
+
+
+def _first_pivots(lat):
+    """The first pivot of ``definiteness`` and of the index-order rule, or
+    None when no diagonal is nonzero."""
+    rows = lat._rows
+    diag = [i for i, row in enumerate(rows) if i in row]
+    if not diag:
+        return None
+    return min(diag, key=lambda i: (len(rows[i]), i)), diag[0]
+
+
+def test_sparse_definiteness_equals_dense_reference():
+    """Minimum-degree pivots give the report of index-order pivots, on
+    trees and forests centred at index 0, zero diagonals and cycles, up
+    to rank 60; up to rank 15 the char-poly oracle agrees too."""
+    rng = seeded(787)
+    kinds = ["root", "mixed", "hyperbolic", "cycles", "laplacian"]
+    verdicts = set()
+    reordered = oracle = 0
+    for case in range(100):
+        kind = kinds[case % 5]
+        r = rng.randint(16, 60) if case % 4 == 0 else rng.randint(1, 15)
+        form = _sparse_form(rng, kind, r)
+        lat = IntersectionLattice(form)
+        report = definiteness(lat)
+        assert report == dense_definiteness(DenseLattice(form)), (kind, form)
+        if r <= 15 and case % 3 == 0:  # the oracle costs O(r^4) Fractions
+            assert report.signature == _signature_from_char_poly(form), (kind, form)
+            oracle += 1
+        pivots = _first_pivots(lat)
+        reordered += pivots is not None and pivots[0] != pivots[1]
+        verdicts.add(report.verdict)
+    assert verdicts == {"negative_definite", "negative_semidefinite", "indefinite"}
+    assert oracle >= 20 and reordered >= 60
 
 
 # ----------------------------------------------------------------------

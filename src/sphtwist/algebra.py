@@ -14,42 +14,66 @@ multiplication, which makes differentials of complexes literal matrices over
 the algebra.
 """
 
-from dataclasses import dataclass
-
 from .fields import Field
 
 
-@dataclass(frozen=True)
 class ChainParams:
     """Shape of the chain: length n, spherical dimension N, edge degrees.
 
     ``edge_degrees[i-1]`` is the internal degree of the forward arrow
     i -> i+1; the backward arrow gets the complementary degree N - d_i.
     A chain of n objects carries n twist generators (braid group B_{n+1}).
+
+    Frozen: equal and hashed by its fields, and assignment raises
+    AttributeError.
     """
 
-    n: int
-    N: int
-    edge_degrees: tuple = None
+    __match_args__ = ("n", "N", "edge_degrees")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one chain object, got n=%r" % (self.n,))
-        if self.N < 2:
-            raise ValueError("spherical dimension must be >= 2, got N=%r" % (self.N,))
-        degs = self.edge_degrees
-        if degs is None:
-            degs = tuple(1 for _ in range(self.n - 1))
+    def __init__(self, n, N, edge_degrees=None):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError("chain length must be an integer, got n=%r" % (n,))
+        if n < 1:
+            raise ValueError("need at least one chain object, got n=%r" % (n,))
+        if isinstance(N, bool) or not isinstance(N, int):
+            raise ValueError("spherical dimension must be an integer, got N=%r" % (N,))
+        if N < 2:
+            raise ValueError("spherical dimension must be >= 2, got N=%r" % (N,))
+        if edge_degrees is None:
+            degs = tuple(1 for _ in range(n - 1))
         else:
-            degs = tuple(degs)
-        if len(degs) != self.n - 1:
+            degs = tuple(edge_degrees)
+        if len(degs) != n - 1:
             raise ValueError(
-                "expected %d edge degrees, got %d" % (self.n - 1, len(degs))
+                "expected %d edge degrees, got %d" % (n - 1, len(degs))
             )
         for d in degs:
-            if not 1 <= d <= self.N - 1:
-                raise ValueError("edge degree %r outside [1, %d]" % (d, self.N - 1))
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise ValueError("edge degree %r is not an integer" % (d,))
+            if not 1 <= d <= N - 1:
+                raise ValueError("edge degree %r outside [1, %d]" % (d, N - 1))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
         object.__setattr__(self, "edge_degrees", degs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.N, self.edge_degrees) == (
+            other.n, other.N, other.edge_degrees)
+
+    def __hash__(self):
+        return hash((self.n, self.N, self.edge_degrees))
+
+    def __repr__(self):
+        return "%s(n=%r, N=%r, edge_degrees=%r)" % (
+            type(self).__qualname__, self.n, self.N, self.edge_degrees)
 
 
 class AlgebraElement:

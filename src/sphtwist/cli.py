@@ -47,8 +47,8 @@ def _add_chain_args(p):
 
 def _build_algebra(args):
     degrees = None
-    if args.degrees:
-        degrees = tuple(int(x) for x in args.degrees.split(","))
+    if args.degrees is not None:  # '' is the empty list, not the default
+        degrees = tuple(int(x) for x in args.degrees.split(",")) if args.degrees else ()
     char = None
     if args.field != "Q":
         char = int(args.field)

@@ -7,7 +7,6 @@ Orientation convention: matrices act on column vectors, and a word
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, sub
@@ -292,11 +291,40 @@ def build_tdiagram(b1, b2, b3):
     return IntersectionLattice._from_rows(rows)
 
 
-@dataclass(frozen=True)
 class DefinitenessReport:
-    verdict: str  # negative_definite | negative_semidefinite | indefinite
-    signature: tuple  # (positive, negative, zero) inertia indices
-    kernel_rank: int
+    """The verdict (negative_definite, negative_semidefinite or indefinite),
+    the inertia indices (positive, negative, zero) as ``signature``, and
+    the kernel rank.
+
+    Frozen: equal and hashed by its fields, and assignment raises
+    AttributeError.
+    """
+
+    __match_args__ = ("verdict", "signature", "kernel_rank")
+
+    def __init__(self, verdict, signature, kernel_rank):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "kernel_rank", kernel_rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.verdict, self.signature, self.kernel_rank) == (
+            other.verdict, other.signature, other.kernel_rank)
+
+    def __hash__(self):
+        return hash((self.verdict, self.signature, self.kernel_rank))
+
+    def __repr__(self):
+        return "%s(verdict=%r, signature=%r, kernel_rank=%r)" % (
+            type(self).__qualname__, self.verdict, self.signature, self.kernel_rank)
 
     def to_dict(self):
         return {

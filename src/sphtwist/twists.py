@@ -5,8 +5,6 @@ vertex g, g < 0 its inverse.  Words act left to right.  All outputs are
 minimized, so sizes stay proportional to the homology they carry.
 """
 
-from dataclasses import dataclass, field
-
 from .complexes import (
     ProjComplex,
     _hom_into,
@@ -176,16 +174,38 @@ def _hom_table(images, graded=False):
 # relation verification
 
 
-@dataclass
 class RelationCheck:
-    relation: str
-    object_vertex: int
-    passed: bool
+    __match_args__ = ("relation", "object_vertex", "passed")
+
+    def __init__(self, relation, object_vertex, passed):
+        self.relation = relation
+        self.object_vertex = object_vertex
+        self.passed = passed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.relation, self.object_vertex, self.passed) == (
+            other.relation, other.object_vertex, other.passed)
+
+    def __repr__(self):
+        return "%s(relation=%r, object_vertex=%r, passed=%r)" % (
+            type(self).__qualname__, self.relation, self.object_vertex, self.passed)
 
 
-@dataclass
 class RelationReport:
-    checks: list = field(default_factory=list)
+    __match_args__ = ("checks",)
+
+    def __init__(self, checks=None):
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.checks == other.checks
+
+    def __repr__(self):
+        return "%s(checks=%r)" % (type(self).__qualname__, self.checks)
 
     @property
     def all_passed(self):
@@ -260,17 +280,34 @@ def verify_relations(algebra, objects=None):
 # the faithfulness-based distinguisher
 
 
-@dataclass
 class ComparisonReport:
     """Outcome of acting with two words on every projective generator."""
 
-    word1: list
-    word2: list
-    distinct: bool
-    witness_vertex: int = None
-    witness_invariant: str = None
-    per_vertex: dict = field(default_factory=dict)
-    hom_matrices: tuple = None
+    __match_args__ = ("word1", "word2", "distinct", "witness_vertex",
+                      "witness_invariant", "per_vertex", "hom_matrices")
+
+    def __init__(self, word1, word2, distinct, witness_vertex=None,
+                 witness_invariant=None, per_vertex=None, hom_matrices=None):
+        self.word1 = word1
+        self.word2 = word2
+        self.distinct = distinct
+        self.witness_vertex = witness_vertex
+        self.witness_invariant = witness_invariant
+        self.per_vertex = {} if per_vertex is None else per_vertex
+        self.hom_matrices = hom_matrices
+
+    def _fields(self):
+        return (self.word1, self.word2, self.distinct, self.witness_vertex,
+                self.witness_invariant, self.per_vertex, self.hom_matrices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % pair for pair in zip(self.__match_args__, self._fields())))
 
     @property
     def verdict(self):

@@ -2,11 +2,13 @@
 dense-matrix references for cone, minimize, RHom(M, P_i), the twists and
 the K-theory shadows, with the Laurent matrix product and the dense-form
 lattice they need, the twists glued block by block from their hom
-complex, and a textbook kernel basis."""
+complex, a textbook kernel basis, and the record classes as the
+dataclasses they once were."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 from sphtwist import (
     ChainMap,
@@ -446,6 +448,87 @@ class DenseLattice:
 
     def to_dict(self):
         return {"rank": self.rank, "form": [list(row) for row in self.form]}
+
+
+# The five record classes as the @dataclass definitions that plain classes
+# replaced, the references for their repr, ==, hash, frozenness and
+# defaults.  Each sets __qualname__ to the real class's name, which the
+# dataclass repr prints, so equal fields give equal repr strings.
+
+
+@dataclass(frozen=True)
+class DataclassChainParams:
+    __qualname__ = "ChainParams"
+
+    n: int
+    N: int
+    edge_degrees: tuple = None
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("need at least one chain object, got n=%r" % (self.n,))
+        if self.N < 2:
+            raise ValueError("spherical dimension must be >= 2, got N=%r" % (self.N,))
+        degs = self.edge_degrees
+        if degs is None:
+            degs = tuple(1 for _ in range(self.n - 1))
+        else:
+            degs = tuple(degs)
+        if len(degs) != self.n - 1:
+            raise ValueError(
+                "expected %d edge degrees, got %d" % (self.n - 1, len(degs))
+            )
+        for d in degs:
+            if not 1 <= d <= self.N - 1:
+                raise ValueError("edge degree %r outside [1, %d]" % (d, self.N - 1))
+        object.__setattr__(self, "edge_degrees", degs)
+
+
+@dataclass(frozen=True)
+class DataclassDefinitenessReport:
+    __qualname__ = "DefinitenessReport"
+
+    verdict: str
+    signature: tuple
+    kernel_rank: int
+
+
+@dataclass
+class DataclassRelationCheck:
+    __qualname__ = "RelationCheck"
+
+    relation: str
+    object_vertex: int
+    passed: bool
+
+
+@dataclass
+class DataclassRelationReport:
+    __qualname__ = "RelationReport"
+
+    checks: list = field(default_factory=list)
+
+
+@dataclass
+class DataclassComparisonReport:
+    __qualname__ = "ComparisonReport"
+
+    word1: list
+    word2: list
+    distinct: bool
+    witness_vertex: int = None
+    witness_invariant: str = None
+    per_vertex: dict = field(default_factory=dict)
+    hom_matrices: tuple = None
+
+
+DATACLASS_RECORDS = SimpleNamespace(
+    ChainParams=DataclassChainParams,
+    DefinitenessReport=DataclassDefinitenessReport,
+    RelationCheck=DataclassRelationCheck,
+    RelationReport=DataclassRelationReport,
+    ComparisonReport=DataclassComparisonReport,
+)
 
 
 def dense_tdiagram(b1, b2, b3):

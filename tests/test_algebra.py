@@ -1,5 +1,6 @@
 """Tests for the chain algebra: basis, grading, products, Frobenius trace."""
 
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,7 @@ from itertools import product
 import pytest
 
 from conftest import make_algebra
-from sphtwist import ChainParams, ZigzagAlgebra
+from sphtwist import ChainParams, ProjComplex, ZigzagAlgebra
 from sphtwist.algebra import key_str
 from sphtwist.fields import raw
 from sphtwist.linalg import mat_rank
@@ -80,6 +81,28 @@ def test_parameter_validation():
         ChainParams(2, 2, (2,))  # degree outside [1, N-1]
     with pytest.raises(ValueError):
         ChainParams(3, 2, (1,))  # wrong number of edge degrees
+    # n, N and each edge degree must be ints, bool refused, with ValueError:
+    # no float builds an algebra and no string escapes as TypeError
+    for args, message in [
+        ((2, 2.5), "spherical dimension must be an integer, got N=2.5"),
+        ((2, "3"), "spherical dimension must be an integer, got N='3'"),
+        ((2, True), "spherical dimension must be an integer, got N=True"),
+        ((2.0, 2), "chain length must be an integer, got n=2.0"),
+        ((True, 2), "chain length must be an integer, got n=True"),
+        ((None, 2), "chain length must be an integer, got n=None"),
+        ((2, 2, (1.0,)), "edge degree 1.0 is not an integer"),
+        ((2, 2, (True,)), "edge degree True is not an integer"),
+        ((3, 3, [1, "2"]), "edge degree '2' is not an integer"),
+    ]:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            ChainParams(*args)
+    # ProjComplex.from_dict builds its algebra through the same checks
+    data = ProjComplex.projective(make_algebra(2, 2), 1).to_dict()
+    for key, value in [("n", 2.0), ("N", "2"), ("edge_degrees", [1.0])]:
+        bad = dict(data, algebra=dict(data["algebra"], **{key: value}))
+        with pytest.raises(ValueError, match="integer"):
+            ProjComplex.from_dict(bad)
+    assert ProjComplex.from_dict(data) == ProjComplex.projective(make_algebra(2, 2), 1)
 
 
 # ----------------------------------------------------------------------

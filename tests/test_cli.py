@@ -69,6 +69,16 @@ def test_check_relations_rejects_non_prime_field(capsys, field):
     assert "prime below 2^64" in err
 
 
+def test_check_relations_empty_degrees_is_an_empty_list(capsys):
+    # --degrees '' gives no edge degrees, not the default ones
+    code, out, err = run(capsys, "check-relations", "--n", "2", "--degrees", "")
+    assert (code, out) == (2, "")
+    assert "expected 1 edge degrees, got 0" in err
+    code, out, _ = run(capsys, "check-relations", "--n", "1", "--degrees", "")
+    assert code == 0
+    assert "all relations hold" in out
+
+
 # ----------------------------------------------------------------------
 # act
 
@@ -415,6 +425,25 @@ def test_usage_error_on_missing_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_cold_start_loads_no_heavy_modules():
+    # each CLI command is a fresh process, so import time is part of its
+    # end-to-end time; -S keeps a site .pth file from loading these first
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "sympy"]
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "before = set(sys.modules)\n"
+        "import sphtwist, sphtwist.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n" % os.path.join(root, "src")
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                          timeout=60, capture_output=True, text=True)
+    loaded = proc.stdout.split()
+    assert "sphtwist.cli" in loaded
+    assert [m for m in heavy if m in loaded] == []
 
 
 def test_bench_tracer_installs():

@@ -14,10 +14,60 @@ multiplication, which makes differentials of complexes literal matrices over
 the algebra.
 """
 
+from operator import attrgetter
+
 from .fields import Field
 
 
-class ChainParams:
+class _Record:
+    """Base of the API's result records: ``==`` and a dataclass-style repr
+    over the fields named in ``__match_args__``.
+
+    A record equals only a record of its own class with equal fields, and
+    it is unhashable unless frozen.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if hasattr(cls, "__match_args__"):  # not the two bases
+            # one C-level getter per class: a getattr loop made == several
+            # times slower; for one field it gives the bare value
+            cls._values = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__match_args__))
+
+
+class _FrozenRecord(_Record):
+    """A record whose ``__init__`` sets its fields once, through
+    ``__dict__``: hashed by its fields, and assignment or deletion raises
+    AttributeError."""
+
+    def __eq__(self, other):
+        # __dict__ holds the fields and nothing else, so comparing it is
+        # comparing them, at half the cost of the two getter calls
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+
+class ChainParams(_FrozenRecord):
     """Shape of the chain: length n, spherical dimension N, edge degrees.
 
     ``edge_degrees[i-1]`` is the internal degree of the forward arrow
@@ -42,7 +92,11 @@ class ChainParams:
         if edge_degrees is None:
             degs = tuple(1 for _ in range(n - 1))
         else:
-            degs = tuple(edge_degrees)
+            try:
+                degs = tuple(edge_degrees)
+            except TypeError:
+                raise ValueError("edge degrees must be a sequence of integers, "
+                                 "got %r" % (edge_degrees,)) from None
         if len(degs) != n - 1:
             raise ValueError(
                 "expected %d edge degrees, got %d" % (n - 1, len(degs))
@@ -52,28 +106,7 @@ class ChainParams:
                 raise ValueError("edge degree %r is not an integer" % (d,))
             if not 1 <= d <= N - 1:
                 raise ValueError("edge degree %r outside [1, %d]" % (d, N - 1))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "edge_degrees", degs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % (name,))
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % (name,))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.N, self.edge_degrees) == (
-            other.n, other.N, other.edge_degrees)
-
-    def __hash__(self):
-        return hash((self.n, self.N, self.edge_degrees))
-
-    def __repr__(self):
-        return "%s(n=%r, N=%r, edge_degrees=%r)" % (
-            type(self).__qualname__, self.n, self.N, self.edge_degrees)
+        self.__dict__.update(n=n, N=N, edge_degrees=degs)
 
 
 class AlgebraElement:
@@ -103,8 +136,8 @@ class AlgebraElement:
         return None
 
     def _check_same(self, other):
-        if other.algebra is not self.algebra:
-            raise ValueError("elements belong to different algebra instances")
+        if other.algebra != self.algebra:
+            raise ValueError("elements belong to different algebras")
 
     def __add__(self, other):
         self._check_same(other)
@@ -154,11 +187,7 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return (
-            self.algebra.params == other.algebra.params
-            and self.algebra.field == other.algebra.field
-            and self.coeffs == other.coeffs
-        )
+        return self.algebra == other.algebra and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
@@ -186,7 +215,9 @@ def key_str(key):
 class ZigzagAlgebra:
     """The chain algebra with its basis, grading and multiplication table.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction; safe to share across threads.  Two
+    algebra objects with equal params and field are one algebra: they
+    compare and hash equal, and their elements and complexes mix.
     """
 
     def __init__(self, params, char=None):
@@ -245,14 +276,6 @@ class ZigzagAlgebra:
             if i < n:
                 self._hom_basis[(i, i + 1)] = (("a", i, i + 1),)
                 self._hom_basis[(i + 1, i)] = (("a", i + 1, i),)
-
-    @property
-    def n(self):
-        return self.params.n
-
-    @property
-    def N(self):
-        return self.params.N
 
     def dimension(self):
         return len(self.basis)
@@ -360,6 +383,16 @@ class ZigzagAlgebra:
             ],
             "products": dict(sorted(table.items())),
         }
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, ZigzagAlgebra):
+            return NotImplemented
+        return self.params == other.params and self.field == other.field
+
+    def __hash__(self):
+        return hash((self.params, self.field))
 
     def __repr__(self):
         return "ZigzagAlgebra(n=%d, N=%d, d=%s)" % (

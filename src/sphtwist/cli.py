@@ -192,7 +192,7 @@ def cmd_elliptic(args):
 
 def cmd_dump_algebra(args):
     algebra = _build_algebra(args)
-    print(json.dumps(algebra.describe(), sort_keys=True, indent=2))
+    _emit(algebra.describe(), True, ())  # JSON with or without --json
     return EXIT_OK
 
 

@@ -208,8 +208,7 @@ class ProjComplex:
         if not isinstance(other, ProjComplex):
             return NotImplemented
         return (
-            self.algebra.params == other.algebra.params
-            and self.algebra.field == other.algebra.field
+            self.algebra == other.algebra
             and self.terms == other.terms
             and self._rows == other._rows
         )
@@ -253,8 +252,11 @@ class ProjComplex:
 
         if algebra is None:
             spec = data["algebra"]
+            degrees = spec["edge_degrees"]
+            if degrees is None:  # null does not stand for the default degrees
+                raise ValueError("edge_degrees must be a list of integers, got null")
             algebra = ZigzagAlgebra(
-                ChainParams(spec["n"], spec["N"], tuple(spec["edge_degrees"])),
+                ChainParams(spec["n"], spec["N"], degrees),
                 char=spec.get("char"),
             )
         terms = {int(t): [tuple(p) for p in row] for t, row in data["terms"].items()}
@@ -293,8 +295,7 @@ class ChainMap:
     """
 
     def __init__(self, source, target, mats):
-        a, b = source.algebra, target.algebra
-        if a.params != b.params or a.field != b.field:
+        if source.algebra != target.algebra:
             raise ValueError("source and target live over different algebras")
         self._set_rows(source, target, {
             t: _scalar_rows(source.algebra, "chain map", t, mat, source.summands(t),
@@ -874,7 +875,7 @@ def is_isomorphic(M, K, with_certificate=False):
     Raises ValueError when M and K live over algebras with different
     parameters or fields.
     """
-    if M.algebra.params != K.algebra.params or M.algebra.field != K.algebra.field:
+    if M.algebra != K.algebra:
         raise ValueError("the complexes live over different algebras")
     if not with_certificate and (M == K or _sorted_summands(M) == _sorted_summands(K)):
         return True

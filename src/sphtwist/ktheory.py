@@ -11,6 +11,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, sub
 
+from .algebra import _FrozenRecord
 from .laurent import LaurentPoly
 from .linalg import _add
 
@@ -291,7 +292,7 @@ def build_tdiagram(b1, b2, b3):
     return IntersectionLattice._from_rows(rows)
 
 
-class DefinitenessReport:
+class DefinitenessReport(_FrozenRecord):
     """The verdict (negative_definite, negative_semidefinite or indefinite),
     the inertia indices (positive, negative, zero) as ``signature``, and
     the kernel rank.
@@ -303,28 +304,8 @@ class DefinitenessReport:
     __match_args__ = ("verdict", "signature", "kernel_rank")
 
     def __init__(self, verdict, signature, kernel_rank):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "kernel_rank", kernel_rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % (name,))
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % (name,))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.verdict, self.signature, self.kernel_rank) == (
-            other.verdict, other.signature, other.kernel_rank)
-
-    def __hash__(self):
-        return hash((self.verdict, self.signature, self.kernel_rank))
-
-    def __repr__(self):
-        return "%s(verdict=%r, signature=%r, kernel_rank=%r)" % (
-            type(self).__qualname__, self.verdict, self.signature, self.kernel_rank)
+        self.__dict__.update(verdict=verdict, signature=signature,
+                             kernel_rank=kernel_rank)
 
     def to_dict(self):
         return {

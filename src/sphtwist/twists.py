@@ -5,6 +5,7 @@ vertex g, g < 0 its inverse.  Words act left to right.  All outputs are
 minimized, so sizes stay proportional to the homology they carry.
 """
 
+from .algebra import _Record
 from .complexes import (
     ProjComplex,
     _hom_into,
@@ -174,7 +175,7 @@ def _hom_table(images, graded=False):
 # relation verification
 
 
-class RelationCheck:
+class RelationCheck(_Record):
     __match_args__ = ("relation", "object_vertex", "passed")
 
     def __init__(self, relation, object_vertex, passed):
@@ -182,30 +183,12 @@ class RelationCheck:
         self.object_vertex = object_vertex
         self.passed = passed
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.relation, self.object_vertex, self.passed) == (
-            other.relation, other.object_vertex, other.passed)
 
-    def __repr__(self):
-        return "%s(relation=%r, object_vertex=%r, passed=%r)" % (
-            type(self).__qualname__, self.relation, self.object_vertex, self.passed)
-
-
-class RelationReport:
+class RelationReport(_Record):
     __match_args__ = ("checks",)
 
     def __init__(self, checks=None):
         self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.checks == other.checks
-
-    def __repr__(self):
-        return "%s(checks=%r)" % (type(self).__qualname__, self.checks)
 
     @property
     def all_passed(self):
@@ -280,7 +263,7 @@ def verify_relations(algebra, objects=None):
 # the faithfulness-based distinguisher
 
 
-class ComparisonReport:
+class ComparisonReport(_Record):
     """Outcome of acting with two words on every projective generator."""
 
     __match_args__ = ("word1", "word2", "distinct", "witness_vertex",
@@ -295,19 +278,6 @@ class ComparisonReport:
         self.witness_invariant = witness_invariant
         self.per_vertex = {} if per_vertex is None else per_vertex
         self.hom_matrices = hom_matrices
-
-    def _fields(self):
-        return (self.word1, self.word2, self.distinct, self.witness_vertex,
-                self.witness_invariant, self.per_vertex, self.hom_matrices)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % pair for pair in zip(self.__match_args__, self._fields())))
 
     @property
     def verdict(self):

@@ -93,12 +93,14 @@ def test_parameter_validation():
         ((2, 2, (1.0,)), "edge degree 1.0 is not an integer"),
         ((2, 2, (True,)), "edge degree True is not an integer"),
         ((3, 3, [1, "2"]), "edge degree '2' is not an integer"),
+        ((2, 2, 1), "edge degrees must be a sequence of integers, got 1"),
     ]:
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             ChainParams(*args)
     # ProjComplex.from_dict builds its algebra through the same checks
     data = ProjComplex.projective(make_algebra(2, 2), 1).to_dict()
-    for key, value in [("n", 2.0), ("N", "2"), ("edge_degrees", [1.0])]:
+    for key, value in [("n", 2.0), ("N", "2"), ("edge_degrees", [1.0]),
+                       ("edge_degrees", 1), ("edge_degrees", None)]:
         bad = dict(data, algebra=dict(data["algebra"], **{key: value}))
         with pytest.raises(ValueError, match="integer"):
             ProjComplex.from_dict(bad)
@@ -137,10 +139,19 @@ def test_loops_annihilate():
 
 
 def test_mismatched_algebras_rejected():
+    # two objects with equal params and field are one algebra: their
+    # elements add and multiply; another field or chain is refused
     a1 = make_algebra(2, 2)
     a2 = make_algebra(2, 2)
-    with pytest.raises(ValueError):
-        a1.e(1) * a2.e(1)
+    assert a1 is not a2 and a1 == a2 and hash(a1) == hash(a2)
+    assert a1.e(1) + a2.arrow(1, 2) == a2.e(1) + a1.arrow(1, 2)
+    assert a1.arrow(1, 2) * a2.arrow(2, 1) == a2.loop(1)
+    for other in (make_algebra(2, 2, char=7), make_algebra(3, 2)):
+        assert a1 != other
+        with pytest.raises(ValueError):
+            a1.e(1) * other.e(1)
+        with pytest.raises(ValueError):
+            a1.e(1) + other.e(1)
 
 
 @pytest.mark.parametrize("n,N", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (4, 3)])

@@ -3,12 +3,13 @@
 Exit codes are a stable contract:
   0  success (or words indistinguishable on objects)
   1  a verified relation failed (implementation bug)
-  2  usage / parse error
+  2  usage, parse or output error
   3  the compared words act differently (distinct braids)
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import ChainParams, ZigzagAlgebra
@@ -62,6 +63,7 @@ def _emit(data, as_json, text_lines):
     else:
         for line in text_lines:
             print(line)
+    sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
 
 
 def _complex_lines(M):
@@ -262,6 +264,13 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout early; what is left goes to devnull, so
+        # the interpreter's final flush raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_USAGE
 
 

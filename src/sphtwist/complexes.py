@@ -716,11 +716,14 @@ def _chain_map_unknowns(M, K):
     """The entries (t, r, c) a chain map M -> K may have, those whose two
     summands have a basis path between them, numbered in that order.
 
-    Returns ``(index, count)``: ``index[t][r]`` maps each c of an unknown
-    (t, r, c) to its number.
+    Returns ``(index, count, blocks)``: ``index[t][r]`` maps each c of an
+    unknown (t, r, c) to its number, and ``blocks`` holds per degree t and
+    summand of M^t the numbers of the idempotent coefficients between its
+    copies: one row per copy in M^t, one column per copy in K^t.
     """
     path = M.algebra.path
     index = {}
+    blocks = {}
     count = 0
     for t in sorted(set(M.terms) & set(K.terms)):
         copies = {}
@@ -730,9 +733,12 @@ def _chain_map_unknowns(M, K):
         for v, s in M.terms[t]:
             cs = sorted(c for (v2, s2), group in copies.items()
                         if (v, v2, s - s2) in path for c in group)
-            rows.append(dict(zip(cs, range(count, count + len(cs)))))
+            row = dict(zip(cs, range(count, count + len(cs))))
+            rows.append(row)
             count += len(cs)
-    return index, count
+            blocks.setdefault((t, v, s), []).append(
+                [row[c] for c in copies.get((v, s), ())])
+    return index, count, list(blocks.values())
 
 
 def _chain_map_equations(M, K, index):
@@ -801,7 +807,7 @@ def _quick_weights(m):
         yield [base**j for j in range(m)]
 
 
-def _symbolic_weights(blocks, kernel):
+def _symbolic_weights(blocks, kernel, reach):
     """Complete fallback over Q: decide via the symbolic determinant polynomial.
 
     Expands the product of the block determinants at a generic combination
@@ -809,7 +815,8 @@ def _symbolic_weights(blocks, kernel):
     identically there is no invertible chain map and None is returned;
     otherwise a nonvanishing integer point is found coordinate by
     coordinate (a nonzero polynomial of degree <= D in one variable has a
-    nonvanishing value among 0..D, and D is at most the blocks' total size).
+    nonvanishing value among 0..D, and its degree in w_k is at most
+    reach[k], the number of block rows kernel[k] meets).
     """
     import sympy
 
@@ -823,10 +830,9 @@ def _symbolic_weights(blocks, kernel):
     prod = sympy.expand(prod)
     if prod == 0:
         return None
-    degree_bound = sum(len(blk) for blk in blocks)
     point = []
-    for sym in syms:
-        for a in range(degree_bound + 1):
+    for sym, degree in zip(syms, reach):
+        for a in range(degree + 1):
             cand = sympy.expand(prod.subs(sym, a))
             if cand != 0:
                 prod = cand
@@ -866,7 +872,8 @@ def is_isomorphic(M, K, with_certificate=False):
        basis, in this order: those of ``_quick_weights``; weight 1 on the
        kernel vectors whose free column is the idempotent coefficient
        between the j-th copies of a summand in both complexes; then, over
-       F_p, every weight vector, or over Q a point where the symbolically
+       F_p, every weight vector with weight k at most the number of block
+       rows kernel vector k meets, or over Q a point where the symbolically
        expanded product of the block determinants does not vanish, if the
        product is not zero (``_symbolic_weights``, sympy).  The first
        combination whose every block has full rank (``mat_rank``) is the
@@ -891,26 +898,12 @@ def is_isomorphic(M, K, with_certificate=False):
     if not _multisets_match(Mm, Km) or _arrow_ranks(Mm) != _arrow_ranks(Km):
         return done(False, None)
 
-    index, count = _chain_map_unknowns(Mm, Km)
+    # f is invertible iff in each degree the scalar block of idempotent
+    # coefficients between the copies of each (vertex, shift) is
+    index, count, blocks = _chain_map_unknowns(Mm, Km)
     kernel = _kernel(_chain_map_equations(Mm, Km, index), count, mod)
     if not kernel:
         return done(False, None)
-
-    # f is invertible iff in each degree the scalar block of idempotent
-    # coefficients between the copies of each (vertex, shift) is; a block
-    # lists the number of the unknown (t, r, c) per entry
-    blocks = []
-    matched = set()
-    for t in Mm.terms:
-        groups = {}
-        for r, summand in enumerate(Mm.terms[t]):
-            groups.setdefault(summand, ([], []))[0].append(r)
-        for c, summand in enumerate(Km.terms[t]):
-            groups[summand][1].append(c)
-        f = index[t]
-        for rs, cs in groups.values():
-            blocks.append([[f[r][c] for c in cs] for r in rs])
-            matched.update(f[r][c] for r, c in zip(rs, cs))
 
     def accept(weights):
         combo = {}
@@ -939,13 +932,18 @@ def is_isomorphic(M, K, with_certificate=False):
     def candidates():
         yield from _quick_weights(len(kernel))
         # the free column of a kernel vector is its last nonzero entry
-        free = [max(vec) for vec in kernel]
-        yield [1 if fc in matched else 0 for fc in free]
-        if mod:
-            # complete over F_p: all p^k weight vectors, in lexicographic order
-            yield from iproduct(range(mod), repeat=len(kernel))
+        matched = {row[j] for blk in blocks for j, row in enumerate(blk)}
+        yield [1 if max(vec) in matched else 0 for vec in kernel]
+        # the product of the block determinants has degree <= reach[k] in
+        # weight k, the number of block rows kernel vector k meets, so its
+        # first nonvanishing point in lexicographic order has weight k <= reach[k]
+        row_of = {i: b for b, row in enumerate(row for blk in blocks for row in blk)
+                  for i in row}
+        reach = [len({row_of[i] for i in vec if i in row_of}) for vec in kernel]
+        if mod:  # complete over F_p
+            yield from iproduct(*(range(min(mod, d + 1)) for d in reach))
         else:
-            point = _symbolic_weights(blocks, kernel)
+            point = _symbolic_weights(blocks, kernel, reach)
             if point is not None:
                 yield point
 

@@ -37,39 +37,30 @@ def euler_class(M):
 
 def chi_q(algebra, i, j):
     """Graded hom pairing: sum of q^deg over the basis of e_i A e_j."""
-    out = LaurentPoly.zero()
-    for d, dim in algebra.hom_space(i, j).items():
-        out = out + LaurentPoly.q(d, dim)
-    return out
+    return LaurentPoly(algebra.hom_space(i, j))
 
 
 def _letter_row(g, algebra):
-    """Row |g| of the matrix of letter g, as (i, c, e, neighbours): the
-    diagonal entry is c q^e at row and column i (0-based), and each
-    neighbour (j, c_j, e_j) is the entry c_j q^(e_j) at column j.
+    """Row |g| of the matrix of letter g, as (i, e, neighbours): the
+    diagonal entry is -q^e at row and column i (0-based), and each
+    neighbour (j, e_j) is the entry -q^(e_j) at column j.
 
     The twist at i acts by [M] -> [M] - chi_q(P_i, M) [P_i]; its inverse
     uses the dual pairing, which substitutes q -> q^{-1} and transposes
     the hom direction.  Every other row is the identity's, and the row is
     nonzero only where e_i A e_j is, at j = i-1, i, i+1.  Each entry is a
     monomial: e_i A e_i = span{e_i, l_i} makes the diagonal 1 - (1 + q^N)
-    = -q^N (q^-N for the inverse), and e_i A e_j is one arrow for j = i±1.
+    = -q^N (q^-N for the inverse), and e_i A e_j is the one arrow a_ij, so
+    the entry is -q^(deg a_ij) (-q^(-deg a_ji) for the inverse).
     """
     i = abs(g)
     algebra.check_vertex(i)
-    neighbours = []
-    for j in range(1, algebra.params.n + 1):
-        if g > 0:
-            pairing = chi_q(algebra, i, j)
-        else:
-            pairing = chi_q(algebra, j, i).substitute_inverse()
-        entry = (LaurentPoly.one() - pairing if i == j else -pairing).coeffs
-        if i == j:
-            (e, c), = entry.items()
-        elif entry:
-            (e_j, c_j), = entry.items()
-            neighbours.append((j - 1, c_j, e_j))
-    return i - 1, c, e, tuple(neighbours)
+    N = algebra.params.N
+    deg = algebra.deg
+    neighbours = tuple(
+        (j - 1, deg["a", i, j] if g > 0 else -deg["a", j, i])
+        for j in (i - 1, i + 1) if 1 <= j <= algebra.params.n)
+    return i - 1, N if g > 0 else -N, neighbours
 
 
 def _trim(row, low, i):
@@ -95,7 +86,7 @@ def burau_matrix(letters, algebra):
     column, whose index k holds the coefficient of q^(low[r] + k) divided
     by the sign; an empty list is a zero entry.  The letter's diagonal
     entry is the monomial -q^(±N) (see _letter_row), so it only flips row
-    i's sign and moves low[i].  Each neighbour entry ±q^e is added into
+    i's sign and moves low[i].  Each neighbour entry -q^e is added into
     row i's lists in place, one slice per column, after padding them at
     the front when the neighbour reaches below low[i]; after a letter that
     padded, row i's zero margin is dropped (``_trim``).  Each entry is
@@ -110,12 +101,12 @@ def burau_matrix(letters, algebra):
         step = steps.get(g)
         if step is None:
             step = steps[g] = _letter_row(g, algebra)
-        i, c, e, neighbours = step
-        sign[i] *= c
+        i, e, neighbours = step
+        sign[i] = -sign[i]
         low[i] += e
         row = out[i]
         padded = False
-        for j, c_j, e_j in neighbours:
+        for j, e_j in neighbours:
             shift = low[j] + e_j - low[i]
             if shift < 0:
                 pad = [0] * -shift
@@ -125,7 +116,7 @@ def burau_matrix(letters, algebra):
                 low[i] += shift
                 shift = 0
                 padded = True
-            op = add if c_j * sign[i] * sign[j] > 0 else sub
+            op = sub if sign[i] == sign[j] else add
             for a, b in zip(row, out[j]):
                 if b:
                     end = shift + len(b)

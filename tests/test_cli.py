@@ -427,6 +427,22 @@ def test_usage_error_on_missing_command(capsys):
     assert exc.value.code == 2
 
 
+def test_closed_stdout_exits_2_without_traceback():
+    # a reader that stops early, as `| head -1` does, closes the pipe
+    # mid-output: an output error, exit 2, not the failed relation of exit 1;
+    # the output (about 400 kB) is far over what the pipe buffers
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    argv = [sys.executable, "-m", "sphtwist.cli", "lattice", "--t", "200,2,2", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
 def test_cold_start_loads_no_heavy_modules():
     # each CLI command is a fresh process, so import time is part of its
     # end-to-end time; -S keeps a site .pth file from loading these first

@@ -567,6 +567,23 @@ def test_fallback_decides_basis_change(monkeypatch, char, seed):
     assert (cert.source, cert.target) == (minimize(M), minimize(K))
 
 
+@pytest.mark.parametrize("char,copies", [(31, 2), (7, 3)])
+def test_fallback_bounds_each_weight_by_its_degree(char, copies):
+    # P1<0>^k -> P1<-2>^k by diag(l1, ..., l1) against diag(0, l1, ..., l1):
+    # the arrow ranks agree (there is no arrow), every chain map is singular,
+    # and the F_p enumeration must stop at weight <= the block rows a kernel
+    # vector meets rather than run through all p^dim(kernel) weight vectors
+    alg = make_algebra(1, 2, char=char)
+    l, z = alg.loop(1), alg.zero()
+    terms = {0: [(1, 0)] * copies, 1: [(1, -2)] * copies}
+    M, K = (ProjComplex(alg, terms, {0: [
+        [(first if r == 0 else l) if r == c else z for c in range(copies)]
+        for r in range(copies)]}) for first in (l, z))
+    start = time.perf_counter()
+    assert is_isomorphic(M, K, with_certificate=True) == (False, None)
+    assert time.perf_counter() - start < 1
+
+
 def test_self_isomorphism_at_89_summands(alg):
     M = apply_word([1, -2] * 5, ProjComplex.projective(alg, 1))
     assert M.total_summands() == 89

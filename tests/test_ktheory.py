@@ -104,14 +104,21 @@ def test_burau_generator_entries(alg):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_burau_functoriality_random(n):
-    alg = make_algebra(n, 2)
-    rng = seeded(211)
-    for _ in range(12):
-        w = random_word(alg, rng, max_len=6)
-        M = random_two_term(alg, rng)
-        lhs = euler_class(apply_word(w, M))
-        rhs = laurent_mat_vec(burau_matrix(w, alg), euler_class(M))
-        assert lhs == rhs
+    # at N = 2 with degree 1 both arrows of an edge have degree 1, so the
+    # seeded chains at N = 3..5 have every edge degree d != N - d: there a
+    # twist's entry q^(deg a_ij) tells a_ij from a_ji
+    rng, chains = seeded(211), seeded(212)
+    algebras = [make_algebra(n, 2)] + [
+        make_algebra(n, N, [chains.choice([d for d in range(1, N) if 2 * d != N])
+                            for _ in range(n - 1)])
+        for N in (3, 4, 5)]
+    for alg in algebras:
+        for _ in range(12):
+            w = random_word(alg, rng, max_len=6)
+            M = random_two_term(alg, rng)
+            lhs = euler_class(apply_word(w, M))
+            rhs = laurent_mat_vec(burau_matrix(w, alg), euler_class(M))
+            assert lhs == rhs
 
 
 def _sign_conjugate(mat):

@@ -3,7 +3,7 @@
 Exit codes are a stable contract:
   0  success (or words indistinguishable on objects)
   1  a verified relation failed (implementation bug)
-  2  usage, parse or output error
+  2  usage, parse or output error, or out of memory
   3  the compared words act differently (distinct braids)
 """
 
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .algebra import ChainParams, ZigzagAlgebra
 from .complexes import ProjComplex, homology_table
@@ -58,8 +59,11 @@ def _build_algebra(args):
 
 
 def _emit(data, as_json, text_lines):
-    if as_json:
-        print(json.dumps(data, sort_keys=True, indent=2))
+    if as_json:  # the bytes of json.dumps, never held whole: encoder chunks in batches
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(data)
+        for batch in iter(lambda: "".join(islice(chunks, 8192)), ""):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
         for line in text_lines:
             print(line)
@@ -264,6 +268,9 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # the reader closed stdout early; what is left goes to devnull, so

@@ -807,40 +807,25 @@ def _quick_weights(m):
         yield [base**j for j in range(m)]
 
 
-def _symbolic_weights(blocks, kernel, reach):
-    """Complete fallback over Q: decide via the symbolic determinant polynomial.
+def _seeded_weights(m, mod):
+    """Four fixed pseudo-random weight vectors: MINSTD values from seed 1,
+    reduced mod p over F_p and mod 65536 over Q."""
+    x = 1
+    for _ in range(4):
+        point = []
+        for _ in range(m):
+            x = x * 48271 % 2147483647
+            point.append(x % (mod or 65536))
+        yield point
 
-    Expands the product of the block determinants at a generic combination
-    sum_k w_k kernel[k] of the kernel basis.  If the polynomial vanishes
-    identically there is no invertible chain map and None is returned;
-    otherwise a nonvanishing integer point is found coordinate by
-    coordinate (a nonzero polynomial of degree <= D in one variable has a
-    nonvanishing value among 0..D, and its degree in w_k is at most
-    reach[k], the number of block rows kernel[k] meets).
-    """
-    import sympy
 
-    syms = sympy.symbols("w0:%d" % len(kernel))
-    prod = sympy.Integer(1)
-    for blk in blocks:
-        prod = prod * sympy.Matrix([
-            [sum((w * sympy.Rational(vec[i]) for w, vec in zip(syms, kernel) if i in vec),
-                 sympy.Integer(0)) for i in row]
-            for row in blk]).det()
-    prod = sympy.expand(prod)
-    if prod == 0:
-        return None
-    point = []
-    for sym, degree in zip(syms, reach):
-        for a in range(degree + 1):
-            cand = sympy.expand(prod.subs(sym, a))
-            if cand != 0:
-                prod = cand
-                point.append(a)
-                break
-        else:  # pragma: no cover - degree bound guarantees a hit
-            return None
-    return point
+def _block_dim(M, K, mod):
+    """dim pi(Hom(M, K)): the rank of the chain maps M -> K restricted to
+    the idempotent blocks of ``_chain_map_unknowns``."""
+    index, count, blocks = _chain_map_unknowns(M, K)
+    block = {i for blk in blocks for row in blk for i in row}
+    kernel = _kernel(_chain_map_equations(M, K, index), count, mod)
+    return mat_rank([{i: x for i, x in vec.items() if i in block} for vec in kernel], mod)
 
 
 def is_isomorphic(M, K, with_certificate=False):
@@ -871,13 +856,14 @@ def is_isomorphic(M, K, with_certificate=False):
     5. one stream of candidate weights for a combination of the kernel
        basis, in this order: those of ``_quick_weights``; weight 1 on the
        kernel vectors whose free column is the idempotent coefficient
-       between the j-th copies of a summand in both complexes; then, over
-       F_p, every weight vector with weight k at most the number of block
-       rows kernel vector k meets, or over Q a point where the symbolically
-       expanded product of the block determinants does not vanish, if the
-       product is not zero (``_symbolic_weights``, sympy).  The first
-       combination whose every block has full rank (``mat_rank``) is the
-       certificate: isomorphic; when the stream runs out: not isomorphic.
+       between the j-th copies of a summand in both complexes; the four
+       points of ``_seeded_weights``; then, unless the idempotent-block
+       parts of Hom(Mm, Km), End(Mm) and End(Km) differ in dimension
+       (``_block_dim``), every weight vector with weight k at most the
+       number of block rows kernel vector k meets (and below p over F_p).
+       The first combination whose every block has full rank
+       (``mat_rank``) is the certificate: isomorphic; when the stream runs
+       out: not isomorphic.
 
     Raises ValueError when M and K live over algebras with different
     parameters or fields.
@@ -934,18 +920,19 @@ def is_isomorphic(M, K, with_certificate=False):
         # the free column of a kernel vector is its last nonzero entry
         matched = {row[j] for blk in blocks for j, row in enumerate(blk)}
         yield [1 if max(vec) in matched else 0 for vec in kernel]
+        yield from _seeded_weights(len(kernel), mod)
+        # pi, the idempotent-block part, is multiplicative, so an isomorphism
+        # u gives pi(Hom(Mm, Km)) = pi(End Mm) pi(u) = pi(u) pi(End Km)
+        if not (_block_dim(Mm, Km, mod) == _block_dim(Mm, Mm, mod)
+                == _block_dim(Km, Km, mod)):
+            return
         # the product of the block determinants has degree <= reach[k] in
         # weight k, the number of block rows kernel vector k meets, so its
         # first nonvanishing point in lexicographic order has weight k <= reach[k]
         row_of = {i: b for b, row in enumerate(row for blk in blocks for row in blk)
                   for i in row}
         reach = [len({row_of[i] for i in vec if i in row_of}) for vec in kernel]
-        if mod:  # complete over F_p
-            yield from iproduct(*(range(min(mod, d + 1)) for d in reach))
-        else:
-            point = _symbolic_weights(blocks, kernel, reach)
-            if point is not None:
-                yield point
+        yield from iproduct(*(range(min(mod, d + 1) if mod else d + 1) for d in reach))
 
     for weights in candidates():
         cert = accept(weights)

@@ -73,8 +73,8 @@ def random_copies(alg, rng, max_copies=4):
     return ProjComplex(alg, {0: src, 1: tgt}, {0: mat})
 
 
-# seeds of random_copies pairs whose is_isomorphic reaches the complete
-# fallback: the F_p weight enumeration, or the sympy point over Q
+# seeds of random_copies pairs whose is_isomorphic gets past the quick and
+# matched weights: the seeded points or the bounded weight grid decides them
 FALLBACK_SEEDS = {2: (238, 279, 289), 3: (39, 59, 96), None: (1461, 704, 663)}
 
 
@@ -83,6 +83,21 @@ def fallback_pair(char, seed):
     rng = seeded(seed)
     M = random_copies(make_algebra(2, 2, char=char), rng)
     return M, basis_change(M, rng)
+
+
+def perturbed_pair(char, seed):
+    """A random_copies complex at n = N = 2 and a basis change of it with
+    one nonzero entry doubled first: the same summands, and isomorphic
+    exactly when the doubling keeps the rank of the matrix of scalars."""
+    rng = seeded(seed)
+    M = random_copies(make_algebra(2, 2, char=char), rng)
+    mat = [list(row) for row in M.mat(0)]
+    entries = [(r, c) for r, row in enumerate(mat) for c, x in enumerate(row)
+               if not x.is_zero()]
+    if entries:
+        r, c = rng.choice(entries)
+        mat[r][c] = mat[r][c].scale(2)
+    return M, basis_change(ProjComplex(M.algebra, M.terms, {0: mat}), rng)
 
 
 def _elementary(alg, row, i, j, x):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -9,7 +10,16 @@ import time
 import pytest
 
 from conftest import DenseLattice, dense_definiteness, dense_pl_reflection, dense_tdiagram
-from sphtwist import ComparisonReport, ProjComplex, RelationReport, cli
+from sphtwist import (
+    ChainParams,
+    ComparisonReport,
+    ProjComplex,
+    RelationReport,
+    ZigzagAlgebra,
+    build_tdiagram,
+    cli,
+    definiteness,
+)
 from sphtwist.cli import main
 
 
@@ -415,6 +425,21 @@ def test_dump_algebra(capsys):
     assert len(data["basis"]) == 6
 
 
+@pytest.mark.parametrize("argv", [["lattice", "--t", "120,2,2", "--json"],
+                                  ["dump-algebra", "--n", "3", "--N", "3", "--degrees", "1,2"]])
+def test_json_streams_the_bytes_of_json_dumps(capsys, argv):
+    # --json writes the encoder's chunks in batches; the lattice's
+    # document runs over several batches
+    code, out, _ = run(capsys, *argv)
+    if argv[0] == "lattice":
+        lattice = build_tdiagram(120, 2, 2)
+        data = {"lattice": lattice.to_dict(), "definiteness": definiteness(lattice).to_dict()}
+    else:
+        data = ZigzagAlgebra(ChainParams(3, 3, (1, 2))).describe()
+    assert code == 0
+    assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
 def test_identical_invocations_byte_identical(capsys):
     _, out1, _ = run(capsys, "act", "--word", "1 2 -1", "--object", "2", "--json")
     _, out2, _ = run(capsys, "act", "--word", "1 2 -1", "--object", "2", "--json")
@@ -441,6 +466,22 @@ def test_closed_stdout_exits_2_without_traceback():
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_out_of_memory_exits_2_without_traceback():
+    # the image of [1,-2]^18 has over 24 million summands; with the address
+    # space of the child capped, the build runs out of memory, which is exit
+    # 2 and one line on stderr, not a traceback and the exit 1 of a failed
+    # relation
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (150 << 20, 150 << 20))
+
+    argv = [sys.executable, "-m", "sphtwist.cli", "act", "--word", " ".join(["1 -2"] * 18)]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=60, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: out of memory\n")
 
 
 def test_cold_start_loads_no_heavy_modules():

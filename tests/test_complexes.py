@@ -25,6 +25,7 @@ from conftest import (
     glued_twist,
     glued_untwist,
     make_algebra,
+    perturbed_pair,
     random_element,
     random_two_term,
     random_word,
@@ -515,14 +516,38 @@ def test_two_copy_pair_rejected_by_arrow_ranks(char):
     assert time.perf_counter() - start < 1
 
 
-def test_two_copy_pair_needs_no_sympy():
+def loop_pair(char, copies):
+    """P1<0>^k -> P1<-2>^k by diag(l1, ..., l1) against diag(0, l1, ..., l1)
+    on one object."""
+    alg = make_algebra(1, 2, char=char)
+    l, z = alg.loop(1), alg.zero()
+    terms = {0: [(1, 0)] * copies, 1: [(1, -2)] * copies}
+    return tuple(ProjComplex(alg, terms, {0: [
+        [(first if r == 0 else l) if r == c else z for c in range(copies)]
+        for r in range(copies)]}) for first in (l, z))
+
+
+LOOP_PAIRS = [(31, 2), (7, 3), (None, 2), (None, 3), (None, 4), (7, 4), (31, 4)]
+
+
+def test_decides_without_sympy():
+    # completeness needs no symbolic package: with sympy unimportable, the
+    # pinned fallback pairs, the two-copy pairs and the loop pairs decide
     code = (
         "import sys\n"
-        "from test_complexes import two_copy\n"
+        "sys.modules['sympy'] = None\n"
+        "from conftest import FALLBACK_SEEDS, fallback_pair\n"
+        "from test_complexes import LOOP_PAIRS, loop_pair, two_copy\n"
         "from sphtwist import is_isomorphic\n"
+        "for char, seeds in FALLBACK_SEEDS.items():\n"
+        "    for seed in seeds:\n"
+        "        M, K = fallback_pair(char, seed)\n"
+        "        ok, cert = is_isomorphic(M, K, with_certificate=True)\n"
+        "        assert ok and cert.commutes()\n"
         "for char in (31, 101, None):\n"
         "    assert not is_isomorphic(*two_copy(char))\n"
-        "assert 'sympy' not in sys.modules\n"
+        "for char, copies in LOOP_PAIRS:\n"
+        "    assert not is_isomorphic(*loop_pair(char, copies))\n"
     )
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
@@ -547,17 +572,17 @@ def test_repeated_summand_with_zero_differential(char):
 @pytest.mark.parametrize("char,seed", [
     (char, seed) for char, seeds in FALLBACK_SEEDS.items() for seed in seeds])
 def test_fallback_decides_basis_change(monkeypatch, char, seed):
-    # no quick weight gives these pairs an invertible combination: over F_p
-    # the weight enumeration finds one, over Q the sympy point
-    name = "iproduct" if char else "_symbolic_weights"
-    real = getattr(sphtwist.complexes, name)
+    # no quick weight and not the matched one gives these pairs an
+    # invertible combination, so the seeded points are reached; they or
+    # the bounded grid find one
+    real = sphtwist.complexes._seeded_weights
     calls = []
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(sphtwist.complexes, name, spy)
+    monkeypatch.setattr(sphtwist.complexes, "_seeded_weights", spy)
     M, K = fallback_pair(char, seed)
     start = time.perf_counter()
     ok, cert = is_isomorphic(M, K, with_certificate=True)
@@ -567,18 +592,22 @@ def test_fallback_decides_basis_change(monkeypatch, char, seed):
     assert (cert.source, cert.target) == (minimize(M), minimize(K))
 
 
-@pytest.mark.parametrize("char,copies", [(31, 2), (7, 3)])
+@pytest.mark.parametrize("char,copies", LOOP_PAIRS)
 def test_fallback_bounds_each_weight_by_its_degree(char, copies):
-    # P1<0>^k -> P1<-2>^k by diag(l1, ..., l1) against diag(0, l1, ..., l1):
-    # the arrow ranks agree (there is no arrow), every chain map is singular,
-    # and the F_p enumeration must stop at weight <= the block rows a kernel
-    # vector meets rather than run through all p^dim(kernel) weight vectors
-    alg = make_algebra(1, 2, char=char)
-    l, z = alg.loop(1), alg.zero()
-    terms = {0: [(1, 0)] * copies, 1: [(1, -2)] * copies}
-    M, K = (ProjComplex(alg, terms, {0: [
-        [(first if r == 0 else l) if r == c else z for c in range(copies)]
-        for r in range(copies)]}) for first in (l, z))
+    # the loop pair: the arrow ranks agree (there is no arrow) and every
+    # chain map is singular; the search must not run through all
+    # p^dim(kernel) weight vectors, nor an unbounded grid over Q
+    start = time.perf_counter()
+    assert is_isomorphic(*loop_pair(char, copies), with_certificate=True) == (False, None)
+    assert time.perf_counter() - start < 1
+
+
+def test_perturbed_pair_rejected():
+    # P2<1>^4 -> P2<-1>^4 by loops, one entry doubled before the basis
+    # change: the loop block loses rank, the arrow ranks cannot see it, and
+    # the pair gets past the quick and matched weights (a kernel of
+    # dimension 18); the block dimensions differ
+    M, K = perturbed_pair(None, 3340)
     start = time.perf_counter()
     assert is_isomorphic(M, K, with_certificate=True) == (False, None)
     assert time.perf_counter() - start < 1

@@ -17,6 +17,7 @@ the algebra.
 from operator import attrgetter
 
 from .fields import Field
+from .linalg import _add
 
 
 class _Record:
@@ -143,11 +144,7 @@ class AlgebraElement:
         self._check_same(other)
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = coeffs.get(k, self.algebra.field.zero) + c
-            if s:
-                coeffs[k] = s
-            else:
-                coeffs.pop(k, None)
+            _add(coeffs, k, c, 0)
         return AlgebraElement(self.algebra, coeffs)
 
     def __sub__(self, other):
@@ -160,18 +157,12 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check_same(other)
             table = self.algebra.table
-            field = self.algebra.field
             coeffs = {}
             for k1, c1 in self.coeffs.items():
                 for k2, c2 in other.coeffs.items():
                     k = table.get((k1, k2))
-                    if k is None:
-                        continue
-                    s = coeffs.get(k, field.zero) + c1 * c2
-                    if s:
-                        coeffs[k] = s
-                    else:
-                        coeffs.pop(k, None)
+                    if k is not None:
+                        _add(coeffs, k, c1 * c2, 0)
             return AlgebraElement(self.algebra, coeffs)
         return self.scale(other)
 

@@ -270,8 +270,9 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_USAGE
+        # inside the handler the traceback still holds the failed frames and
+        # all they allocated, so the message could fail too: print it after
+        pass
     except BrokenPipeError:
         # the reader closed stdout early; what is left goes to devnull, so
         # the interpreter's final flush raises nothing
@@ -279,6 +280,8 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

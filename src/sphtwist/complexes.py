@@ -43,6 +43,7 @@ builder made for it alone and hands over to be reduced in place.
 """
 
 
+from functools import cached_property
 from itertools import product as iproduct
 
 from .fields import div, raw
@@ -62,18 +63,22 @@ def _path(alg, a, b):
 
 
 def _scalar_rows(alg, what, t, mat, srcs, tgts):
-    """Dict rows of the scalars of a dense matrix of algebra elements.
+    """Dict rows of the scalars of a dense matrix of algebra elements, or
+    of dict rows {column: element} (``from_dict``).
 
     Raise ValueError unless the matrix is len(srcs) x len(tgts) and its
     entry (r, c) is a multiple of the path of e_v A e_v' of degree s - s',
     where srcs[r] = (v, s) and tgts[c] = (v', s').
     """
-    if len(mat) != len(srcs) or any(len(row) != len(tgts) for row in mat):
+    cols = set(range(len(tgts)))
+    if len(mat) != len(srcs) or any(
+            not row.keys() <= cols if isinstance(row, dict) else len(row) != len(tgts)
+            for row in mat):
         raise ValueError("%s at degree %d has wrong shape" % (what, t))
     out = []
     for r, ((v, s), row) in enumerate(zip(srcs, mat)):
         scalars = {}
-        for c, x in enumerate(row):
+        for c, x in row.items() if isinstance(row, dict) else enumerate(row):
             if x.coeffs:
                 v2, s2 = tgts[c]
                 key = alg.path.get((v, v2, s - s2))
@@ -154,7 +159,6 @@ class ProjComplex:
             t: rows.get(t) or [{} for _ in row]
             for t, row in terms.items() if t + 1 in terms
         }
-        self._diffs = None
 
     # ------------------------------------------------------------------
 
@@ -180,12 +184,10 @@ class ProjComplex:
     def total_summands(self):
         return sum(len(row) for row in self.terms.values())
 
-    @property
+    @cached_property
     def diffs(self):
         """Dense view {t: matrix} for every t with t + 1 in ``terms``."""
-        if self._diffs is None:
-            self._diffs = {t: tuple(map(tuple, self.mat(t))) for t in self._rows}
-        return self._diffs
+        return {t: tuple(map(tuple, self.mat(t))) for t in self._rows}
 
     def mat(self, t):
         """Differential at degree t as a mutable dense list-of-lists."""
@@ -268,7 +270,7 @@ class ProjComplex:
             if not src or not tgt:
                 raise ValueError("differential at degree %d, but degree %d has "
                                  "no terms" % (t, t + 1 if src else t))
-            mat = [[zero] * len(tgt) for _ in src]
+            rows = diffs[t] = [{} for _ in src]  # the entries only, not a dense matrix
             for r, c, coeffs in triplets:
                 if not (isinstance(r, int) and isinstance(c, int)
                         and 0 <= r < len(src) and 0 <= c < len(tgt)):
@@ -279,8 +281,7 @@ class ProjComplex:
                     parts = key_str.split(":")
                     key = (parts[0],) + tuple(int(p) for p in parts[1:])
                     val = val + algebra.from_key(key, algebra.field.scalar_from_str(cstr))
-                mat[r][c] = val
-            diffs[t] = mat
+                rows[r][c] = val
         return cls(algebra, terms, diffs)
 
 
@@ -319,18 +320,15 @@ class ChainMap:
             t: rows.get(t) or [{} for _ in row]
             for t, row in source.terms.items() if t in target.terms
         }
-        self._mats = None
 
     def _validate(self):
         if not self.commutes():
             raise ValueError("not a chain map: f does not commute with d")
 
-    @property
+    @cached_property
     def mats(self):
         """Dense view {t: matrix} for every t where both complexes have terms."""
-        if self._mats is None:
-            self._mats = {t: tuple(map(tuple, self.mat(t))) for t in self._rows}
-        return self._mats
+        return {t: tuple(map(tuple, self.mat(t))) for t in self._rows}
 
     def mat(self, t):
         rows = self._rows.get(t) or [{} for _ in self.source.summands(t)]
@@ -519,19 +517,14 @@ class GradedVectorComplex:
         self.basis = {m: list(row) for m, row in basis.items() if row}
         self._rows = {m: mat for m, mat in rows.items()
                       if m in self.basis and m + 1 in self.basis}
-        self._diffs = None
 
-    @property
+    @cached_property
     def diffs(self):
         """Dense view {m: matrix} of the differentials."""
-        if self._diffs is None:
-            of, zero = self.field.of, self.field.zero
-            self._diffs = {
-                m: [[of(row[c]) if c in row else zero
+        of, zero = self.field.of, self.field.zero
+        return {m: [[of(row[c]) if c in row else zero
                      for c in range(len(self.basis[m + 1]))] for row in rows]
-                for m, rows in self._rows.items()
-            }
-        return self._diffs
+                for m, rows in self._rows.items()}
 
     def dims(self):
         """Bigraded dimensions {(homological, internal): dim}."""
@@ -803,8 +796,6 @@ def _quick_weights(m):
         yield v
     yield [1] * m
     yield list(range(1, m + 1))
-    for base in range(2, 8):
-        yield [base**j for j in range(m)]
 
 
 def _seeded_weights(m, mod):
@@ -819,12 +810,17 @@ def _seeded_weights(m, mod):
         yield point
 
 
-def _block_dim(M, K, mod):
-    """dim pi(Hom(M, K)): the rank of the chain maps M -> K restricted to
-    the idempotent blocks of ``_chain_map_unknowns``."""
+def _chain_maps(M, K, mod):
+    """``(index, blocks, kernel)``: the unknowns and idempotent blocks of
+    ``_chain_map_unknowns`` and a basis of the chain maps M -> K."""
     index, count, blocks = _chain_map_unknowns(M, K)
+    return index, blocks, _kernel(_chain_map_equations(M, K, index), count, mod)
+
+
+def _block_dim(blocks, kernel, mod):
+    """dim pi(Hom(M, K)): the rank of the chain maps ``kernel`` restricted
+    to their idempotent ``blocks``."""
     block = {i for blk in blocks for row in blk for i in row}
-    kernel = _kernel(_chain_map_equations(M, K, index), count, mod)
     return mat_rank([{i: x for i, x in vec.items() if i in block} for vec in kernel], mod)
 
 
@@ -886,8 +882,7 @@ def is_isomorphic(M, K, with_certificate=False):
 
     # f is invertible iff in each degree the scalar block of idempotent
     # coefficients between the copies of each (vertex, shift) is
-    index, count, blocks = _chain_map_unknowns(Mm, Km)
-    kernel = _kernel(_chain_map_equations(Mm, Km, index), count, mod)
+    index, blocks, kernel = _chain_maps(Mm, Km, mod)
     if not kernel:
         return done(False, None)
 
@@ -923,8 +918,8 @@ def is_isomorphic(M, K, with_certificate=False):
         yield from _seeded_weights(len(kernel), mod)
         # pi, the idempotent-block part, is multiplicative, so an isomorphism
         # u gives pi(Hom(Mm, Km)) = pi(End Mm) pi(u) = pi(u) pi(End Km)
-        if not (_block_dim(Mm, Km, mod) == _block_dim(Mm, Mm, mod)
-                == _block_dim(Km, Km, mod)):
+        dim = _block_dim(blocks, kernel, mod)
+        if any(_block_dim(*_chain_maps(X, X, mod)[1:], mod) != dim for X in (Mm, Km)):
             return
         # the product of the block determinants has degree <= reach[k] in
         # weight k, the number of block rows kernel vector k meets, so its

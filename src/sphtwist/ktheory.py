@@ -8,6 +8,7 @@ Orientation convention: matrices act on column vectors, and a word
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import add, sub
 
@@ -143,8 +144,6 @@ class IntersectionLattice:
     use; only ``to_dict`` needs it.
     """
 
-    __slots__ = ("_rows", "_form")
-
     def __init__(self, form):
         if not isinstance(form, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) for row in form
@@ -163,7 +162,6 @@ class IntersectionLattice:
                 if rows[j].get(i, 0) != x:
                     raise ValueError("form matrix must be symmetric")
         self._rows = rows
-        self._form = None
 
     @classmethod
     def _from_rows(cls, rows):
@@ -171,21 +169,18 @@ class IntersectionLattice:
         integer entries."""
         self = cls.__new__(cls)
         self._rows = rows
-        self._form = None
         return self
 
-    @property
+    @cached_property
     def form(self):
-        if self._form is None:
-            r = len(self._rows)
-            dense = []
-            for row in self._rows:
-                line = [0] * r
-                for j, x in row.items():
-                    line[j] = x
-                dense.append(tuple(line))
-            self._form = tuple(dense)
-        return self._form
+        r = len(self._rows)
+        dense = []
+        for row in self._rows:
+            line = [0] * r
+            for j, x in row.items():
+                line[j] = x
+            dense.append(tuple(line))
+        return tuple(dense)
 
     @property
     def rank(self):

@@ -1,5 +1,7 @@
 """Integer Laurent polynomials in one variable q, and a matrix-vector product."""
 
+from .linalg import _add
+
 
 class LaurentPoly:
     """An integer Laurent polynomial, stored as {exponent: coefficient}."""
@@ -32,11 +34,7 @@ class LaurentPoly:
         other = _coerce(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            _add(out, e, c, 0)
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -51,8 +49,11 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
+        b = _coerce(other).coeffs
         out = {}
-        _add_product(out, self.coeffs, _coerce(other).coeffs)
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in b.items():
+                _add(out, e1 + e2, c1 * c2, 0)
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -103,18 +104,6 @@ def _coerce(x):
     if isinstance(x, int):
         return LaurentPoly({0: x})
     raise TypeError("cannot coerce %r to a Laurent polynomial" % (x,))
-
-
-def _add_product(acc, a, b):
-    """acc += a * b on {exponent: coefficient} dicts, dropping zero terms."""
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            c = acc.get(e, 0) + c1 * c2
-            if c:
-                acc[e] = c
-            else:
-                del acc[e]
 
 
 def laurent_mat_vec(A, v):

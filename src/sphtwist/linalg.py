@@ -7,8 +7,8 @@ characteristic p, with residues in [0, p), or 0 over Q, with ints, or
 Fractions where a division left a remainder.  The results hold engine
 scalars too.  Only two questions are asked of a matrix: its rank
 (``mat_rank``) and its right kernel (``nullspace``).  This module also
-holds ``_add``, the one update of a dict row that the engine's other
-modules share.
+holds ``_add``, the one update of a dict row that the other modules
+share.
 
 The public functions copy their input into dict rows and hand the copy to
 one forward elimination, ``_eliminate``, which reduces the rows it is given
@@ -42,7 +42,8 @@ from .fields import div
 
 def _add(row, c, x, mod):
     """row[c] += x, reduced by ``mod``, in a dict row of nonzero scalars;
-    x is nonzero."""
+    x is nonzero.  With ``mod`` 0 any scalars that add will do, as in the
+    algebra elements (Fractions, Fp) and Laurent polynomials (ints)."""
     y = row.get(c, 0) + x
     if mod:
         y %= mod

@@ -138,6 +138,28 @@ def test_loops_annihilate():
     assert (alg.loop(1) * alg.loop(1)).is_zero()
 
 
+@pytest.mark.parametrize("char", [None, 7], ids=["Q", "F7"])
+def test_cancelled_terms_leave_no_key(char):
+    alg = make_algebra(2, 2, char=char)
+    e1, a12, l1, a21 = alg.e(1), alg.arrow(1, 2), alg.loop(1), alg.arrow(2, 1)
+    x = (e1 + a12) * (l1 - a21)  # e1.l1 = l1 and a12.(-a21) = -l1
+    assert x.is_zero() and x.coeffs == {}
+    a = e1 + a12.scale(3) + l1
+    assert (a + (-a)).is_zero() and (a + (-a)).coeffs == {}
+    assert (a - a).coeffs == {}
+
+
+def test_element_repr_hash_and_zero_scale():
+    alg = make_algebra(2, 2)
+    x = alg.loop(1).scale(3) + alg.arrow(1, 2).scale(-2) + alg.e(1)
+    y = alg.e(1) + alg.arrow(1, 2).scale(-2) + alg.loop(1).scale(3)
+    assert repr(x) == repr(y) == "1*e1 + -2*a12 + 3*l1"  # in basis order
+    assert repr(alg.zero()) == "0"
+    assert x == y and hash(x) == hash(y) and len({x, y, alg.zero()}) == 2
+    for z in (x.scale(0), make_algebra(2, 2, char=7).e(1).scale(7)):
+        assert z.is_zero() and z.coeffs == {} and repr(z) == "0"
+
+
 def test_mismatched_algebras_rejected():
     # two objects with equal params and field are one algebra: their
     # elements add and multiply; another field or chain is refused

@@ -484,6 +484,35 @@ def test_out_of_memory_exits_2_without_traceback():
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: out of memory\n")
 
 
+@pytest.mark.parametrize("k", [1, 16, 64])
+def test_out_of_memory_while_filling_exits_2(k):
+    # a command that fills the capped address space with small dicts of
+    # k-lists: until the handler ends, the traceback holds every frame the
+    # MemoryError unwound and all they allocated, so the one line on stderr
+    # must not need memory inside it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = (
+        "import sys\n"
+        "from sphtwist import cli\n"
+        "def fill(args):\n"
+        "    held = []\n"
+        "    i = 0\n"
+        "    while True:\n"
+        "        held.append({i: [0] * %d})\n"
+        "        i += 1\n"
+        "cli.cmd_act = fill\n"
+        "sys.exit(cli.main(['act', '--word', '1']))\n" % k
+    )
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (120 << 20, 120 << 20))
+
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=60, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: out of memory\n")
+
+
 def test_cold_start_loads_no_heavy_modules():
     # each CLI command is a fresh process, so import time is part of its
     # end-to-end time; -S keeps a site .pth file from loading these first

@@ -72,3 +72,17 @@ def test_raw_gives_engine_scalars():
             assert field.of(raw(field.of(x))) == field.of(x)
             assert field.scalar_to_str(raw(field.of(x))) == field.scalar_to_str(
                 field.of(x))
+
+
+def test_fp_reflected_operators_hash_and_repr():
+    x = Fp(3, 7)
+    assert 1 - x == Fp(5, 7) and 1 / x == Fp(5, 7) and 2 / x == Fp(3, 7)
+    assert type(1 - x) is Fp and type(1 / x) is Fp
+    with pytest.raises(TypeError):  # neither side takes the other
+        Fraction(1, 2) - x
+    with pytest.raises(TypeError):
+        Fraction(1, 2) / x
+    assert hash(x) == hash(Fp(10, 7)) and len({x, Fp(10, 7), Fp(3, 11)}) == 2
+    assert repr(Fp(-1, 7)) == "Fp(6, 7)"
+    with pytest.raises(ValueError, match="mixed characteristics 7 and 11"):
+        x + Fp(1, 11)

@@ -75,6 +75,22 @@ def test_euler_class_of_neighbor_twist(alg):
 
 
 # ----------------------------------------------------------------------
+# Laurent polynomials
+
+
+def test_laurent_cancellation_and_int_operands():
+    q, one = LaurentPoly.q(), LaurentPoly.one()
+    p = (q + 1) * (q - 1)
+    assert p.coeffs == {2: 1, 0: -1} and 1 not in p.coeffs
+    assert (p - p).coeffs == {} and p == q * q - 1
+    assert 1 - q == LaurentPoly({0: 1, 1: -1}) and (1 - one).coeffs == {}
+    assert one * 3 == 3 and 3 * one == LaurentPoly({0: 3}) and q != 1
+    assert hash(q * q - 1) == hash(p) and len({p, q * q - 1, q}) == 2
+    with pytest.raises(TypeError, match="cannot coerce"):
+        q + 0.5
+
+
+# ----------------------------------------------------------------------
 # Burau matrices
 
 
@@ -535,6 +551,12 @@ def test_lattice_equality_and_hash_follow_the_form():
     assert len({build_tdiagram(2, 3, 5), IntersectionLattice(dense_tdiagram(2, 3, 5)),
                 an_minus2_lattice(8)}) == 2
     assert A != A.form and A != DenseLattice(A.form)
+
+
+def test_dense_form_is_built_once():
+    for L in (an_minus2_lattice(4), IntersectionLattice([[-2, 1], [1, -2]])):
+        assert "form" not in vars(L)
+        assert L.form is L.form and L.form[0][:2] == (-2, 1)
 
 
 def test_sparse_paths_never_build_the_dense_form(monkeypatch, capsys):

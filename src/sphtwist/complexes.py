@@ -10,9 +10,9 @@ Conventions (fixed once, used everywhere):
   in the algebra, so d^2 = 0 is literally d[t] . d[t+1] = 0.
 * Only bidegree-(0,0) chain maps are first class; shifts live on objects.
 * cone(f: M -> K) has terms M[1] (+) K in each degree and differential
-  d(m, k) = (-d_M m, f(m) + d_K k).  ``_glue`` lays out this block form
-  for ``cone``; the twists (``twists._twist``) write their cones' rows in
-  the same layout directly, from the vectors of ``_hom_vectors``.
+  d(m, k) = (-d_M m, f(m) + d_K k).  ``_glue`` is the one code that lays
+  out this block form: for ``cone``, and for the twists' cones of the
+  evaluation and co-evaluation (``twists._twist``).
 * Only RHom(P_i, M) is built (``_hom_vectors``, ``_hom_into``); its dual
   RHom(M, P_i) is read off it by the trace pairing (``hom_to_projective``).
 * Homological shift [t0] relabels degrees t -> t - t0 and multiplies the
@@ -39,7 +39,11 @@ views built on first use.  The internal builders go through the
 unvalidated ``_from_rows`` constructors.  Rows are never changed once a
 complex or map holds them, so objects may share them: ``minimize`` works
 on copies, unless the complex is marked ``_fresh``, a cone whose rows its
-builder made for it alone and hands over to be reduced in place.
+builder made for it alone and hands over to be reduced in place.  Only
+``_glue`` takes rows over: it writes the entries of f into the rows of
+its first block, which its callers make for it (``shift``'s negated rows
+for ``cone``, -d_H and a copy of M's rows for the twists), and writes the
+second block's rows anew.
 """
 
 
@@ -367,27 +371,26 @@ def _glue(alg, A, dA, f, B, dB):
     """The complex A (+) B with differential [[dA, f], [0, dB]].
 
     A and B map degrees to nonempty tuples of summands; in each degree A's
-    come first.  dA, f and dB map a degree t to the dict rows of A^t ->
-    A^{t+1}, A^t -> B^{t+1} and B^t -> B^{t+1}; a missing degree is zero.
-    The caller vouches for d^2 = 0.  A row that gains no entries and no
-    column offset is shared, not copied.
+    come first.  dA and dB map a degree t to the dict rows of A^t ->
+    A^{t+1} and B^t -> B^{t+1}, f to the triples (row, column, scalar) of
+    the nonzero entries of A^t -> B^{t+1}; a missing degree is zero.  The
+    caller vouches for d^2 = 0.  The result takes over dA's rows and writes
+    f's entries into them in place; it writes B's rows anew, their columns
+    shifted by the width of A in the next degree, so it shares no row with
+    its inputs except dA's.
     """
     terms = {t: A.get(t, ()) + B.get(t, ()) for t in A.keys() | B.keys()}
     rows = {}
     for t in terms:
         if t + 1 not in terms:
             continue
-        off, na = len(A.get(t + 1, ())), len(A.get(t, ()))
-        da, ft = dA.get(t) or [{}] * na, f.get(t) or [{}] * na
+        off = len(A.get(t + 1, ()))
+        mat = rows[t] = dA.get(t) or [{} for _ in A.get(t, ())]
+        for r, c, x in f.get(t, ()):
+            mat[r][off + c] = x
         db = dB.get(t) or [{}] * len(B.get(t, ()))
-        mat = rows[t] = []
-        for row, g in zip(da, ft):
-            if g:
-                row = dict(row)
-                for c, x in g.items():
-                    row[off + c] = x
-            mat.append(row)
-        mat.extend([{off + c: x for c, x in row.items()} for row in db] if off else db)
+        mat.extend([{off + c: x for c, x in row.items()} for row in db] if off
+                   else map(dict, db))
     return ProjComplex._from_rows(alg, terms, rows)
 
 
@@ -395,13 +398,14 @@ def cone(f):
     """Mapping cone of a chain map f: M -> K.
 
     Terms are M[1] (+) K; the differential is [[-d_M, f], [0, d_K]] in
-    block form (``_glue``), with -d_M from ``shift``.  ``f`` is trusted to
-    commute with the differentials: the ``ChainMap`` constructor validates
-    maps at the API boundary.
+    block form (``_glue``), -d_M the fresh rows that ``shift`` makes for
+    M[1].  ``f`` is trusted to commute with the differentials: the
+    ``ChainMap`` constructor validates maps at the API boundary.
     """
     Ms, K = f.source.shift(1, 0), f.target
-    return _glue(K.algebra, Ms.terms, Ms._rows,
-                 {t - 1: mat for t, mat in f._rows.items()}, K.terms, K._rows)
+    entries = {t - 1: [(r, c, x) for r, row in enumerate(mat) for c, x in row.items()]
+               for t, mat in f._rows.items()}
+    return _glue(K.algebra, Ms.terms, Ms._rows, entries, K.terms, K._rows)
 
 
 # ----------------------------------------------------------------------
@@ -587,19 +591,17 @@ def _hom_vectors(i, M, descending=False):
     return basis, index
 
 
-def _hom_into(M, index, rows, neg=False, shift=None):
+def _hom_into(M, index, rows, neg=False):
     """Write the differential of RHom(P_i, M), a path followed by d_M, into
     ``rows``: rows[t][k], the dict row of the k-th vector of degree t (as
     ``_hom_vectors`` indexes them in ``index``), receives each entry at its
-    column plus shift[t] (default 0), as mod - x with ``neg``.  A (vector,
-    column) pair meets one entry of d_M, so each entry is set once."""
+    column, as mod - x with ``neg``.  A (vector, column) pair meets one
+    entry of d_M, so each entry is set once."""
     mod = M.algebra.field.char or 0
-    shift = shift or {}
     for t, mat in M._rows.items():
         out = rows.get(t)
         if out is None:  # no vector on M^t
             continue
-        off = shift.get(t, 0)
         terms, terms1 = M.terms[t], M.terms[t + 1]
         for a, row in enumerate(mat):
             at = index.get((t, a))
@@ -614,7 +616,7 @@ def _hom_into(M, index, rows, neg=False, shift=None):
                 cols = index.get((t + 1, b))  # present when a product is nonzero
                 for z, k in at.items():
                     if _composes(z, sa, sb):
-                        out[k][off + cols[z]] = x
+                        out[k][cols[z]] = x
 
 
 def hom_from_projective(i, M):

@@ -5,9 +5,12 @@ vertex g, g < 0 its inverse.  Words act left to right.  All outputs are
 minimized, so sizes stay proportional to the homology they carry.
 """
 
+from functools import cached_property
+
 from .algebra import _Record
 from .complexes import (
     ProjComplex,
+    _glue,
     _hom_into,
     _hom_vectors,
     homology_table,
@@ -47,62 +50,36 @@ def _twist(i, M, inverse):
     """The shared body of ``twist`` and (with ``inverse``) ``untwist``.
 
     One copy of P_i per vector (d, (r, key)) of H = RHom(P_i, M) on
-    summand r of M^t, with differential -d_H.  Twist: P_i<d> in degree
-    t - 1, the copies before M in each degree, with evaluation entry 1
-    into r.  Untwist: the copy of the vector's Frobenius dual in
-    RHom(M, P_i), P_i<d - N> in degree t + 1, after M, with co-evaluation
-    entry -1 from r; each summand's vectors are listed in descending
-    degree, the order ``hom_basis`` lists their duals in.  The cone's
-    dict rows are written once, in that layout (the copies' rows by
-    ``_hom_into``), and ``minimize`` reduces them in place.  A letter with
-    no vector is the cone of 0 -> M, or of M -> 0 shifted back: M.
+    summand r of M^t, with differential -d_H, written once by
+    ``_hom_into``.  Twist: P_i<d> in degree t - 1, the copies before M in
+    each degree, with evaluation entry 1 into r.  Untwist: the copy of the
+    vector's Frobenius dual in RHom(M, P_i), P_i<d - N> in degree t + 1,
+    after M, with co-evaluation entry -1 from r; each summand's vectors are
+    listed in descending degree, the order ``hom_basis`` lists their duals
+    in.  ``_glue`` lays the cone out from rows no one else holds, so
+    ``minimize`` reduces them in place.  A letter with no vector is the
+    cone of 0 -> M, or of M -> 0 shifted back: M.
     """
     basis, index = _hom_vectors(i, M, descending=inverse)
     if not basis:
         return minimize(M)
-    mod = M.algebra.field.char or 0
-    terms, mrows = M.terms, M._rows
-    rows = {}
-    if not inverse:
-        # degree u: the copies of H^{u+1}, then M^u
-        copies = {t - 1: tuple((i, d) for d, _l in vecs) for t, vecs in basis.items()}
-        hrows = {t: [{len(basis.get(t + 1, ())) + r: 1} for _d, (r, _k) in vecs]
-                 for t, vecs in basis.items()}
-        _hom_into(M, index, hrows, neg=True)
-        glued = {u: copies.get(u, ()) + terms.get(u, ())
-                 for u in copies.keys() | terms.keys()}
-        for u in glued:
-            if u + 1 in glued:
-                off = len(copies.get(u + 1, ()))
-                mat = rows[u] = hrows.get(u + 1, [])
-                if u not in mrows:
-                    mat.extend({} for _ in terms.get(u, ()))
-                elif off:
-                    mat.extend([{off + c: x for c, x in row.items()}
-                                for row in mrows[u]])
-                else:
-                    mat.extend(map(dict, mrows[u]))
+    alg = M.algebra
+    rows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
+    _hom_into(M, index, rows, neg=True)
+    # the copies of the vectors of H^t sit in degree t + 1 or t - 1
+    dt, ds = (1, -alg.params.N) if inverse else (-1, 0)
+    copies = {t + dt: tuple((i, d + ds) for d, _l in vecs) for t, vecs in basis.items()}
+    dH = {t + dt: rows[t] for t in basis}
+    if inverse:
+        mod = alg.field.char or 0
+        coev = {t: [(r, k, mod - 1) for k, (_d, (r, _key)) in enumerate(vecs)]
+                for t, vecs in basis.items()}
+        mrows = {t: [dict(row) for row in mat] for t, mat in M._rows.items()}
+        cone = _glue(alg, M.terms, mrows, coev, copies, dH)
     else:
-        # degree u: M^u, then the copies of H^{u-1}
-        N = M.algebra.params.N
-        copies = {t + 1: tuple((i, d - N) for d, _l in vecs)
-                  for t, vecs in basis.items()}
-        hrows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
-        _hom_into(M, index, hrows, neg=True,
-                  shift={t: len(terms.get(t + 2, ())) for t in basis})
-        glued = {u: terms.get(u, ()) + copies.get(u, ())
-                 for u in terms.keys() | copies.keys()}
-        for u in glued:
-            if u + 1 in glued:
-                off = len(terms.get(u + 1, ()))
-                mat = rows[u] = ([dict(row) for row in mrows[u]] if u in mrows
-                                 else [{} for _ in terms.get(u, ())])
-                if u in basis:
-                    for r, row in enumerate(mat):
-                        for k in index.get((u, r), {}).values():
-                            row[off + k] = mod - 1
-                mat.extend(hrows.get(u - 1, ()))
-    cone = ProjComplex._from_rows(M.algebra, glued, rows)
+        ev = {t - 1: [(k, r, 1) for k, (_d, (r, _key)) in enumerate(vecs)]
+              for t, vecs in basis.items()}
+        cone = _glue(alg, copies, dH, ev, M.terms, M._rows)
     cone._fresh = True
     return minimize(cone)
 
@@ -113,9 +90,10 @@ def twist(i, M):
     A basis path phi in e_i A e_j against the summand (j, s) of M^t
     contributes a summand P_i<deg(phi) + s> in homological degree t of the
     tensor, t - 1 of the cone; the evaluation entry for that copy is phi
-    itself.  The cone's rows are written once, in their final layout, from
-    the vectors of RHom(P_i, M) without building that hom complex, and
-    ``minimize`` reduces them in place (``_twist``).
+    itself.  The copies' rows, -d_H, are written from the vectors of
+    RHom(P_i, M) without building that hom complex; ``_glue`` lays them
+    out with the evaluation entries and M's rows, and ``minimize`` reduces
+    the cone in place (``_twist``).
     """
     return _twist(i, M, inverse=False)
 
@@ -128,9 +106,11 @@ def untwist(i, M):
     against the summand (j, s) of M^t is dual to phi* in e_j A e_i, whose
     copy P_i<deg(phi) + s - N> sits in homological degree t + 1 of the
     result, with co-evaluation entry phi* itself.  The result is the
-    shifted cone minimize(cone(co-evaluation)[-1]), its rows written once
-    from the vectors of RHom(P_i, M) and reduced in place (``_twist``); the
-    shifts are arranged so that twist and untwist are inverse on the nose.
+    shifted cone minimize(cone(co-evaluation)[-1]): ``_glue`` lays out a
+    copy of M's rows, the co-evaluation entries and the copies' rows -d_H,
+    written from the vectors of RHom(P_i, M), and ``minimize`` reduces the
+    cone in place (``_twist``); the shifts are arranged so that twist and
+    untwist are inverse on the nose.
     """
     return _twist(i, M, inverse=True)
 
@@ -277,7 +257,18 @@ class ComparisonReport(_Record):
         self.witness_vertex = witness_vertex
         self.witness_invariant = witness_invariant
         self.per_vertex = {} if per_vertex is None else per_vertex
-        self.hom_matrices = hom_matrices
+        if hom_matrices is not None:
+            self.hom_matrices = hom_matrices
+
+    _images = None  # the two image lists of ``compare_words``
+
+    @cached_property
+    def hom_matrices(self):
+        """The pair of ``hom_matrix`` tables of the two image lists, built
+        on first read; None for a report built without them."""
+        if self._images is None:
+            return None
+        return tuple(map(_hom_table, self._images))
 
     @property
     def verdict(self):
@@ -307,9 +298,9 @@ def compare_words(w1, w2, algebra):
     object) certifies the words act differently, hence present different
     braids.  Indistinguishable actions on the generators are reported as
     such, without claiming equality of the braids.  The report's hom
-    matrices (as ``hom_matrix`` gives them) are read from the same 2n
-    images w1.P_k and w2.P_k that decide the verdict; the common prefix of
-    w1 and w2 is applied once per P_k.
+    matrices (as ``hom_matrix`` gives them) are read, on first use, from
+    the same 2n images w1.P_k and w2.P_k that decide the verdict; the
+    common prefix of w1 and w2 is applied once per P_k.
     """
     n = algebra.params.n
     check_word(w1, n)
@@ -331,5 +322,5 @@ def compare_words(w1, w2, algebra):
             report.distinct = True
             report.witness_vertex = k
             report.witness_invariant = "w1.P%d = %r vs w2.P%d = %r" % (k, a, k, b)
-    report.hom_matrices = (_hom_table(images1), _hom_table(images2))
+    report._images = (images1, images2)
     return report

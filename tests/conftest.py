@@ -365,13 +365,14 @@ def _glued(i, M, dual):
     dH = {t + dt: [{c: mod - x for c, x in row.items()} for row in mat]
           for t, mat in rows.items()}
     if not dual:
-        ev = {t - 1: [{r: 1} for _d, (r, _k) in vecs] for t, vecs in basis.items()}
+        ev = {t - 1: [(k, r, 1) for k, (_d, (r, _key)) in enumerate(vecs)]
+              for t, vecs in basis.items()}
         return minimize(_glue(alg, copies, dH, ev, M.terms, M._rows))
-    coev = {t: [{} for _ in M.terms[t]] for t in basis}
-    for t, vecs in basis.items():
-        for k, (_d, (r, _key)) in enumerate(vecs):
-            coev[t][r][k] = mod - 1
-    return minimize(_glue(alg, M.terms, M._rows, coev, copies, dH))
+    coev = {t: [(r, k, mod - 1) for k, (_d, (r, _key)) in enumerate(vecs)]
+            for t, vecs in basis.items()}
+    # _glue takes over the rows of its first block: hand it copies of M's
+    rows = {t: [dict(row) for row in mat] for t, mat in M._rows.items()}
+    return minimize(_glue(alg, M.terms, rows, coev, copies, dH))
 
 
 def glued_twist(i, M):

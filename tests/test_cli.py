@@ -18,7 +18,11 @@ from sphtwist import (
     ZigzagAlgebra,
     build_tdiagram,
     cli,
+    compare_words,
     definiteness,
+    hom_matrix,
+    parse_braid_word,
+    twists,
 )
 from sphtwist.cli import main
 
@@ -162,6 +166,33 @@ def test_compare_json(capsys):
     data = json.loads(out)
     assert code == 3
     assert data["verdict"] == "Distinct"
+
+
+@pytest.mark.parametrize("w1, w2", [("1 2 1", "2 1 2"), ("1", "2"),
+                                    ("1 -2 1 -2 1 2 1", "1 -2 1 -2 2 1 2")])
+def test_compare_builds_hom_tables_for_json_only(capsys, monkeypatch, w1, w2):
+    # text output prints no hom matrix, so it builds none of the two tables;
+    # --json builds both and prints the document of tables built eagerly
+    alg = ZigzagAlgebra(ChainParams(2, 2))
+    l1, l2 = parse_braid_word(w1, 2), parse_braid_word(w2, 2)
+    report = compare_words(l1, l2, alg)
+    eager = ComparisonReport(
+        report.word1, report.word2, report.distinct, report.witness_vertex,
+        report.witness_invariant, report.per_vertex,
+        (hom_matrix(l1, alg), hom_matrix(l2, alg)))
+    want = json.dumps(eager.to_dict(), sort_keys=True, indent=2) + "\n"
+    calls = []
+    build = twists._hom_table
+
+    def record(images, graded=False):
+        calls.append(len(images))
+        return build(images, graded)
+
+    monkeypatch.setattr(twists, "_hom_table", record)
+    code, _out, _err = run(capsys, "compare", "--w1", w1, "--w2", w2)
+    assert calls == []
+    assert run(capsys, "compare", "--w1", w1, "--w2", w2, "--json") == (code, want, "")
+    assert calls == [2, 2]
 
 
 # ----------------------------------------------------------------------

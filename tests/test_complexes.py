@@ -1,5 +1,6 @@
 """Tests for complexes: shifts, cones, minimization, homs, isomorphism, JSON."""
 
+import copy
 import hashlib
 import json
 import os
@@ -802,6 +803,47 @@ def test_sparse_constructions_equal_dense_reference(char):
                     assert_literally_equal(twist(j, X), dense_twist(j, X))
                     assert_literally_equal(untwist(j, X), dense_untwist(j, X))
     assert count == 500
+
+
+def _contents(*objects):
+    """Deep copies of the terms and rows of complexes and chain maps."""
+    return copy.deepcopy([(X.terms, X._rows) if isinstance(X, ProjComplex)
+                          else (X.source.terms, X.target.terms, X._rows)
+                          for X in objects])
+
+
+@pytest.mark.parametrize("char", [None, 7])
+def test_constructions_leave_their_inputs_unchanged(char):
+    # _glue takes over only rows made for its result: the fresh rows shift
+    # makes for M[1], the twists' copies of P_i and of M; a builder that
+    # handed it an input's rows would let minimize reduce them in place
+    count = 0
+    for n in (2, 3):
+        alg = make_algebra(n, 2, char=char)
+        rng = seeded(9100 + n + (char or 0))
+        for M in reference_cases(alg, rng, 20):
+            K = random_two_term(alg, rng)
+            i = rng.randint(1, n)
+            tensor, mats = dense_tensor_projective(i, hom_from_projective(i, M), M)
+            maps = [ChainMap(tensor, M, mats), ChainMap.identity(M),
+                    ChainMap.zero(M, K), ChainMap.zero(K, M.shift(1, 0))]
+            inputs = [M, K, tensor] + maps
+            before = _contents(*inputs)
+            held = {id(row) for X in inputs for mat in X._rows.values() for row in mat}
+            for f in maps:
+                C = cone(f)
+                assert not held & {id(row) for mat in C._rows.values() for row in mat}
+                minimize(cone(f))
+            for X in (M, K):
+                minimize(X.shift(1, 0))
+                minimize(X.shift(2, 1))
+                for j in range(1, n + 1):
+                    twist(j, X)
+                    untwist(j, X)
+                apply_word(random_word(alg, rng), X)
+            count += any(M._rows.values())
+            assert _contents(*inputs) == before
+    assert count >= 35
 
 
 @pytest.mark.parametrize("char", [None, 7])

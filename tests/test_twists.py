@@ -242,6 +242,31 @@ def test_twists_build_one_hom_direction(monkeypatch):
     assert set(calls) == {False, True}
 
 
+def test_twists_glue_their_cones_through_glue(monkeypatch):
+    # the one cone builder: each letter with a vector glues its cone once,
+    # M's rows second for the twist and first, copied, for the untwist
+    assert list(inspect.signature(complexes._hom_into).parameters) == [
+        "M", "index", "rows", "neg"]
+    calls = []
+    glue = complexes._glue
+
+    def record(alg, A, dA, f, B, dB):
+        calls.append((A, B))
+        return glue(alg, A, dA, f, B, dB)
+
+    monkeypatch.setattr(twists, "_glue", record)
+    alg = make_algebra(3, 2)
+    M = apply_word([1, -2], ProjComplex.projective(alg, 1))
+    calls.clear()
+    twist(2, M)
+    untwist(2, M)
+    assert [(A is M.terms, B is M.terms) for A, B in calls] == [
+        (False, True), (True, False)]
+    calls.clear()
+    assert twist(3, ProjComplex.projective(alg, 1)) == ProjComplex.projective(alg, 1)
+    assert calls == []
+
+
 def test_apply_word_builds_no_hom_complex(monkeypatch):
     # the twists write the cone's rows from the hom vectors directly
     def refuse(*args):
@@ -364,6 +389,29 @@ def test_compare_words_builds_each_image_once(alg3, monkeypatch):
             same = is_isomorphic(apply_word(w1, P), apply_word(w2, P))
             assert report.per_vertex[k] == ("isomorphic" if same
                                             else "non-isomorphic")
+
+
+def test_compare_words_builds_hom_tables_on_first_read(alg3, monkeypatch):
+    # the report keeps its 2n images and builds the two tables when
+    # hom_matrices is first read, once; an explicit hom_matrices wins, and
+    # a report built without images reads None
+    calls = []
+    build = twists._hom_table
+
+    def record(images, graded=False):
+        calls.append(len(images))
+        return build(images, graded)
+
+    monkeypatch.setattr(twists, "_hom_table", record)
+    report = compare_words([1, 2, 1], [2, 1, 2], alg3)
+    assert calls == []
+    want = (hom_matrix([1, 2, 1], alg3), hom_matrix([2, 1, 2], alg3))
+    calls.clear()
+    assert report.hom_matrices == want and calls == [3, 3]
+    assert report.hom_matrices == want and calls == [3, 3]
+    assert twists.ComparisonReport([1], [2], False).hom_matrices is None
+    explicit = twists.ComparisonReport([1], [2], False, hom_matrices=([[1]], [[2]]))
+    assert explicit.hom_matrices == ([[1]], [[2]]) and calls == [3, 3]
 
 
 def test_hom_matrix_builds_n_images(alg3, monkeypatch):

@@ -42,8 +42,9 @@ on copies, unless the complex is marked ``_fresh``, a cone whose rows its
 builder made for it alone and hands over to be reduced in place.  Only
 ``_glue`` takes rows over: it writes the entries of f into the rows of
 its first block, which its callers make for it (``shift``'s negated rows
-for ``cone``, -d_H and a copy of M's rows for the twists), and writes the
-second block's rows anew.
+for ``cone``, -d_H and a copy of M's rows for the twists).  It writes the
+second block's rows anew, unless its caller wrote them at their final
+columns: the untwist's -d_H, which ``_hom_into`` writes there.
 """
 
 
@@ -367,7 +368,7 @@ class ChainMap:
         return cls._from_rows(M, M, rows)
 
 
-def _glue(alg, A, dA, f, B, dB):
+def _glue(alg, A, dA, f, B, dB, placed=False):
     """The complex A (+) B with differential [[dA, f], [0, dB]].
 
     A and B map degrees to nonempty tuples of summands; in each degree A's
@@ -375,9 +376,10 @@ def _glue(alg, A, dA, f, B, dB):
     A^{t+1} and B^t -> B^{t+1}, f to the triples (row, column, scalar) of
     the nonzero entries of A^t -> B^{t+1}; a missing degree is zero.  The
     caller vouches for d^2 = 0.  The result takes over dA's rows and writes
-    f's entries into them in place; it writes B's rows anew, their columns
-    shifted by the width of A in the next degree, so it shares no row with
-    its inputs except dA's.
+    f's entries into them in place.  It writes B's rows anew, their columns
+    shifted by the width of A in the next degree, unless ``placed``: then
+    the caller wrote them at those final columns already, and the result
+    takes them over as they are.  It shares no other row with its inputs.
     """
     terms = {t: A.get(t, ()) + B.get(t, ()) for t in A.keys() | B.keys()}
     rows = {}
@@ -388,9 +390,9 @@ def _glue(alg, A, dA, f, B, dB):
         mat = rows[t] = dA.get(t) or [{} for _ in A.get(t, ())]
         for r, c, x in f.get(t, ()):
             mat[r][off + c] = x
-        db = dB.get(t) or [{}] * len(B.get(t, ()))
-        mat.extend([{off + c: x for c, x in row.items()} for row in db] if off
-                   else map(dict, db))
+        db = dB.get(t) or [{} for _ in B.get(t, ())]
+        mat.extend(db if placed else
+                   [{off + c: x for c, x in row.items()} for row in db])
     return ProjComplex._from_rows(alg, terms, rows)
 
 
@@ -424,6 +426,9 @@ def minimize(M):
     An output of ``minimize`` is returned unchanged.  The reduction works
     on copies of the rows, or on the rows themselves when M is marked
     ``_fresh`` (a complex that no one else holds, like the twists' cones).
+    The live rows are indexed by column in a list of sets, rows of summands
+    absent from the next degree are not searched for a pivot, and degrees
+    that lost no summand keep their terms and rows in the renumbering.
     """
     if M._minimal:
         return M
@@ -442,25 +447,30 @@ def minimize(M):
     for t in sorted(rows):
         mat = rows[t]
         src, tgt = M.terms[t], M.terms[t + 1]
-        at = {}  # column -> live rows with an entry there
+        gone = dead[t]
+        kinds = set(tgt)  # a row of another summand has no invertible entry
+        at = [set() for _ in tgt]  # column -> live rows with an entry there
         for r, row in enumerate(mat):
-            if r in dead[t]:
-                continue
-            for c in row:
-                at.setdefault(c, set()).add(r)
+            if r not in gone:
+                for c in row:
+                    at[c].add(r)
         for r, row in enumerate(mat):
-            if r in dead[t]:
+            s = src[r]
+            if s not in kinds or r in gone:
                 continue
-            c = min((c for c in row if tgt[c] == src[r]), default=None)
-            if c is None:
+            c = -1  # the first invertible entry's column
+            for cc in row:
+                if tgt[cc] == s and (c < 0 or cc < c):
+                    c = cc
+            if c < 0:
                 continue
             for cc in row:
                 at[cc].discard(r)
-            for rr in at.pop(c):
-                target = mat[rr]
+            for rr in at[c]:
+                target, a = mat[rr], src[rr]
                 factor = div(target.pop(c), row[c], mod)
                 for cc, y in row.items():
-                    if cc == c or not _composes(src[rr], src[r], tgt[cc]):
+                    if cc == c or not _composes(a, s, tgt[cc]):
                         continue
                     x = target.get(cc, 0) - factor * y
                     if mod:
@@ -473,12 +483,15 @@ def minimize(M):
                         del target[cc]
                         at[cc].discard(rr)
             mat[r] = {}
-            dead[t].add(r)
+            gone.add(r)
             dead[t + 1].add(c)
 
-    new = {}  # degree -> {old index: new index} of the surviving summands
+    new = {}  # degree -> {old index: new index}, for degrees that lost summands
     terms = {}
     for t, row in M.terms.items():
+        if not dead[t]:
+            terms[t] = row
+            continue
         keep = [i for i in range(len(row)) if i not in dead[t]]
         if keep:
             new[t] = {i: k for k, i in enumerate(keep)}
@@ -486,12 +499,13 @@ def minimize(M):
     out = {}
     for t in terms:
         if t + 1 in terms:
-            cols, mat = new[t + 1], rows[t]
-            if dead[t + 1]:
-                out[t] = [{cols[c]: x for c, x in mat[r].items() if c in cols}
-                          for r in new[t]]
-            else:  # no column renumbered: the surviving rows as they are
-                out[t] = [mat[r] for r in new[t]]
+            mat = rows[t]
+            if t in new:
+                mat = [mat[r] for r in new[t]]
+            if t + 1 in new:
+                cols = new[t + 1]
+                mat = [{cols[c]: x for c, x in row.items() if c in cols} for row in mat]
+            out[t] = mat
     out = ProjComplex._from_rows(M.algebra, terms, out)
     out._minimal = True
     return out
@@ -591,17 +605,18 @@ def _hom_vectors(i, M, descending=False):
     return basis, index
 
 
-def _hom_into(M, index, rows, neg=False):
+def _hom_into(M, index, rows, neg=False, off=None):
     """Write the differential of RHom(P_i, M), a path followed by d_M, into
     ``rows``: rows[t][k], the dict row of the k-th vector of degree t (as
     ``_hom_vectors`` indexes them in ``index``), receives each entry at its
-    column, as mod - x with ``neg``.  A (vector, column) pair meets one
-    entry of d_M, so each entry is set once."""
+    column plus off[t] (0 without ``off``), as mod - x with ``neg``.  A
+    (vector, column) pair meets one entry of d_M, so each entry is set once."""
     mod = M.algebra.field.char or 0
     for t, mat in M._rows.items():
         out = rows.get(t)
         if out is None:  # no vector on M^t
             continue
+        shift = off[t] if off else 0
         terms, terms1 = M.terms[t], M.terms[t + 1]
         for a, row in enumerate(mat):
             at = index.get((t, a))
@@ -616,7 +631,7 @@ def _hom_into(M, index, rows, neg=False):
                 cols = index.get((t + 1, b))  # present when a product is nonzero
                 for z, k in at.items():
                     if _composes(z, sa, sb):
-                        out[k][cols[z]] = x
+                        out[k][shift + cols[z]] = x
 
 
 def hom_from_projective(i, M):

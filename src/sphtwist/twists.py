@@ -56,16 +56,19 @@ def _twist(i, M, inverse):
     vector's Frobenius dual in RHom(M, P_i), P_i<d - N> in degree t + 1,
     after M, with co-evaluation entry -1 from r; each summand's vectors are
     listed in descending degree, the order ``hom_basis`` lists their duals
-    in.  ``_glue`` lays the cone out from rows no one else holds, so
-    ``minimize`` reduces them in place.  A letter with no vector is the
-    cone of 0 -> M, or of M -> 0 shifted back: M.
+    in, and -d_H is written at its final columns, past M^{t+2}.  ``_glue``
+    lays the cone out from rows no one else holds, taking over those of
+    -d_H as they are, so ``minimize`` reduces them in place.  A letter with
+    no vector is the cone of 0 -> M, or of M -> 0 shifted back: M.
     """
     basis, index = _hom_vectors(i, M, descending=inverse)
     if not basis:
         return minimize(M)
     alg = M.algebra
     rows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
-    _hom_into(M, index, rows, neg=True)
+    off = {t: len(M.terms.get(t + 2, ())) for t in basis} if inverse else None
+    _hom_into(M, index, rows, neg=True, off=off)
+    del index  # a letter peaks in _glue and minimize: free H's index, then basis
     # the copies of the vectors of H^t sit in degree t + 1 or t - 1
     dt, ds = (1, -alg.params.N) if inverse else (-1, 0)
     copies = {t + dt: tuple((i, d + ds) for d, _l in vecs) for t, vecs in basis.items()}
@@ -75,12 +78,13 @@ def _twist(i, M, inverse):
         coev = {t: [(r, k, mod - 1) for k, (_d, (r, _key)) in enumerate(vecs)]
                 for t, vecs in basis.items()}
         mrows = {t: [dict(row) for row in mat] for t, mat in M._rows.items()}
-        cone = _glue(alg, M.terms, mrows, coev, copies, dH)
+        cone = _glue(alg, M.terms, mrows, coev, copies, dH, placed=True)
     else:
         ev = {t - 1: [(k, r, 1) for k, (_d, (r, _key)) in enumerate(vecs)]
               for t, vecs in basis.items()}
         cone = _glue(alg, copies, dH, ev, M.terms, M._rows)
     cone._fresh = True
+    del basis
     return minimize(cone)
 
 
@@ -108,9 +112,9 @@ def untwist(i, M):
     result, with co-evaluation entry phi* itself.  The result is the
     shifted cone minimize(cone(co-evaluation)[-1]): ``_glue`` lays out a
     copy of M's rows, the co-evaluation entries and the copies' rows -d_H,
-    written from the vectors of RHom(P_i, M), and ``minimize`` reduces the
-    cone in place (``_twist``); the shifts are arranged so that twist and
-    untwist are inverse on the nose.
+    which ``_hom_into`` writes at their columns in the cone, and
+    ``minimize`` reduces the cone in place (``_twist``); the shifts are
+    arranged so that twist and untwist are inverse on the nose.
     """
     return _twist(i, M, inverse=True)
 

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from conftest import make_algebra, random_two_term, seeded
+from conftest import make_algebra, random_two_term, random_word, seeded
 from sphtwist import (
     ChainMap,
     ProjComplex,
@@ -244,24 +244,50 @@ def test_twists_build_one_hom_direction(monkeypatch):
 
 def test_twists_glue_their_cones_through_glue(monkeypatch):
     # the one cone builder: each letter with a vector glues its cone once,
-    # M's rows second for the twist and first, copied, for the untwist
+    # M's rows second for the twist and first, copied, for the untwist; the
+    # rows of -d_H that _hom_into wrote are the cone's rows, the same
+    # objects, at their final columns in the untwist
     assert list(inspect.signature(complexes._hom_into).parameters) == [
-        "M", "index", "rows", "neg"]
-    calls = []
-    glue = complexes._glue
+        "M", "index", "rows", "neg", "off"]
+    assert list(inspect.signature(complexes._glue).parameters) == [
+        "alg", "A", "dA", "f", "B", "dB", "placed"]
+    written, calls = [], []
+    hom_into, glue = complexes._hom_into, complexes._glue
 
-    def record(alg, A, dA, f, B, dB):
-        calls.append((A, B))
-        return glue(alg, A, dA, f, B, dB)
+    # both record the lists of rows as they stand, before _glue extends
+    # them and minimize reduces them in place
+    def record_rows(M, index, rows, neg=False, off=None):
+        hom_into(M, index, rows, neg, off)
+        written.append({t: list(mat) for t, mat in rows.items()})
 
+    def record(alg, A, dA, f, B, dB, placed=False):
+        C = glue(alg, A, dA, f, B, dB, placed)
+        calls.append((A, B, placed, {t: list(mat) for t, mat in C._rows.items()}))
+        return C
+
+    monkeypatch.setattr(twists, "_hom_into", record_rows)
     monkeypatch.setattr(twists, "_glue", record)
     alg = make_algebra(3, 2)
-    M = apply_word([1, -2], ProjComplex.projective(alg, 1))
-    calls.clear()
-    twist(2, M)
-    untwist(2, M)
-    assert [(A is M.terms, B is M.terms) for A, B in calls] == [
-        (False, True), (True, False)]
+    held = 0
+    for M in (apply_word([1, -2], ProjComplex.projective(alg, 1)),
+              apply_word([2, -1, -3, 2], ProjComplex.projective(alg, 2))):
+        for i in (1, 2, 3):
+            written.clear()
+            calls.clear()
+            twist(i, M)
+            untwist(i, M)
+            seen = [(A is M.terms, B is M.terms, placed) for A, B, placed, _ in calls]
+            assert seen == [(False, True, False), (True, False, True)]
+            for (A, _B, _p, glued), rows, inverse in zip(calls, written, (False, True)):
+                for t, mat in rows.items():
+                    # the copies of H^t sit in degree t - 1 before M, or
+                    # t + 1 after M; the cone's last degree has no rows
+                    s, off = (t + 1, len(A.get(t + 1, ()))) if inverse else (t - 1, 0)
+                    if s in glued:
+                        assert all(glued[s][off + k] is row
+                                   for k, row in enumerate(mat))
+                        held += len(mat)
+    assert held >= 40
     calls.clear()
     assert twist(3, ProjComplex.projective(alg, 1)) == ProjComplex.projective(alg, 1)
     assert calls == []
@@ -277,6 +303,31 @@ def test_apply_word_builds_no_hom_complex(monkeypatch):
     assert M.total_summands() == 13
     P2 = ProjComplex.projective(make_algebra(3, 2), 2)
     assert not apply_word([-2, 1, 2, -1], P2).is_zero()
+
+
+def test_images_are_integral():
+    # every scalar of a projective's image over Q is +-1, and over F_p the
+    # image is the reduction of the Q image, term for term and row for row:
+    # the twists meet the same pivots in the same order in every field
+    count = 0
+    for n in (2, 3, 4):
+        for N in (2, 3):
+            algs = {p: make_algebra(n, N, char=p) for p in (None, 2, 3, 7)}
+            rng = seeded(8800 + 10 * N + n)
+            for _ in range(20):
+                word, k = random_word(algs[None], rng, 10), rng.randint(1, n)
+                images = {p: apply_word(word, ProjComplex.projective(alg, k))
+                          for p, alg in algs.items()}
+                Q = images.pop(None)
+                assert all(x in (1, -1) for mat in Q._rows.values()
+                           for row in mat for x in row.values())
+                for p, X in images.items():
+                    assert list(X.terms.items()) == list(Q.terms.items())
+                    assert X._rows == {
+                        t: [{c: x % p for c, x in row.items()} for row in mat]
+                        for t, mat in Q._rows.items()}
+                count += Q.total_summands() > 3
+    assert count >= 30
 
 
 # ----------------------------------------------------------------------

@@ -24,15 +24,18 @@ entry from P_v<s> to P_v'<s'> is a scalar times the path of degree s - s'
 every matrix (a differential, a chain map, the differential of a hom
 complex) is a list of rows, one dict ``{column: scalar}`` per row holding
 its nonzero entries only, and every construction iterates over those
-entries.  The scalars are engine scalars (``fields``), plain ints: residues
-in [0, p) over F_p, and over Q ints, or Fractions after a division that
-leaves a remainder.  The loops reduce them by ``mod``, the characteristic
-or 0 over Q.  Entries a -> b -> c of summands compose to a nonzero entry
-exactly when one of them is an idempotent or both are the arrows of a
-round trip (``_composes``), and the product's scalar is the product of
-theirs.  Only this module and ``twists._twist`` read or write that
-format.  Algebra elements and public scalars appear at the boundary alone:
-the public constructors take dense matrices of them and convert them once
+entries.  The scalars are engine scalars (``fields``), plain ints:
+residues in [0, p) over F_p, and over Q ints, or Fractions after a
+division that leaves a remainder.  The loops reduce them by ``mod``, the
+characteristic or 0 over Q.  Entries a -> b -> c of summands compose to a
+nonzero entry exactly when one of them is an idempotent or both are the
+arrows of a round trip (``_composes``), and the product's scalar is the
+product of theirs.  Equivalently (the degree rule), a product of basis
+paths is zero exactly when no basis path of its degree joins its ends, so
+``_hom_into`` composes a vector with an entry by looking up its degree.
+Only this module and ``twists._twist`` read or write that format.  Algebra
+elements and public scalars appear at the boundary alone: the public
+constructors take dense matrices of them and convert them once
 (``_scalar_rows``, which validates them), and ``ProjComplex.diffs``,
 ``ChainMap.mats``, ``GradedVectorComplex.diffs`` and ``mat(t)`` are dense
 views built on first use.  The internal builders go through the
@@ -40,9 +43,9 @@ unvalidated ``_from_rows`` constructors.  Rows are never changed once a
 complex or map holds them, so objects may share them: ``minimize`` works
 on copies, unless the complex is marked ``_fresh``, a cone whose rows its
 builder made for it alone and hands over to be reduced in place.  Only
-``_glue`` takes rows over: it writes the entries of f into the rows of
-its first block, which its callers make for it (``shift``'s negated rows
-for ``cone``, -d_H and a copy of M's rows for the twists).  It writes the
+``_glue`` takes rows over: it writes the entries of f into the rows of its
+first block, which its callers make for it (``shift``'s negated rows for
+``cone``, -d_H and a copy of M's rows for the twists).  It writes the
 second block's rows anew, unless its caller wrote them at their final
 columns: the untwist's -d_H, which ``_hom_into`` writes there.
 """
@@ -576,13 +579,12 @@ class GradedVectorComplex:
 def _hom_vectors(i, M, descending=False):
     """The basis of RHom(P_i, M): a basis path phi in e_i A e_j against
     summand r = (j, s) of M^t is the vector labelled (r, key) in bidegree
-    (t, deg(phi) + s), and runs from the summand z = P_i<deg(phi) + s>,
-    which names the vector among those on r.  Returns ``(basis, index)``:
-    basis[t] lists the (internal degree, label) pairs of the nonempty
-    degrees t, summand by summand, each summand's paths in ``hom_basis``
-    order, or in descending degree with ``descending``; index[(t, r)] maps
-    z to the position in basis[t] of the vector on summand r of M^t, for
-    the summands r that carry a vector.
+    (t, d), d = deg(phi) + s, which names it among the vectors on r.
+    Returns ``(basis, index)``: basis[t] lists the (internal degree, label)
+    pairs of the nonempty degrees t, summand by summand, each summand's
+    paths in ``hom_basis`` order, or in descending degree with
+    ``descending``; index[t][r] maps d to the position in basis[t] of the
+    vector of degree d on summand r of M^t, or is None when r carries none.
     """
     alg = M.algebra
     alg.check_vertex(i)
@@ -591,17 +593,18 @@ def _hom_vectors(i, M, descending=False):
     index = {}
     for t, row in M.terms.items():
         vecs = []
+        at = [None] * len(row)
         for r, (j, s) in enumerate(row):
             keys = paths.get((i, j))
-            if not keys:
-                continue
-            at = index[(t, r)] = {}
-            for key in keys[::-1] if descending else keys:
-                d = alg.deg[key] + s
-                at[(i, d)] = len(vecs)
-                vecs.append((d, (r, key)))
+            if keys:
+                pos = at[r] = {}
+                for key in keys[::-1] if descending else keys:
+                    d = alg.deg[key] + s
+                    pos[d] = len(vecs)
+                    vecs.append((d, (r, key)))
         if vecs:
             basis[t] = vecs
+            index[t] = at
     return basis, index
 
 
@@ -610,28 +613,30 @@ def _hom_into(M, index, rows, neg=False, off=None):
     ``rows``: rows[t][k], the dict row of the k-th vector of degree t (as
     ``_hom_vectors`` indexes them in ``index``), receives each entry at its
     column plus off[t] (0 without ``off``), as mod - x with ``neg``.  A
-    (vector, column) pair meets one entry of d_M, so each entry is set once."""
+    path to summand a of degree d followed by an entry x from a to b is x
+    times the vector of degree d on b, or zero when b carries no such
+    vector (the degree rule of the module docstring).  A (vector, column)
+    pair meets one entry of d_M, so each entry is set once."""
     mod = M.algebra.field.char or 0
     for t, mat in M._rows.items():
-        out = rows.get(t)
-        if out is None:  # no vector on M^t
+        if t not in index or t + 1 not in index:  # no vector on M^t or M^{t+1}
             continue
+        out, cols = rows[t], index[t + 1]
         shift = off[t] if off else 0
-        terms, terms1 = M.terms[t], M.terms[t + 1]
-        for a, row in enumerate(mat):
-            at = index.get((t, a))
+        for at, row in zip(index[t], mat):
             if at is None:
                 continue
-            sa = terms[a]
             for b, x in row.items():
                 # x runs from summand a of M^t to summand b of M^{t+1}
-                sb = terms1[b]
+                to = cols[b]
+                if to is None:
+                    continue
                 if neg:
                     x = mod - x
-                cols = index.get((t + 1, b))  # present when a product is nonzero
-                for z, k in at.items():
-                    if _composes(z, sa, sb):
-                        out[k][shift + cols[z]] = x
+                for d, k in at.items():
+                    c = to.get(d)
+                    if c is not None:
+                        out[k][shift + c] = x
 
 
 def hom_from_projective(i, M):
@@ -722,89 +727,6 @@ def _arrow_ranks(M):
     return {b: mat_rank(list(rows.values()), mod) for b, rows in blocks.items()}
 
 
-def _chain_map_unknowns(M, K):
-    """The entries (t, r, c) a chain map M -> K may have, those whose two
-    summands have a basis path between them, numbered in that order.
-
-    Returns ``(index, count, blocks)``: ``index[t][r]`` maps each c of an
-    unknown (t, r, c) to its number, and ``blocks`` holds per degree t and
-    summand of M^t the numbers of the idempotent coefficients between its
-    copies: one row per copy in M^t, one column per copy in K^t.
-    """
-    path = M.algebra.path
-    index = {}
-    blocks = {}
-    count = 0
-    for t in sorted(set(M.terms) & set(K.terms)):
-        copies = {}
-        for c, summand in enumerate(K.terms[t]):
-            copies.setdefault(summand, []).append(c)
-        index[t] = rows = []
-        for v, s in M.terms[t]:
-            cs = sorted(c for (v2, s2), group in copies.items()
-                        if (v, v2, s - s2) in path for c in group)
-            row = dict(zip(cs, range(count, count + len(cs))))
-            rows.append(row)
-            count += len(cs)
-            blocks.setdefault((t, v, s), []).append(
-                [row[c] for c in copies.get((v, s), ())])
-    return index, count, list(blocks.values())
-
-
-def _chain_map_equations(M, K, index):
-    """Rows {unknown: coeff} of the linear system d_M . f = f . d_K.
-
-    ``index`` numbers the unknowns (``_chain_map_unknowns``).  One row per
-    equation (t, r, c): the scalar of entry (r, c) of
-    d_M[t] . f[t+1] - f[t] . d_K[t].  Each product visits only the unknowns
-    on its middle summand.  Each unknown meets an equation through one
-    middle summand only, so its coefficient is one nonzero scalar of d_M or
-    d_K (negated, as mod - x, for d_K), set once.
-    """
-    rows = {}  # equation (t, r, c) -> its row, keyed as one int
-    key = 0  # the keys of degree t start here
-    mod = M.algebra.field.char or 0
-    for t in sorted(set(M.terms) | set(K.terms)):
-        m_src = M.terms.get(t, ())
-        k_tgt = K.terms.get(t + 1, ())
-        if not m_src or not k_tgt:
-            continue
-        width = len(k_tgt)
-        # d_M[t] . f[t+1]  contributions
-        f_mid = index.get(t + 1)
-        m_mid = M.terms.get(t + 1)
-        for r, row in enumerate(M._rows.get(t, ()) if f_mid else ()):
-            a = m_src[r]
-            at = key + r * width
-            for mid, x in row.items():
-                b = m_mid[mid]
-                for c, i in f_mid[mid].items():
-                    if _composes(a, b, k_tgt[c]):
-                        eq = rows.get(at + c)
-                        if eq is None:
-                            rows[at + c] = {i: x}
-                        else:
-                            eq[i] = x
-        # - f[t] . d_K[t]  contributions
-        k_rows = K._rows.get(t)
-        f_src = index.get(t)
-        if k_rows and f_src:
-            k_mid = K.terms[t]
-            for r, a in enumerate(m_src):
-                at = key + r * width
-                for mid, i in f_src[r].items():
-                    b = k_mid[mid]
-                    for c, x in k_rows[mid].items():
-                        if _composes(a, b, k_tgt[c]):
-                            eq = rows.get(at + c)
-                            if eq is None:
-                                rows[at + c] = {i: mod - x}
-                            else:
-                                eq[i] = mod - x
-        key += len(m_src) * width
-    return list(rows.values())
-
-
 def _quick_weights(m):
     """Deterministic first-try weight vectors for the kernel combination."""
     for k in range(m):
@@ -828,10 +750,66 @@ def _seeded_weights(m, mod):
 
 
 def _chain_maps(M, K, mod):
-    """``(index, blocks, kernel)``: the unknowns and idempotent blocks of
-    ``_chain_map_unknowns`` and a basis of the chain maps M -> K."""
-    index, count, blocks = _chain_map_unknowns(M, K)
-    return index, blocks, _kernel(_chain_map_equations(M, K, index), count, mod)
+    """``(index, blocks, kernel)``: the unknowns of a chain map M -> K, its
+    idempotent blocks and a basis of the chain maps.
+
+    The unknowns are the entries (t, r, c) whose two summands have a basis
+    path between them, numbered in that order: ``index[t][r]`` maps each c
+    of an unknown (t, r, c) to its number.  ``blocks`` holds per degree t
+    and summand of M^t the numbers of the idempotent coefficients between
+    its copies: one row per copy in M^t, one column per copy in K^t.  The
+    equation (t, r, c) is the scalar of entry (r, c) of
+    d_M[t] . f[t+1] - f[t] . d_K[t], a dict {unknown: coefficient} kept in
+    the r-th dict {c: equation} of degree t.  Each product visits only the
+    unknowns on its middle summand.  Each unknown meets an equation through
+    one middle summand only, so its coefficient is one nonzero scalar of
+    d_M or d_K (negated, as mod - x, for d_K), set once.  The fresh rows go
+    to ``_kernel``, whose basis does not depend on their order.
+    """
+    path = M.algebra.path
+    index = {}
+    blocks = {}
+    count = 0
+    for t in sorted(M.terms.keys() & K.terms.keys()):
+        copies = {}
+        for c, summand in enumerate(K.terms[t]):
+            copies.setdefault(summand, []).append(c)
+        index[t] = rows = []
+        for v, s in M.terms[t]:
+            cs = sorted(c for (v2, s2), group in copies.items()
+                        if (v, v2, s - s2) in path for c in group)
+            row = dict(zip(cs, range(count, count + len(cs))))
+            rows.append(row)
+            count += len(cs)
+            blocks.setdefault((t, v, s), []).append(
+                [row[c] for c in copies.get((v, s), ())])
+    equations = []
+    for t, src in M.terms.items():
+        tgt = K.terms.get(t + 1)
+        if not tgt:
+            continue
+        eqs = [{} for _ in src]
+        d, f1 = M._rows.get(t), index.get(t + 1)
+        if d and f1:  # d_M[t] . f[t+1]
+            mid = M.terms[t + 1]
+            for a, row, eq in zip(src, d, eqs):
+                for m, x in row.items():
+                    b = mid[m]
+                    for c, i in f1[m].items():
+                        if _composes(a, b, tgt[c]):
+                            eq.setdefault(c, {})[i] = x
+        f, dk = index.get(t), K._rows.get(t)
+        if f and dk:  # - f[t] . d_K[t]
+            mid = K.terms[t]
+            for a, row, eq in zip(src, f, eqs):
+                for m, i in row.items():
+                    b = mid[m]
+                    for c, x in dk[m].items():
+                        if _composes(a, b, tgt[c]):
+                            eq.setdefault(c, {})[i] = mod - x
+        for eq in eqs:
+            equations.extend(eq.values())
+    return index, list(blocks.values()), _kernel(equations, count, mod)
 
 
 def _block_dim(blocks, kernel, mod):
@@ -859,8 +837,9 @@ def is_isomorphic(M, K, with_certificate=False):
     1. both minimal complexes are zero: isomorphic;
     2. the summands of some degree differ as multisets: not isomorphic;
     3. the arrow-block ranks differ (``_arrow_ranks``): not isomorphic;
-    4. the chain-map system d_M . f = f . d_K has only the zero solution:
-       not isomorphic.  Its fresh rows go to ``linalg._kernel`` uncopied,
+    4. the chain-map system d_M . f = f . d_K, which ``_chain_maps``
+       writes in one pass, has only the zero solution: not isomorphic.
+       Its fresh rows go to ``linalg._kernel`` uncopied,
        which first peels them: an equation with one unknown left forces
        that unknown to zero everywhere, which may leave more such
        equations.  On the ladder this settles 84% of the unknowns at 55

@@ -137,7 +137,7 @@ def library_cases():
             rng = seeded(4000 + 10 * n + (char or 0))
             for c in range(10):
                 # at most two summands a side: over F_p larger complexes can
-                # send is_isomorphic into its exhaustive p^k weight search
+                # send is_isomorphic into its bounded weight grid
                 M = random_two_term(alg, rng, max_summands=2)
                 data = {
                     "iso reversed": _certificate(is_isomorphic(

@@ -318,6 +318,19 @@ def test_product_table_matches_brute_force(n):
         for j in range(1, n + 1):
             assert alg.hom_basis(i, j) == tuple(
                 k for k in alg.basis if alg.src[k] == i and alg.tgt[k] == j)
+    # the degree rule complexes._hom_into relies on: a product of composable
+    # basis paths is the path of its degree between its ends, or zero when
+    # there is none; at n <= 4 for N = 2..4 and every edge-degree tuple
+    specs = [(N, degrees) for N in (2, 3, 4)
+             for degrees in product(range(1, N), repeat=n - 1)]
+    for N, degrees in specs if n <= 4 else [(3, None)]:
+        alg = make_algebra(n, N, degrees)
+        assert alg.table == brute_force_table(alg)
+        for x in alg.basis:
+            for y in alg.basis:
+                if alg.tgt[x] == alg.src[y]:
+                    assert alg.table.get((x, y)) == alg.path.get(
+                        (alg.src[x], alg.tgt[y], alg.deg[x] + alg.deg[y]))
 
 
 def test_large_chain_builds_at_once():

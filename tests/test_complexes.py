@@ -482,7 +482,7 @@ def test_arrow_ranks_invariant_under_basis_change(char):
             K = basis_change(M, rng)
             assert is_minimal(K)
             assert _arrow_ranks(K) == _arrow_ranks(M)
-            if char is None:  # over F_7 some of these reach the p^k search
+            if char is None:  # over F_7 some of these reach the weight grid
                 assert is_isomorphic(M, K)
             ranks.update(_arrow_ranks(M).values())
     assert ranks >= {1, 2, 3}

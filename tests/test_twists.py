@@ -181,7 +181,7 @@ def test_verify_relations_needs_no_chain_map_solve(monkeypatch, n, N, degrees, c
     def refuse(*args):
         raise AssertionError("the chain-map system was built")
 
-    monkeypatch.setattr(complexes, "_chain_map_equations", refuse)
+    monkeypatch.setattr(complexes, "_chain_maps", refuse)
     report = verify_relations(make_algebra(n, N, degrees, char))
     assert report.all_passed
     assert [(c.relation, c.object_vertex) for c in report.checks] == \

@@ -295,6 +295,8 @@ class ZigzagAlgebra:
     # structure queries
 
     def check_vertex(self, i):
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise ValueError("vertex %r is not an integer" % (i,))
         if not 1 <= i <= self.params.n:
             raise ValueError("vertex %r out of range 1..%d" % (i, self.params.n))
 

@@ -27,12 +27,12 @@ its nonzero entries only, and every construction iterates over those
 entries.  The scalars are engine scalars (``fields``), plain ints:
 residues in [0, p) over F_p, and over Q ints, or Fractions after a
 division that leaves a remainder.  The loops reduce them by ``mod``, the
-characteristic or 0 over Q.  Entries a -> b -> c of summands compose to a
-nonzero entry exactly when one of them is an idempotent or both are the
-arrows of a round trip (``_composes``), and the product's scalar is the
-product of theirs.  Equivalently (the degree rule), a product of basis
-paths is zero exactly when no basis path of its degree joins its ends, so
-``_hom_into`` composes a vector with an entry by looking up its degree.
+characteristic or 0 over Q.  One rule decides every product (the degree
+rule): a product of basis paths is the basis path of its degree between
+its ends, or zero when there is none.  So entries a -> b -> c of summands
+compose to a nonzero entry exactly when (v_a, v_c, s_a - s_c) is in
+``ZigzagAlgebra.path``, and its scalar is the product of theirs;
+``_hom_into`` composes a vector with an entry by the same lookup.
 Only this module and ``twists._twist`` read or write that format.  Algebra
 elements and public scalars appear at the boundary alone: the public
 constructors take dense matrices of them and convert them once
@@ -58,11 +58,9 @@ from .fields import div, raw
 from .linalg import _add, _kernel, mat_rank
 
 
-def _composes(a, b, c):
-    """True when entries of summands a -> b -> c have a nonzero product:
-    one of them is an idempotent, or both are the arrows of a round trip,
-    whose product is the loop."""
-    return a == b or b == c or a[0] == c[0] != b[0]
+def _check_int(what, x):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError("%s %r is not an integer" % (what, x))
 
 
 def _path(alg, a, b):
@@ -107,14 +105,17 @@ def _dense(alg, rows, srcs, tgts):
              for c, b in enumerate(tgts)] for a, row in zip(srcs, rows)]
 
 
-def _rows_product(A, B, src, mid, tgt, mod):
-    """The product of dict-row matrices src -> mid and mid -> tgt."""
+def _rows_product(A, B, src, path, tgt, mod):
+    """The product of dict-row matrices src -> mid and mid -> tgt; the
+    degree rule decides by ``path`` (``ZigzagAlgebra.path``) which entries
+    a -> c can be nonzero."""
     out = []
-    for a, row in zip(src, A):
+    for (v, s), row in zip(src, A):
         acc = {}
         for k, x in row.items():
             for c, y in B[k].items():
-                if _composes(a, mid[k], tgt[c]):
+                w, s2 = tgt[c]
+                if (v, w, s - s2) in path:
                     _add(acc, c, x * y, mod)
         out.append(acc)
     return out
@@ -136,9 +137,12 @@ class ProjComplex:
         self.terms = {
             t: tuple(tuple(s) for s in row) for t, row in terms.items() if row
         }
+        for t in [*self.terms, *(diffs or ())]:
+            _check_int("degree", t)
         for row in self.terms.values():
-            for v, _s in row:
+            for v, s in row:
                 algebra.check_vertex(v)
+                _check_int("internal shift", s)
         self._set_rows({
             t: _scalar_rows(algebra, "differential", t, mat, self.summands(t),
                             self.summands(t + 1))
@@ -146,7 +150,7 @@ class ProjComplex:
         })
         for t, rows in self._rows.items():
             if t + 1 in self._rows and any(_rows_product(
-                    rows, self._rows[t + 1], self.terms[t], self.terms[t + 1],
+                    rows, self._rows[t + 1], self.terms[t], algebra.path,
                     self.terms[t + 2], algebra.field.char or 0)):
                 raise ValueError("d^2 != 0 between degrees %d and %d" % (t, t + 2))
 
@@ -178,6 +182,8 @@ class ProjComplex:
     def projective(cls, algebra, vertex, shift=0, degree=0):
         """The one-term complex P_vertex<shift> in homological degree ``degree``."""
         algebra.check_vertex(vertex)
+        _check_int("internal shift", shift)
+        _check_int("degree", degree)
         return cls._from_rows(algebra, {degree: ((vertex, shift),)}, {})
 
     def is_zero(self):
@@ -346,17 +352,17 @@ class ChainMap:
     def commutes(self):
         """True when d_M[t] . f[t+1] = f[t] . d_K[t] in every degree t."""
         M, K = self.source, self.target
-        mod = M.algebra.field.char or 0
+        mod, path = M.algebra.field.char or 0, M.algebra.path
         for t in M.terms:
             if t + 1 not in K.terms:
                 continue
             zero = [{} for _ in M.terms[t]]
             d, f1 = M._rows.get(t), self._rows.get(t + 1)
             f, dk = self._rows.get(t), K._rows.get(t)
-            lhs = (_rows_product(d, f1, M.terms[t], M.terms[t + 1], K.terms[t + 1],
-                                 mod) if d and f1 else zero)
-            rhs = (_rows_product(f, dk, M.terms[t], K.terms[t], K.terms[t + 1],
-                                 mod) if f and dk else zero)
+            lhs = (_rows_product(d, f1, M.terms[t], path, K.terms[t + 1], mod)
+                   if d and f1 else zero)
+            rhs = (_rows_product(f, dk, M.terms[t], path, K.terms[t + 1], mod)
+                   if f and dk else zero)
             if lhs != rhs:
                 return False
         return True
@@ -435,7 +441,7 @@ def minimize(M):
     """
     if M._minimal:
         return M
-    mod = M.algebra.field.char or 0
+    mod, path = M.algebra.field.char or 0, M.algebra.path
     rows = M._rows if M._fresh else {t: [dict(row) for row in mat]
                                      for t, mat in M._rows.items()}
     dead = {t: set() for t in M.terms}  # cancelled summands, by degree
@@ -470,10 +476,11 @@ def minimize(M):
             for cc in row:
                 at[cc].discard(r)
             for rr in at[c]:
-                target, a = mat[rr], src[rr]
+                target, (v, sv) = mat[rr], src[rr]
                 factor = div(target.pop(c), row[c], mod)
                 for cc, y in row.items():
-                    if cc == c or not _composes(a, s, tgt[cc]):
+                    w, sw = tgt[cc]
+                    if cc == c or (v, w, sv - sw) not in path:
                         continue
                     x = target.get(cc, 0) - factor * y
                     if mod:
@@ -791,21 +798,19 @@ def _chain_maps(M, K, mod):
         eqs = [{} for _ in src]
         d, f1 = M._rows.get(t), index.get(t + 1)
         if d and f1:  # d_M[t] . f[t+1]
-            mid = M.terms[t + 1]
-            for a, row, eq in zip(src, d, eqs):
+            for (v, s), row, eq in zip(src, d, eqs):
                 for m, x in row.items():
-                    b = mid[m]
                     for c, i in f1[m].items():
-                        if _composes(a, b, tgt[c]):
+                        w, s2 = tgt[c]
+                        if (v, w, s - s2) in path:
                             eq.setdefault(c, {})[i] = x
         f, dk = index.get(t), K._rows.get(t)
         if f and dk:  # - f[t] . d_K[t]
-            mid = K.terms[t]
-            for a, row, eq in zip(src, f, eqs):
+            for (v, s), row, eq in zip(src, f, eqs):
                 for m, i in row.items():
-                    b = mid[m]
                     for c, x in dk[m].items():
-                        if _composes(a, b, tgt[c]):
+                        w, s2 = tgt[c]
+                        if (v, w, s - s2) in path:
                             eq.setdefault(c, {})[i] = mod - x
         for eq in eqs:
             equations.extend(eq.values())

@@ -151,7 +151,8 @@ class Field:
     __slots__ = ("char",)
 
     def __init__(self, char=None):
-        if char is not None and not (char < 2**64 and _is_prime(char)):
+        if char is not None and (isinstance(char, bool) or not isinstance(char, int)
+                                 or not (char < 2**64 and _is_prime(char))):
             raise ValueError("characteristic must be a prime below 2^64, got %r"
                              % (char,))
         self.char = char

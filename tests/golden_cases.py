@@ -29,6 +29,7 @@ from conftest import (
 )
 
 from sphtwist import (
+    ProjComplex,
     apply_word,
     hom_from_projective,
     hom_matrix,
@@ -78,7 +79,9 @@ def cli_cases():
 
 
 def scale_cases():
-    """Larger CLI runs, pinned by the sha256 of their stdout."""
+    """Larger CLI runs, pinned by the sha256 of their stdout, and the
+    certificates of the ladder against its rewrite by the braid relation,
+    pinned by the sha256 of their canonical JSON."""
     out = {}
     ladder = " ".join(["1 -2"] * 6)
     runs = {
@@ -92,12 +95,25 @@ def scale_cases():
             "act", "--json", "--field", "7", "--object", "2",
             "--word", " ".join(["1 -2"] * 7)],
     }
+    for fname, _char in FIELDS:
+        runs["act --json --field %s [1,-2]^10" % fname] = [
+            "act", "--json", "--field", fname, "--word", " ".join(["1 -2"] * 10)]
     for name, argv in runs.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(argv)
         digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         out["sha256 " + name] = "exit %d\nsha256 %s" % (code, digest)
+    # 89 to 610 summands a side: the chain-map system and minimize at scale
+    for fname, char in FIELDS:
+        alg = make_algebra(2, 2, char=char)
+        for m in range(4, 8):
+            M = apply_word([1, -2] * m, ProjComplex.projective(alg, 1))
+            K = apply_word([2, 1, 2], apply_word([-1, -2, -1], M))
+            blob = json.dumps(_certificate(is_isomorphic(M, K, with_certificate=True)),
+                              sort_keys=True)
+            out["sha256 iso F=%s [1,-2]^%d P1 vs braid rewrite" % (fname, m)] = (
+                "sha256 %s" % hashlib.sha256(blob.encode()).hexdigest())
     return out
 
 

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from conftest import make_algebra
-from sphtwist import ChainParams, ProjComplex, ZigzagAlgebra
+from sphtwist import ChainParams, ProjComplex, ZigzagAlgebra, hom_from_projective
 from sphtwist.algebra import key_str
 from sphtwist.fields import raw
 from sphtwist.linalg import mat_rank
@@ -209,6 +209,18 @@ def test_hom_space_distant_vertices_zero():
     assert alg.hom_space(1, 3) == {}
 
 
+@pytest.mark.parametrize("v", [1.0, True, "1", None, Fraction(1)])
+def test_check_vertex_rejects_non_integers(v):
+    alg = make_algebra(2, 2)
+    message = "^vertex %s is not an integer$" % re.escape(repr(v))
+    with pytest.raises(ValueError, match=message):
+        alg.check_vertex(v)
+    # 1.0 and True equal the vertex 1 and hash like it, so a lookup keyed
+    # by vertices would take them for it
+    with pytest.raises(ValueError, match=message):
+        hom_from_projective(v, ProjComplex.projective(alg, 1))
+
+
 def test_hom_space_rejects_bad_vertex():
     alg = make_algebra(2, 2)
     with pytest.raises(ValueError):
@@ -318,9 +330,11 @@ def test_product_table_matches_brute_force(n):
         for j in range(1, n + 1):
             assert alg.hom_basis(i, j) == tuple(
                 k for k in alg.basis if alg.src[k] == i and alg.tgt[k] == j)
-    # the degree rule complexes._hom_into relies on: a product of composable
-    # basis paths is the path of its degree between its ends, or zero when
-    # there is none; at n <= 4 for N = 2..4 and every edge-degree tuple
+    # the degree rule that decides every entry product in complexes
+    # (_hom_into, _rows_product, minimize and _chain_maps): a product of
+    # composable basis paths is the path of its degree between its ends, or
+    # zero when there is none; at n <= 4 for N = 2..4 and every edge-degree
+    # tuple
     specs = [(N, degrees) for N in (2, 3, 4)
              for degrees in product(range(1, N), repeat=n - 1)]
     for N, degrees in specs if n <= 4 else [(3, None)]:

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -726,6 +727,38 @@ def test_validation_rejects_bad_differential(alg):
             {0: [(1, 2)], 1: [(2, 1)], 2: [(1, 0)]},
             {0: [[alg.arrow(1, 2)]], 1: [[alg.arrow(2, 1)]]},
         )
+
+
+# the constructors of a complex, each given one grading or vertex that is not
+# an int: a float shift would give apply_word summands like P2<1.5>
+BAD_GRADINGS = {
+    "shift 0.5": (lambda alg: ProjComplex(alg, {0: [(1, 0.5)]}), "internal shift 0.5"),
+    "degree '0'": (lambda alg: ProjComplex(alg, {"0": [(1, 0)]}), "degree '0'"),
+    "diffs degree '0'": (lambda alg: ProjComplex(alg, {0: [(1, 0)], 1: [(2, -1)]},
+                                                 {"0": [[alg.arrow(1, 2)]]}),
+                         "degree '0'"),
+    "vertex 1.0": (lambda alg: ProjComplex(alg, {0: [(1.0, 0)]}), "vertex 1.0"),
+    "from_dict shift 0.5": (lambda alg: ProjComplex.from_dict(dict(
+        ProjComplex.projective(alg, 1).to_dict(), terms={"0": [[1, 0.5]]})),
+        "internal shift 0.5"),
+    "projective shift 0.5": (lambda alg: ProjComplex.projective(alg, 1, shift=0.5),
+                             "internal shift 0.5"),
+    "projective shift 'x'": (lambda alg: ProjComplex.projective(alg, 1, shift="x"),
+                             "internal shift 'x'"),
+    "projective shift True": (lambda alg: ProjComplex.projective(alg, 1, shift=True),
+                              "internal shift True"),
+    "projective degree 0.0": (lambda alg: ProjComplex.projective(alg, 1, degree=0.0),
+                              "degree 0.0"),
+    "projective vertex True": (lambda alg: ProjComplex.projective(alg, True),
+                               "vertex True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRADINGS))
+def test_constructors_reject_non_integer_gradings(alg, case):
+    build, named = BAD_GRADINGS[case]
+    with pytest.raises(ValueError, match="^%s is not an integer$" % re.escape(named)):
+        build(alg)
 
 
 # (source summand, target summand, basis paths summed into the entry); at

@@ -1,6 +1,7 @@
 """Tests for the scalar fields: the primality check on the characteristic,
 and exact division and conversion of engine scalars."""
 
+import re
 import time
 from fractions import Fraction
 
@@ -33,6 +34,15 @@ def test_large_primes_accepted_at_once(p):
 ])
 def test_non_primes_and_huge_characteristics_rejected(c):
     with pytest.raises(ValueError):
+        Field(c)
+
+
+@pytest.mark.parametrize("c", [7.0, "7", True, Fraction(7)])
+def test_non_integer_characteristics_rejected(c):
+    # 7.0 and Fraction(7) pass the primality test, and "7" fails it with
+    # TypeError; a characteristic that is not an int breaks pow(x, -1, p)
+    with pytest.raises(ValueError, match="^characteristic must be a prime "
+                       "below 2\\^64, got %s$" % re.escape(repr(c))):
         Field(c)
 
 

@@ -302,11 +302,9 @@ class ZigzagAlgebra:
 
     def hom_basis(self, i, j):
         """Basis paths of e_i A e_j (maps P_i -> P_j)."""
-        paths = self._hom_basis.get((i, j))
-        if paths is None:  # no path, or a vertex out of range
-            self.check_vertex(i)
-            self.check_vertex(j)
-        return paths or ()
+        self.check_vertex(i)
+        self.check_vertex(j)
+        return self._hom_basis.get((i, j), ())
 
     def hom_space(self, i, j):
         """Graded dimension table {internal degree: dim} of e_i A e_j."""

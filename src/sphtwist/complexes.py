@@ -129,7 +129,7 @@ class ProjComplex:
     vertices and d^2 = 0 are validated too.
     """
 
-    _minimal = False  # set on the outputs of ``minimize``
+    _minimal = False  # set on the outputs of ``minimize`` and ``projective``
     _fresh = False  # set by a builder that hands its rows to ``minimize``
 
     def __init__(self, algebra, terms, diffs=None):
@@ -180,11 +180,14 @@ class ProjComplex:
 
     @classmethod
     def projective(cls, algebra, vertex, shift=0, degree=0):
-        """The one-term complex P_vertex<shift> in homological degree ``degree``."""
+        """The one-term complex P_vertex<shift> in homological degree
+        ``degree``, marked minimal: it has no differential."""
         algebra.check_vertex(vertex)
         _check_int("internal shift", shift)
         _check_int("degree", degree)
-        return cls._from_rows(algebra, {degree: ((vertex, shift),)}, {})
+        out = cls._from_rows(algebra, {degree: ((vertex, shift),)}, {})
+        out._minimal = True
+        return out
 
     def is_zero(self):
         return not self.terms
@@ -312,6 +315,8 @@ class ChainMap:
     def __init__(self, source, target, mats):
         if source.algebra != target.algebra:
             raise ValueError("source and target live over different algebras")
+        for t in mats:
+            _check_int("degree", t)
         self._set_rows(source, target, {
             t: _scalar_rows(source.algebra, "chain map", t, mat, source.summands(t),
                             target.summands(t))

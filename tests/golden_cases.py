@@ -98,6 +98,8 @@ def scale_cases():
     for fname, _char in FIELDS:
         runs["act --json --field %s [1,-2]^10" % fname] = [
             "act", "--json", "--field", fname, "--word", " ".join(["1 -2"] * 10)]
+        runs["check-relations --n 12 --field %s --json" % fname] = [
+            "check-relations", "--n", "12", "--field", fname, "--json"]
     for name, argv in runs.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):

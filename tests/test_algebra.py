@@ -221,6 +221,17 @@ def test_check_vertex_rejects_non_integers(v):
         hom_from_projective(v, ProjComplex.projective(alg, 1))
 
 
+@pytest.mark.parametrize("method", ["hom_basis", "hom_space"])
+@pytest.mark.parametrize("i,j,bad", [(1.0, 2, 1.0), (True, 1, True), (1, 2.0, 2.0),
+                                     (2, True, True)])
+def test_hom_lookups_reject_non_integer_vertices(method, i, j, bad):
+    # the pairs hash like (1, 2), (1, 1) and (2, 1), which have paths, so
+    # the vertices are checked before the lookup, not on a miss
+    alg = make_algebra(2, 2)
+    with pytest.raises(ValueError, match="^vertex %s is not an integer$" % re.escape(repr(bad))):
+        getattr(alg, method)(i, j)
+
+
 def test_hom_space_rejects_bad_vertex():
     alg = make_algebra(2, 2)
     with pytest.raises(ValueError):

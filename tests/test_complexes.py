@@ -761,6 +761,15 @@ def test_constructors_reject_non_integer_gradings(alg, case):
         build(alg)
 
 
+@pytest.mark.parametrize("t", [0.0, "0", True])
+def test_chain_map_rejects_non_integer_degrees(alg, t):
+    # 0.0 and True hash like 0, so a lookup keyed by degrees would take
+    # them for it; "0" used to fail in _scalar_rows with TypeError
+    P = ProjComplex.projective(alg, 1)
+    with pytest.raises(ValueError, match="^degree %s is not an integer$" % re.escape(repr(t))):
+        ChainMap(P, P, {t: [[alg.e(1)]]})
+
+
 # (source summand, target summand, basis paths summed into the entry); at
 # N = 2, a12 alone is valid only from P1<s> to P2<s - 1>, e1 alone from P1<s>
 # to P1<s> and l1 alone from P1<s> to P1<s - 2>

@@ -739,16 +739,6 @@ def _arrow_ranks(M):
     return {b: mat_rank(list(rows.values()), mod) for b, rows in blocks.items()}
 
 
-def _quick_weights(m):
-    """Deterministic first-try weight vectors for the kernel combination."""
-    for k in range(m):
-        v = [0] * m
-        v[k] = 1
-        yield v
-    yield [1] * m
-    yield list(range(1, m + 1))
-
-
 def _seeded_weights(m, mod):
     """Four fixed pseudo-random weight vectors: MINSTD values from seed 1,
     reduced mod p over F_p and mod 65536 over Q."""
@@ -856,10 +846,11 @@ def is_isomorphic(M, K, with_certificate=False):
        summands and 98.9% at 1597.  Only the rest is eliminated, over Q in
        integers, and the kernel basis is the canonical one all the same;
     5. one stream of candidate weights for a combination of the kernel
-       basis, in this order: those of ``_quick_weights``; weight 1 on the
-       kernel vectors whose free column is the idempotent coefficient
-       between the j-th copies of a summand in both complexes; the four
-       points of ``_seeded_weights``; then, unless the idempotent-block
+       basis, in this order: weight 1 on every kernel vector; the ramp,
+       weight k on kernel vector k; weight 1 on the kernel vectors whose
+       free column is the idempotent coefficient between the j-th copies
+       of a summand in both complexes; the four points of
+       ``_seeded_weights``; then, unless the idempotent-block
        parts of Hom(Mm, Km), End(Mm) and End(Km) differ in dimension
        (``_block_dim``), every weight vector with weight k at most the
        number of block rows kernel vector k meets (and below p over F_p).
@@ -917,7 +908,8 @@ def is_isomorphic(M, K, with_certificate=False):
         return cert
 
     def candidates():
-        yield from _quick_weights(len(kernel))
+        yield [1] * len(kernel)
+        yield list(range(1, len(kernel) + 1))
         # the free column of a kernel vector is its last nonzero entry
         matched = {row[j] for blk in blocks for j, row in enumerate(blk)}
         yield [1 if max(vec) in matched else 0 for vec in kernel]

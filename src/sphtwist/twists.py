@@ -212,6 +212,20 @@ def _relation_groups(n):
     return groups
 
 
+def _image(word, P, images):
+    """word . P, each letter applied once per object it meets: ``images``
+    is the memo {(id(M), letter): image} of one P, whose values keep each M
+    alive.  A far letter returns its input, so its image is shared too."""
+    M = P
+    for g in word:
+        key = (id(M), g)
+        out = images.get(key)
+        if out is None:
+            out = images[key] = apply_letter(g, M)
+        M = out
+    return M
+
+
 def verify_relations(algebra, objects=None):
     """Check inverse, braid and commutation relations on the projectives.
 
@@ -235,21 +249,11 @@ def verify_relations(algebra, objects=None):
     passed = {}  # (name, k) -> verdict, for the groups near k only
     for k in objects:
         P = ProjComplex.projective(algebra, k)
-        images = {}  # (id(M), letter) -> its image; the values keep each M alive
-
-        def image(word):
-            M = P
-            for g in word:
-                key = (id(M), g)
-                out = images.get(key)
-                if out is None:
-                    out = images[key] = apply_letter(g, M)
-                M = out
-            return M
-
+        images = {}
         for group in near.get(k, ()):
             for name, w1, w2 in group:
-                passed[(name, k)] = is_isomorphic(image(w1), image(w2))
+                passed[(name, k)] = is_isomorphic(_image(w1, P, images),
+                                                  _image(w2, P, images))
     report = RelationReport()
     for group in groups:
         for k in objects:
@@ -318,21 +322,20 @@ def compare_words(w1, w2, algebra):
     braids.  Indistinguishable actions on the generators are reported as
     such, without claiming equality of the braids.  The report's hom
     matrices (as ``hom_matrix`` gives them) are read, on first use, from
-    the same 2n images w1.P_k and w2.P_k that decide the verdict; the
-    common prefix of w1 and w2 is applied once per P_k.
+    the same 2n images w1.P_k and w2.P_k that decide the verdict.  Both
+    words are evaluated through the memo of ``verify_relations``
+    (``_image``), so each letter is applied once per object it meets.
     """
     n = algebra.params.n
     check_word(w1, n)
     check_word(w2, n)
     report = ComparisonReport(word1=list(w1), word2=list(w2), distinct=False)
-    common = 0  # the shared prefix of w1 and w2 is applied once per k
-    while common < min(len(w1), len(w2)) and w1[common] == w2[common]:
-        common += 1
     images1, images2 = [], []
     for k in range(1, n + 1):
-        P = apply_word(w1[:common], ProjComplex.projective(algebra, k))
-        a = apply_word(w1[common:], P)
-        b = apply_word(w2[common:], P)
+        P = ProjComplex.projective(algebra, k)
+        images = {}
+        a = _image(w1, P, images)
+        b = _image(w2, P, images)
         images1.append(a)
         images2.append(b)
         ok = is_isomorphic(a, b)

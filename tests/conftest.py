@@ -73,8 +73,9 @@ def random_copies(alg, rng, max_copies=4):
     return ProjComplex(alg, {0: src, 1: tgt}, {0: mat})
 
 
-# seeds of random_copies pairs whose is_isomorphic gets past the quick and
-# matched weights: the seeded points or the bounded weight grid decides them
+# seeds of random_copies pairs whose is_isomorphic gets past the all-ones,
+# ramp and matched weights: the seeded points or the bounded weight grid
+# decides them
 FALLBACK_SEEDS = {2: (238, 279, 289), 3: (39, 59, 96), None: (1461, 704, 663)}
 
 

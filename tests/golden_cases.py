@@ -22,6 +22,7 @@ from conftest import (
     FALLBACK_SEEDS,
     fallback_pair,
     make_algebra,
+    perturbed_pair,
     random_two_term,
     random_word,
     reversed_summands,
@@ -115,6 +116,17 @@ def scale_cases():
             blob = json.dumps(_certificate(is_isomorphic(M, K, with_certificate=True)),
                               sort_keys=True)
             out["sha256 iso F=%s [1,-2]^%d P1 vs braid rewrite" % (fname, m)] = (
+                "sha256 %s" % hashlib.sha256(blob.encode()).hexdigest())
+    # seeded basis changes, as they are and with one entry doubled: the
+    # certificates of the candidate weights and the grid, one digest per
+    # kind and field (over F_2 and F_3 some of these seeds take seconds)
+    for kind, pair in (("fallback_pair", fallback_pair),
+                       ("perturbed_pair", perturbed_pair)):
+        for fname, char in FIELDS:
+            blob = json.dumps([_certificate(is_isomorphic(*pair(char, seed),
+                                                          with_certificate=True))
+                               for seed in range(40)], sort_keys=True)
+            out["sha256 iso %s F=%s seeds 0..39" % (kind, fname)] = (
                 "sha256 %s" % hashlib.sha256(blob.encode()).hexdigest())
     return out
 

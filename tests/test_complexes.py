@@ -574,9 +574,9 @@ def test_repeated_summand_with_zero_differential(char):
 @pytest.mark.parametrize("char,seed", [
     (char, seed) for char, seeds in FALLBACK_SEEDS.items() for seed in seeds])
 def test_fallback_decides_basis_change(monkeypatch, char, seed):
-    # no quick weight and not the matched one gives these pairs an
-    # invertible combination, so the seeded points are reached; they or
-    # the bounded grid find one
+    # neither the all-ones nor the ramp weight, and not the matched one,
+    # gives these pairs an invertible combination, so the seeded points
+    # are reached; they or the bounded grid find one
     real = sphtwist.complexes._seeded_weights
     calls = []
 
@@ -607,12 +607,58 @@ def test_fallback_bounds_each_weight_by_its_degree(char, copies):
 def test_perturbed_pair_rejected():
     # P2<1>^4 -> P2<-1>^4 by loops, one entry doubled before the basis
     # change: the loop block loses rank, the arrow ranks cannot see it, and
-    # the pair gets past the quick and matched weights (a kernel of
-    # dimension 18); the block dimensions differ
+    # the pair gets past the all-ones, ramp and matched weights (a kernel
+    # of dimension 18); the block dimensions differ
     M, K = perturbed_pair(None, 3340)
     start = time.perf_counter()
     assert is_isomorphic(M, K, with_certificate=True) == (False, None)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("char", [2, 7, None])
+def test_all_ones_weight_is_tried_first(monkeypatch, char):
+    # on kernels of two or more vectors, the first combination whose
+    # blocks are rank-tested weighs every kernel vector 1; its first block
+    # differs from that of the unit vector e_1 on some of these seeds, so
+    # the check tells the two apart
+    complexes = sphtwist.complexes
+    solved, tested = [], []
+    real_maps, real_rank = complexes._chain_maps, complexes.mat_rank
+
+    def chain_maps(*args):
+        solved.append(real_maps(*args))
+        return solved[-1]
+
+    def rank(rows, mod):
+        if solved and not tested:
+            tested.append([list(row) for row in rows])
+        return real_rank(rows, mod)
+
+    monkeypatch.setattr(complexes, "_chain_maps", chain_maps)
+    monkeypatch.setattr(complexes, "mat_rank", rank)
+    mod = char or 0
+    checked = unlike_e1 = 0
+    for seed in range(40):
+        solved.clear()
+        tested.clear()
+        is_isomorphic(*fallback_pair(char, seed), with_certificate=True)
+        if not solved or len(solved[0][2]) < 2:
+            continue
+        _index, blocks, kernel = solved[0]
+
+        def first_block(weights):
+            combo = {}
+            for w, vec in zip(weights, kernel):
+                for i, x in vec.items():
+                    combo[i] = combo.get(i, 0) + w * x
+            return [[combo.get(i, 0) % mod if mod else combo.get(i, 0) for i in row]
+                    for row in blocks[0]]
+
+        ones = first_block([1] * len(kernel))
+        assert tested == [ones]
+        checked += 1
+        unlike_e1 += ones != first_block([1] + [0] * (len(kernel) - 1))
+    assert checked >= 20 and unlike_e1 > 0
 
 
 @pytest.mark.parametrize("pair,calls", [

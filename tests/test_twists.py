@@ -498,6 +498,26 @@ def test_compare_words_builds_each_image_once(alg3, monkeypatch):
                                             else "non-isomorphic")
 
 
+def test_compare_words_shares_far_letters(alg3, monkeypatch):
+    # T1 . P3 is P3 itself, so T2 T1 T2 . P3 reuses the images T2 . P3 and
+    # T1 T2 . P3 built for T1 T2 T1 . P3: 4 letters on P3, not 6; on P1
+    # and P2 every letter is near, and the two words share no image
+    calls = []
+    real = twists.apply_letter
+
+    def record(g, M):
+        calls.append((M, g))
+        return real(g, M)
+
+    monkeypatch.setattr(twists, "apply_letter", record)
+    report = compare_words([1, 2, 1], [2, 1, 2], alg3)
+    assert not report.distinct
+    P3 = ProjComplex.projective(alg3, 3)
+    first = next(c for c, (M, _g) in enumerate(calls) if M == P3)
+    assert first == 12
+    assert [g for _M, g in calls[first:]] == [1, 2, 1, 2]
+
+
 def test_compare_words_builds_hom_tables_on_first_read(alg3, monkeypatch):
     # the report keeps its 2n images and builds the two tables when
     # hom_matrices is first read, once; an explicit hom_matrices wins, and

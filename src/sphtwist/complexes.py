@@ -10,9 +10,10 @@ Conventions (fixed once, used everywhere):
   in the algebra, so d^2 = 0 is literally d[t] . d[t+1] = 0.
 * Only bidegree-(0,0) chain maps are first class; shifts live on objects.
 * cone(f: M -> K) has terms M[1] (+) K in each degree and differential
-  d(m, k) = (-d_M m, f(m) + d_K k).  ``_glue`` is the one code that lays
-  out this block form: for ``cone``, and for the twists' cones of the
-  evaluation and co-evaluation (``twists._twist``).
+  d(m, k) = (-d_M m, f(m) + d_K k).  ``_glue`` lays out this block form
+  for ``cone`` and for the twist's cone of the evaluation.  The untwist
+  lays out its cone of the co-evaluation itself, with the pairs that
+  cancel in a minimal input cancelled first (``twists._twist``).
 * Only RHom(P_i, M) is built (``_hom_vectors``, ``_hom_into``); its dual
   RHom(M, P_i) is read off it by the trace pairing (``hom_to_projective``).
 * Homological shift [t0] relabels degrees t -> t - t0 and multiplies the
@@ -45,9 +46,10 @@ on copies, unless the complex is marked ``_fresh``, a cone whose rows its
 builder made for it alone and hands over to be reduced in place.  Only
 ``_glue`` takes rows over: it writes the entries of f into the rows of its
 first block, which its callers make for it (``shift``'s negated rows for
-``cone``, -d_H and a copy of M's rows for the twists).  It writes the
-second block's rows anew, unless its caller wrote them at their final
-columns: the untwist's -d_H, which ``_hom_into`` writes there.
+``cone``, the twist's -d_H), and writes the second block's rows anew.
+The untwist writes each row of its cone once, at its final columns: M's
+rows copied with the co-evaluation entries, and -d_H, which
+``_hom_into`` writes into the cone's own row lists.
 """
 
 
@@ -382,7 +384,7 @@ class ChainMap:
         return cls._from_rows(M, M, rows)
 
 
-def _glue(alg, A, dA, f, B, dB, placed=False):
+def _glue(alg, A, dA, f, B, dB):
     """The complex A (+) B with differential [[dA, f], [0, dB]].
 
     A and B map degrees to nonempty tuples of summands; in each degree A's
@@ -391,9 +393,8 @@ def _glue(alg, A, dA, f, B, dB, placed=False):
     the nonzero entries of A^t -> B^{t+1}; a missing degree is zero.  The
     caller vouches for d^2 = 0.  The result takes over dA's rows and writes
     f's entries into them in place.  It writes B's rows anew, their columns
-    shifted by the width of A in the next degree, unless ``placed``: then
-    the caller wrote them at those final columns already, and the result
-    takes them over as they are.  It shares no other row with its inputs.
+    shifted by the width of A in the next degree, and shares no other row
+    with its inputs.
     """
     terms = {t: A.get(t, ()) + B.get(t, ()) for t in A.keys() | B.keys()}
     rows = {}
@@ -405,8 +406,7 @@ def _glue(alg, A, dA, f, B, dB, placed=False):
         for r, c, x in f.get(t, ()):
             mat[r][off + c] = x
         db = dB.get(t) or [{} for _ in B.get(t, ())]
-        mat.extend(db if placed else
-                   [{off + c: x for c, x in row.items()} for row in db])
+        mat.extend([{off + c: x for c, x in row.items()} for row in db])
     return ProjComplex._from_rows(alg, terms, rows)
 
 
@@ -440,9 +440,10 @@ def minimize(M):
     An output of ``minimize`` is returned unchanged.  The reduction works
     on copies of the rows, or on the rows themselves when M is marked
     ``_fresh`` (a complex that no one else holds, like the twists' cones).
-    The live rows are indexed by column in a list of sets, rows of summands
-    absent from the next degree are not searched for a pivot, and degrees
-    that lost no summand keep their terms and rows in the renumbering.
+    The live rows are indexed by column in a list of sets, built at a
+    degree's first pivot, rows of summands absent from the next degree are
+    not searched for a pivot, and degrees that lost no summand keep their
+    terms and rows in the renumbering.
     """
     if M._minimal:
         return M
@@ -463,11 +464,7 @@ def minimize(M):
         src, tgt = M.terms[t], M.terms[t + 1]
         gone = dead[t]
         kinds = set(tgt)  # a row of another summand has no invertible entry
-        at = [set() for _ in tgt]  # column -> live rows with an entry there
-        for r, row in enumerate(mat):
-            if r not in gone:
-                for c in row:
-                    at[c].add(r)
+        at = None  # column -> live rows with an entry there, from the first pivot
         for r, row in enumerate(mat):
             s = src[r]
             if s not in kinds or r in gone:
@@ -478,6 +475,12 @@ def minimize(M):
                     c = cc
             if c < 0:
                 continue
+            if at is None:  # the rows before the first pivot are as built
+                at = [set() for _ in tgt]
+                for rr, live in enumerate(mat):
+                    if rr not in gone:
+                        for cc in live:
+                            at[cc].add(rr)
             for cc in row:
                 at[cc].discard(r)
             for rr in at[c]:
@@ -620,11 +623,12 @@ def _hom_vectors(i, M, descending=False):
     return basis, index
 
 
-def _hom_into(M, index, rows, neg=False, off=None):
+def _hom_into(M, index, rows, neg=False):
     """Write the differential of RHom(P_i, M), a path followed by d_M, into
-    ``rows``: rows[t][k], the dict row of the k-th vector of degree t (as
-    ``_hom_vectors`` indexes them in ``index``), receives each entry at its
-    column plus off[t] (0 without ``off``), as mod - x with ``neg``.  A
+    ``rows``: rows[t][k], the dict row of the vector of degree t that
+    ``index`` numbers k (as ``_hom_vectors`` made it, or renumbered by the
+    untwist), receives each entry at the number of its column, as mod - x
+    with ``neg``; a vector that ``index`` leaves out gets none.  A
     path to summand a of degree d followed by an entry x from a to b is x
     times the vector of degree d on b, or zero when b carries no such
     vector (the degree rule of the module docstring).  A (vector, column)
@@ -634,7 +638,6 @@ def _hom_into(M, index, rows, neg=False, off=None):
         if t not in index or t + 1 not in index:  # no vector on M^t or M^{t+1}
             continue
         out, cols = rows[t], index[t + 1]
-        shift = off[t] if off else 0
         for at, row in zip(index[t], mat):
             if at is None:
                 continue
@@ -648,7 +651,7 @@ def _hom_into(M, index, rows, neg=False, off=None):
                 for d, k in at.items():
                     c = to.get(d)
                     if c is not None:
-                        out[k][shift + c] = x
+                        out[k][c] = x
 
 
 def hom_from_projective(i, M):

@@ -52,39 +52,135 @@ def _twist(i, M, inverse):
     One copy of P_i per vector (d, (r, key)) of H = RHom(P_i, M) on
     summand r of M^t, with differential -d_H, written once by
     ``_hom_into``.  Twist: P_i<d> in degree t - 1, the copies before M in
-    each degree, with evaluation entry 1 into r.  Untwist: the copy of the
-    vector's Frobenius dual in RHom(M, P_i), P_i<d - N> in degree t + 1,
-    after M, with co-evaluation entry -1 from r; each summand's vectors are
-    listed in descending degree, the order ``hom_basis`` lists their duals
-    in, and -d_H is written at its final columns, past M^{t+2}.  ``_glue``
-    lays the cone out from rows no one else holds, taking over those of
-    -d_H as they are, so ``minimize`` reduces them in place.  A letter with
-    no vector is the cone of 0 -> M, or of M -> 0 shifted back: M.
+    each degree, with evaluation entry 1 into r; ``_glue`` lays the cone
+    out.  Untwist: the copy of the vector's Frobenius dual in RHom(M, P_i),
+    P_i<d - N> in degree t + 1, after M, with co-evaluation entry -1 from
+    r; each summand's vectors are listed in descending degree, the order
+    ``hom_basis`` lists their duals in.  When M is minimal, each i-summand
+    r = (i, s) of M^t is cancelled against the copy of its loop vector,
+    P_i<s> in degree t + 1, before the cone is laid out (Gaussian
+    elimination): their entry -e_i is the only invertible one of r's row,
+    so ``minimize`` would take exactly these pivots, first in each degree.
+    The cone keeps M's other summands and the other copies, each row
+    written once at its final columns: a row of M with its co-evaluation
+    entries, and a copy's -d_H, to which each entry x into a cancelled loop
+    copy of r adds x . d_M(r, -) and -x at the copy of (r, e_i), one r at a
+    time in ascending order, as ``minimize`` would.  What is left for
+    ``minimize`` are the entries of -d_H between kept copies; without any,
+    the cone is minimal as built.  A letter with no vector is the cone of
+    0 -> M, or of M -> 0 shifted back: M.
     """
     basis, index = _hom_vectors(i, M, descending=inverse)
     if not basis:
         return minimize(M)
     alg = M.algebra
-    rows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
-    off = {t: len(M.terms.get(t + 2, ())) for t in basis} if inverse else None
-    _hom_into(M, index, rows, neg=True, off=off)
-    del index  # a letter peaks in _glue and minimize: free H's index, then basis
-    # the copies of the vectors of H^t sit in degree t + 1 or t - 1
-    dt, ds = (1, -alg.params.N) if inverse else (-1, 0)
-    copies = {t + dt: tuple((i, d + ds) for d, _l in vecs) for t, vecs in basis.items()}
-    dH = {t + dt: rows[t] for t in basis}
-    if inverse:
-        mod = alg.field.char or 0
-        coev = {t: [(r, k, mod - 1) for k, (_d, (r, _key)) in enumerate(vecs)]
-                for t, vecs in basis.items()}
-        mrows = {t: [dict(row) for row in mat] for t, mat in M._rows.items()}
-        cone = _glue(alg, M.terms, mrows, coev, copies, dH, placed=True)
-    else:
+    if not inverse:
+        rows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
+        _hom_into(M, index, rows, neg=True)
+        del index  # a letter peaks in _glue and minimize: free H's index, then basis
+        # the copies of the vectors of H^t sit in degree t - 1
+        copies = {t - 1: tuple((i, d) for d, _l in vecs) for t, vecs in basis.items()}
         ev = {t - 1: [(k, r, 1) for k, (_d, (r, _key)) in enumerate(vecs)]
               for t, vecs in basis.items()}
-        cone = _glue(alg, copies, dH, ev, M.terms, M._rows)
-    cone._fresh = True
+        cone = _glue(alg, copies, {t - 1: rows[t] for t in basis}, ev, M.terms, M._rows)
+        del basis
+        cone._fresh = True
+        return minimize(cone)
     del basis
+    N, mod = alg.params.N, alg.field.char or 0
+    # place[t][r]: the index in the cone of summand r of M^t, None for a
+    # cancelled i-summand; degrees with none to cancel have no entry
+    place, kept = {}, dict(M.terms)
+    if M._minimal:
+        for t, row in M.terms.items():
+            at, keep = [], []
+            for a in row:
+                if a[0] == i:
+                    at.append(None)
+                else:
+                    at.append(len(keep))
+                    keep.append(a)
+            if len(keep) < len(row):
+                place[t], kept[t] = at, tuple(keep)
+    # index[t][r][d] becomes the index in the cone, in degree t + 1, of the
+    # copy of the vector of degree d on r; the cancelled loop copies leave it
+    copies = {}
+    for t, at in index.items():
+        row, cut, out = M.terms[t], place.get(t), []
+        k = len(kept.get(t + 1, ()))
+        for r, pos in enumerate(at):
+            if pos is not None:
+                if cut and cut[r] is None:
+                    del pos[N + row[r][1]]
+                for d in pos:
+                    pos[d] = k
+                    k += 1
+                    out.append((i, d - N))
+        copies[t + 1] = tuple(out)
+    terms = {}
+    for t in M.terms.keys() | copies.keys():  # the degrees in the order _glue lists them
+        row = kept.get(t, ()) + copies.get(t, ())
+        if row:
+            terms[t] = row
+    rows, pivots, coev = {}, {}, mod - 1  # pivots: (t, r) -> row of cancelled r
+    for t in terms:
+        if t + 1 not in terms:
+            continue
+        mat = rows[t] = []
+        cut, cols, at = place.get(t), place.get(t + 1), index.get(t)
+        for r, src in enumerate(M._rows.get(t) or [{}] * len(M.terms.get(t, ()))):
+            if cols is None:
+                row = dict(src)
+            else:
+                row = {}
+                for b, x in src.items():
+                    if cols[b] is not None:
+                        row[cols[b]] = x
+            if at and at[r]:
+                for k in at[r].values():  # the co-evaluation entries
+                    row[k] = coev
+            if cut and cut[r] is None:
+                pivots[t, r] = row
+            else:
+                mat.append(row)
+        mat.extend({} for _ in copies.get(t, ()))
+    _hom_into(M, index, {t - 1: mat for t, mat in rows.items()}, neg=True)
+    # an entry of -d_H joins two copies of one P_i<d - N>, so it is
+    # invertible; the other entries of a minimal M's cone are not
+    done = M._minimal and not any(
+        any(mat[len(kept.get(t, ())):]) for t, mat in rows.items())
+    # each entry x of d_M from a to a cancelled r is an entry -x of -d_H
+    # into r's loop copy: the copy of a's vector of that degree gets -x
+    # times the rest of r's row, as r's pivot would update it, one r at a
+    # time in ascending order
+    for t, mat in M._rows.items():
+        cols = place.get(t + 1)
+        if cols is None or t not in index:
+            continue
+        tgt, out = M.terms[t + 1], rows[t + 1]
+        for at, row in zip(index[t], mat):
+            if at is None:
+                continue
+            for b in sorted(row) if len(row) > 1 else row:
+                if cols[b] is not None:
+                    continue
+                k = at.get(N + tgt[b][1])
+                if k is None:
+                    continue
+                x, dst = row[b], out[k]
+                for c, y in pivots[t + 1, b].items():
+                    v = dst.get(c, 0) - x * y
+                    if mod:
+                        v %= mod
+                    if v:
+                        dst[c] = v
+                    else:
+                        del dst[c]
+    cone = ProjComplex._from_rows(alg, terms, rows)
+    if done:  # minimize would find no pivot and return the cone as it is
+        cone._minimal = True
+        return cone
+    cone._fresh = True
     return minimize(cone)
 
 
@@ -110,11 +206,13 @@ def untwist(i, M):
     against the summand (j, s) of M^t is dual to phi* in e_j A e_i, whose
     copy P_i<deg(phi) + s - N> sits in homological degree t + 1 of the
     result, with co-evaluation entry phi* itself.  The result is the
-    shifted cone minimize(cone(co-evaluation)[-1]): ``_glue`` lays out a
-    copy of M's rows, the co-evaluation entries and the copies' rows -d_H,
-    which ``_hom_into`` writes at their columns in the cone, and
-    ``minimize`` reduces the cone in place (``_twist``); the shifts are
-    arranged so that twist and untwist are inverse on the nose.
+    shifted cone minimize(cone(co-evaluation)[-1]).  For a minimal M each
+    i-summand and the copy of its loop vector are cancelled before the
+    cone is laid out; the cone's rows, M's with the co-evaluation entries
+    and the copies' -d_H, are each written once at their columns, and
+    ``minimize`` reduces what is left in place, when anything is
+    (``_twist``).  The shifts are arranged so that twist and untwist are
+    inverse on the nose.
     """
     return _twist(i, M, inverse=True)
 

@@ -6,6 +6,11 @@ bases and differentials, twists and untwists, isomorphism certificates) on
 seeded complexes.  ``tests/test_golden.py`` recomputes every case and
 compares it with ``tests/golden.json``.
 
+Check every case against the file, without pytest; the command prints
+the changed, missing and extra case names and exits 1 on any::
+
+    PYTHONPATH=src python tests/golden_cases.py --check
+
 Regenerate the file only when an output is meant to change::
 
     PYTHONPATH=src python tests/golden_cases.py --write
@@ -101,6 +106,11 @@ def scale_cases():
             "act", "--json", "--field", fname, "--word", " ".join(["1 -2"] * 10)]
         runs["check-relations --n 12 --field %s --json" % fname] = [
             "check-relations", "--n", "12", "--field", fname, "--json"]
+    # untwists at n = 3 and N = 3 at scale: 2,911 summands
+    for fname in ("3", "Q"):
+        runs["act --json --n 3 --N 3 --field %s [2,-1,-3]^6" % fname] = [
+            "act", "--json", "--n", "3", "--N", "3", "--field", fname,
+            "--word", " ".join(["2 -1 -3"] * 6)]
     for name, argv in runs.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -215,9 +225,30 @@ def all_cases():
     return out
 
 
+def check():
+    """Print the case names whose output changed, that the file lacks or
+    that no case makes; return 1 if there is any, else 0."""
+    with open(GOLDEN_PATH) as fh:
+        golden = json.load(fh)
+    got = all_cases()
+    report = {
+        "changed": sorted(k for k in golden.keys() & got.keys() if golden[k] != got[k]),
+        "missing": sorted(got.keys() - golden.keys()),
+        "extra": sorted(golden.keys() - got.keys()),
+    }
+    for kind, names in report.items():
+        for name in names:
+            print("%s: %s" % (kind, name))
+    bad = any(report.values())
+    print("%d cases, %s" % (len(got), "mismatch" if bad else "all byte-identical"))
+    return int(bad)
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/golden_cases.py --write")
+        sys.exit("usage: PYTHONPATH=src python tests/golden_cases.py --check | --write")
     with open(GOLDEN_PATH, "w") as fh:
         json.dump(all_cases(), fh, sort_keys=True, indent=0)
         fh.write("\n")

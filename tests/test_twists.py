@@ -15,6 +15,7 @@ from sphtwist import (
     cone,
     hom_matrix,
     is_isomorphic,
+    is_minimal,
     minimize,
     parse_braid_word,
     twist,
@@ -298,31 +299,36 @@ def test_twists_build_one_hom_direction(monkeypatch):
     assert set(calls) == {False, True}
 
 
-def test_twists_glue_their_cones_through_glue(monkeypatch):
-    # the one cone builder: each letter with a vector glues its cone once,
-    # M's rows second for the twist and first, copied, for the untwist; the
-    # rows of -d_H that _hom_into wrote are the cone's rows, the same
-    # objects, at their final columns in the untwist
+def test_twist_glues_and_untwist_writes_its_cone_in_place(monkeypatch):
+    # the twist glues its cone once, M's rows second, and the rows of -d_H
+    # that _hom_into wrote are the cone's rows, the same objects; the
+    # untwist glues nothing: _hom_into writes -d_H into the row lists of
+    # the cone that the untwist returns or hands to minimize, past M's rows
     assert list(inspect.signature(complexes._hom_into).parameters) == [
-        "M", "index", "rows", "neg", "off"]
+        "M", "index", "rows", "neg"]
     assert list(inspect.signature(complexes._glue).parameters) == [
-        "alg", "A", "dA", "f", "B", "dB", "placed"]
-    written, calls = [], []
-    hom_into, glue = complexes._hom_into, complexes._glue
+        "alg", "A", "dA", "f", "B", "dB"]
+    written, calls, reduced = [], [], []
+    hom_into, glue, reduce = complexes._hom_into, complexes._glue, twists.minimize
 
-    # both record the lists of rows as they stand, before _glue extends
-    # them and minimize reduces them in place
-    def record_rows(M, index, rows, neg=False, off=None):
-        hom_into(M, index, rows, neg, off)
-        written.append({t: list(mat) for t, mat in rows.items()})
+    # the lists of rows themselves, and as they stand before the twist's
+    # _glue extends them and minimize reduces them in place
+    def record_rows(M, index, rows, neg=False):
+        hom_into(M, index, rows, neg)
+        written.append((rows, {t: list(mat) for t, mat in rows.items()}))
 
-    def record(alg, A, dA, f, B, dB, placed=False):
-        C = glue(alg, A, dA, f, B, dB, placed)
-        calls.append((A, B, placed, {t: list(mat) for t, mat in C._rows.items()}))
+    def record(alg, A, dA, f, B, dB):
+        C = glue(alg, A, dA, f, B, dB)
+        calls.append((A, B, {t: list(mat) for t, mat in C._rows.items()}))
         return C
+
+    def record_minimize(M):
+        reduced.append(M)
+        return reduce(M)
 
     monkeypatch.setattr(twists, "_hom_into", record_rows)
     monkeypatch.setattr(twists, "_glue", record)
+    monkeypatch.setattr(twists, "minimize", record_minimize)
     alg = make_algebra(3, 2)
     held = 0
     for M in (apply_word([1, -2], ProjComplex.projective(alg, 1)),
@@ -331,22 +337,87 @@ def test_twists_glue_their_cones_through_glue(monkeypatch):
             written.clear()
             calls.clear()
             twist(i, M)
-            untwist(i, M)
-            seen = [(A is M.terms, B is M.terms, placed) for A, B, placed, _ in calls]
-            assert seen == [(False, True, False), (True, False, True)]
-            for (A, _B, _p, glued), rows, inverse in zip(calls, written, (False, True)):
-                for t, mat in rows.items():
-                    # the copies of H^t sit in degree t - 1 before M, or
-                    # t + 1 after M; the cone's last degree has no rows
-                    s, off = (t + 1, len(A.get(t + 1, ()))) if inverse else (t - 1, 0)
-                    if s in glued:
-                        assert all(glued[s][off + k] is row
-                                   for k, row in enumerate(mat))
-                        held += len(mat)
+            assert [(A is M.terms, B is M.terms) for A, B, _ in calls] == [(False, True)]
+            glued = calls[0][2]
+            for t, mat in written[0][1].items():
+                # the copies of H^t sit in degree t - 1, before M
+                if t - 1 in glued:
+                    assert all(glued[t - 1][k] is row for k, row in enumerate(mat))
+                    held += len(mat)
+            written.clear()
+            calls.clear()
+            reduced.clear()
+            X = untwist(i, M)
+            assert calls == []
+            cone = reduced[0] if reduced else X
+            for t, mat in written[0][0].items():
+                # the copies of H^t sit in degree t + 1, after M's
+                assert mat is cone._rows[t + 1]
+                held += len(mat)
     assert held >= 40
     calls.clear()
     assert twist(3, ProjComplex.projective(alg, 1)) == ProjComplex.projective(alg, 1)
     assert calls == []
+
+
+def test_untwist_reads_minimal_input_either_way():
+    # a minimal complex rebuilt without its mark, by from_dict or with its
+    # rows copied in their order, is twisted through the whole cone, and
+    # minimize cancels the i-summands; the marked one cancels them before
+    # the layout: the same data, and from the copy with every degree and
+    # every row's entries in the same order (from_dict sorts each row)
+    count = 0
+    for n, N in ((2, 2), (3, 2), (2, 3), (4, 2)):
+        for char in (None, 2, 7):
+            alg = make_algebra(n, N, char=char)
+            rng = seeded(3100 + 10 * n + N + (char or 0))
+            for _ in range(8):
+                M = apply_word(random_word(alg, rng, 8),
+                               ProjComplex.projective(alg, rng.randint(1, n)))
+                plain = ProjComplex.from_dict(M.to_dict(), alg)
+                same = ProjComplex._from_rows(alg, M.terms, {
+                    t: [dict(row) for row in mat] for t, mat in M._rows.items()})
+                assert M._minimal and not (plain._minimal or same._minimal)
+                for i in range(1, n + 1):
+                    for letter in (untwist, twist):
+                        got, want = letter(i, M), letter(i, same)
+                        assert got == letter(i, plain)
+                        assert list(got.terms.items()) == list(want.terms.items())
+                        assert [[list(row.items()) for row in mat]
+                                for mat in got._rows.values()] == [
+                            [list(row.items()) for row in mat]
+                            for mat in want._rows.values()]
+                        assert list(got._rows) == list(want._rows)
+                    count += any(v == i for row in M.terms.values() for v, _s in row)
+    assert count >= 150
+
+
+def test_ladder_untwists_leave_nothing_to_minimize(monkeypatch):
+    # on the ladder [1,-2]^m, m <= 6, each i-summand cancels against its
+    # loop copy before the untwist's cone is laid out, and nothing else
+    # cancels: the cone is minimal as built and minimize never sees it;
+    # laid out whole, those cones held 1,756 summands, 1,204 of them kept
+    reduced = []
+    reduce = twists.minimize
+
+    def record(M):
+        reduced.append(M.total_summands())
+        return reduce(M)
+
+    monkeypatch.setattr(twists, "minimize", record)
+    kept = 0
+    for char in (None, 7):
+        alg = make_algebra(2, 2, char=char)
+        for m in range(1, 7):
+            M = ProjComplex.projective(alg, 1)
+            for g in [1, -2] * m:
+                reduced.clear()
+                X = twists.apply_letter(g, M)
+                if g < 0:
+                    assert reduced == [] and X._minimal and is_minimal(X)
+                    kept += X.total_summands()
+                M = X
+    assert kept == 1204
 
 
 def test_apply_word_builds_no_hom_complex(monkeypatch):

@@ -10,10 +10,10 @@ Conventions (fixed once, used everywhere):
   in the algebra, so d^2 = 0 is literally d[t] . d[t+1] = 0.
 * Only bidegree-(0,0) chain maps are first class; shifts live on objects.
 * cone(f: M -> K) has terms M[1] (+) K in each degree and differential
-  d(m, k) = (-d_M m, f(m) + d_K k).  ``_glue`` lays out this block form
-  for ``cone`` and for the twist's cone of the evaluation.  The untwist
-  lays out its cone of the co-evaluation itself, with the pairs that
-  cancel in a minimal input cancelled first (``twists._twist``).
+  d(m, k) = (-d_M m, f(m) + d_K k), laid out in this block form by
+  ``cone``.  The twists lay out their cones of the evaluation and the
+  co-evaluation themselves, cancelling first what cancels in a minimal
+  input (``twists._evaluation_cone``, ``twists._twist``).
 * Only RHom(P_i, M) is built (``_hom_vectors``, ``_hom_into``); its dual
   RHom(M, P_i) is read off it by the trace pairing (``hom_to_projective``).
 * Homological shift [t0] relabels degrees t -> t - t0 and multiplies the
@@ -43,13 +43,14 @@ views built on first use.  The internal builders go through the
 unvalidated ``_from_rows`` constructors.  Rows are never changed once a
 complex or map holds them, so objects may share them: ``minimize`` works
 on copies, unless the complex is marked ``_fresh``, a cone whose rows its
-builder made for it alone and hands over to be reduced in place.  Only
-``_glue`` takes rows over: it writes the entries of f into the rows of its
-first block, which its callers make for it (``shift``'s negated rows for
-``cone``, the twist's -d_H), and writes the second block's rows anew.
-The untwist writes each row of its cone once, at its final columns: M's
-rows copied with the co-evaluation entries, and -d_H, which
-``_hom_into`` writes into the cone's own row lists.
+builder made for it alone and hands over to be reduced in place.
+``cone`` takes over the negated rows that ``shift`` makes for M[1] and
+writes f's entries into them.  The twists write each row of their cones
+once, at its final columns: the untwist M's rows with the co-evaluation
+entries, and -d_H, which ``_hom_into`` writes into the cone's own row
+lists; the twist the rows that survive its reduction of a minimal input,
+which runs on the copies' rows and copies a row of M only where a pivot
+changes it (``_cancel``, the pivot update it shares with ``minimize``).
 """
 
 
@@ -384,48 +385,64 @@ class ChainMap:
         return cls._from_rows(M, M, rows)
 
 
-def _glue(alg, A, dA, f, B, dB):
-    """The complex A (+) B with differential [[dA, f], [0, dB]].
+def cone(f):
+    """Mapping cone of a chain map f: M -> K.
 
-    A and B map degrees to nonempty tuples of summands; in each degree A's
-    come first.  dA and dB map a degree t to the dict rows of A^t ->
-    A^{t+1} and B^t -> B^{t+1}, f to the triples (row, column, scalar) of
-    the nonzero entries of A^t -> B^{t+1}; a missing degree is zero.  The
-    caller vouches for d^2 = 0.  The result takes over dA's rows and writes
-    f's entries into them in place.  It writes B's rows anew, their columns
-    shifted by the width of A in the next degree, and shares no other row
-    with its inputs.
+    Terms are M[1] (+) K, M[1]'s summands first in each degree; the
+    differential is [[-d_M, f], [0, d_K]] in block form.  The cone takes
+    over the fresh rows of -d_M that ``shift`` makes for M[1] and writes
+    f's entries into them, and writes K's rows anew, their columns shifted
+    past M[1]'s.  ``f`` is trusted to commute with the differentials: the
+    ``ChainMap`` constructor validates maps at the API boundary.
     """
+    Ms, K = f.source.shift(1, 0), f.target
+    A, B = Ms.terms, K.terms
     terms = {t: A.get(t, ()) + B.get(t, ()) for t in A.keys() | B.keys()}
     rows = {}
     for t in terms:
         if t + 1 not in terms:
             continue
         off = len(A.get(t + 1, ()))
-        mat = rows[t] = dA.get(t) or [{} for _ in A.get(t, ())]
-        for r, c, x in f.get(t, ()):
-            mat[r][off + c] = x
-        db = dB.get(t) or [{} for _ in B.get(t, ())]
+        mat = rows[t] = Ms._rows.get(t) or [{} for _ in A.get(t, ())]
+        for r, row in enumerate(f._rows.get(t + 1, ())):
+            for c, x in row.items():
+                mat[r][off + c] = x
+        db = K._rows.get(t) or [{} for _ in B.get(t, ())]
         mat.extend([{off + c: x for c, x in row.items()} for row in db])
-    return ProjComplex._from_rows(alg, terms, rows)
-
-
-def cone(f):
-    """Mapping cone of a chain map f: M -> K.
-
-    Terms are M[1] (+) K; the differential is [[-d_M, f], [0, d_K]] in
-    block form (``_glue``), -d_M the fresh rows that ``shift`` makes for
-    M[1].  ``f`` is trusted to commute with the differentials: the
-    ``ChainMap`` constructor validates maps at the API boundary.
-    """
-    Ms, K = f.source.shift(1, 0), f.target
-    entries = {t - 1: [(r, c, x) for r, row in enumerate(mat) for c, x in row.items()]
-               for t, mat in f._rows.items()}
-    return _glue(K.algebra, Ms.terms, Ms._rows, entries, K.terms, K._rows)
+    return ProjComplex._from_rows(K.algebra, terms, rows)
 
 
 # ----------------------------------------------------------------------
 # homotopy minimization
+
+
+def _cancel(mat, at, r, c, src, tgt, path, mod):
+    """Cancel the invertible entry (r, c) of the dict rows ``mat`` from the
+    summands ``src`` to ``tgt``: each other row with an entry in column c
+    loses its multiple of row r that clears that entry, the products
+    decided by the degree rule, and row r is emptied.  ``at`` maps each
+    column to the rows with an entry there, and is kept up to date."""
+    row = mat[r]
+    for cc in row:
+        at[cc].discard(r)
+    for rr in at[c]:
+        target, (v, sv) = mat[rr], src[rr]
+        factor = div(target.pop(c), row[c], mod)
+        for cc, y in row.items():
+            w, sw = tgt[cc]
+            if cc == c or (v, w, sv - sw) not in path:
+                continue
+            x = target.get(cc, 0) - factor * y
+            if mod:
+                x %= mod
+            if x:
+                if cc not in target:
+                    at[cc].add(rr)
+                target[cc] = x
+            else:
+                del target[cc]
+                at[cc].discard(rr)
+    mat[r] = {}
 
 
 def minimize(M):
@@ -481,26 +498,7 @@ def minimize(M):
                     if rr not in gone:
                         for cc in live:
                             at[cc].add(rr)
-            for cc in row:
-                at[cc].discard(r)
-            for rr in at[c]:
-                target, (v, sv) = mat[rr], src[rr]
-                factor = div(target.pop(c), row[c], mod)
-                for cc, y in row.items():
-                    w, sw = tgt[cc]
-                    if cc == c or (v, w, sv - sw) not in path:
-                        continue
-                    x = target.get(cc, 0) - factor * y
-                    if mod:
-                        x %= mod
-                    if x:
-                        if cc not in target:
-                            at[cc].add(rr)
-                        target[cc] = x
-                    else:
-                        del target[cc]
-                        at[cc].discard(rr)
-            mat[r] = {}
+            _cancel(mat, at, r, c, src, tgt, path, mod)
             gone.add(r)
             dead[t + 1].add(c)
 
@@ -600,9 +598,9 @@ def _hom_vectors(i, M, descending=False):
     paths in ``hom_basis`` order, or in descending degree with
     ``descending``; index[t][r] maps d to the position in basis[t] of the
     vector of degree d on summand r of M^t, or is None when r carries none.
+    The callers validate i.
     """
     alg = M.algebra
-    alg.check_vertex(i)
     paths = alg._hom_basis  # hom_basis without its vertex checks: M's are valid
     basis = {}
     index = {}
@@ -656,6 +654,7 @@ def _hom_into(M, index, rows, neg=False):
 
 def hom_from_projective(i, M):
     """The complex computing RHom(P_i, M) (``_hom_vectors``, ``_hom_into``)."""
+    M.algebra.check_vertex(i)
     basis, index = _hom_vectors(i, M)
     rows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
     _hom_into(M, index, rows)
@@ -670,6 +669,7 @@ def hom_to_projective(M, i):
     degree t.  Each summand's paths in descending degree list their duals
     in ``hom_basis`` order."""
     alg, N = M.algebra, M.algebra.params.N
+    alg.check_vertex(i)
     basis, index = _hom_vectors(i, M, descending=True)
     rows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
     _hom_into(M, index, rows)

@@ -10,7 +10,7 @@ from functools import cached_property
 from .algebra import _Record
 from .complexes import (
     ProjComplex,
-    _glue,
+    _cancel,
     _hom_into,
     _hom_vectors,
     homology_table,
@@ -46,14 +46,132 @@ def check_word(letters, n):
     return list(letters)
 
 
+def _meets(i, M):
+    """True when a summand of M lies within distance 1 of vertex i; else
+    RHom(P_i, M) = 0."""
+    for row in M.terms.values():
+        for v, _s in row:
+            if -2 < v - i < 2:
+                return True
+    return False
+
+
+def _evaluation_cone(i, M):
+    """The twist's cone of the evaluation P_i (x) H -> M, H = RHom(P_i, M),
+    minimized, in the layout of ``minimize`` on the glued cone.
+
+    In degree u the cone holds the copies of the vectors of H^{u+1}, in
+    the order ``_hom_vectors`` numbers them, then M's summands.  A copy's
+    row holds -d_H, which ``_hom_into`` writes, then its evaluation entry
+    1 into r.  When M is minimal, ``minimize``'s sweep runs before the
+    layout, in its order, and the cone is returned marked minimal.  M's
+    rows hold radical entries, and an update multiplies one of them, so
+    they never pivot and only the copies' rows are searched.  A copy
+    cancels against another copy (an entry of -d_H, which keeps the
+    internal degree) or, with none left, against an i-summand of M by its
+    evaluation entry.  M's rows join the column index, shared, at the
+    first such pivot of their degree, and are copied at their first change.
+    Each surviving row is then written once at its final columns, or kept
+    when the next degree lost nothing.  Any other M gets the same layout
+    with nothing cancelled, and ``minimize`` reduces it in place.
+    """
+    alg = M.algebra
+    mod, path = alg.field.char or 0, alg.path
+    basis, index = _hom_vectors(i, M)
+    work = {t: [{} for _ in vecs] for t, vecs in basis.items()}  # rows of H^t's copies
+    _hom_into(M, index, work, neg=True)
+    del index  # a letter peaks in the layout: free H's index, then its basis
+    copies = {}
+    for t, vecs in basis.items():
+        mat, off, out = work[t], len(basis.get(t + 1, ())), []
+        for row, (d, (r, _key)) in zip(mat, vecs):
+            row[off + r] = 1
+            out.append((i, d))
+        copies[t - 1] = tuple(out)
+    del basis
+    # the degrees in the order of the glued cone, the set union of the
+    # copies' degrees and M's, which is_isomorphic writes its equations in
+    summ = {u: copies.get(u, ()) + M.terms.get(u, ())
+            for u in copies.keys() | M.terms.keys()}
+    dead = {}  # cancelled summands, by degree
+    for t in sorted(work) if M._minimal else ():  # the sweep of degree t - 1
+        mat, src, tgt = work[t], summ[t - 1], summ[t]
+        nc, off, held = len(mat), len(copies.get(t, ())), M._rows.get(t - 1)
+        gone, at = dead.get(t - 1, ()), None
+        for r in range(nc):
+            if r in gone:
+                continue
+            row, s, c = mat[r], src[r], -1
+            for cc in row:
+                if tgt[cc] == s and (c < 0 or cc < c):
+                    c = cc
+            if c < 0:
+                continue
+            if at is None:
+                at = [set() for _ in tgt]
+                for rr in range(nc):
+                    if rr not in gone:
+                        for cc in mat[rr]:
+                            at[cc].add(rr)
+                gone, cut = dead.setdefault(t - 1, set()), dead.setdefault(t, set())
+            if c >= off and held:  # the copy cancels against a summand of M
+                if len(mat) == nc:
+                    mat.extend(held)
+                    for rr, live in enumerate(held, nc):
+                        if rr not in gone:
+                            for b in live:
+                                at[off + b].add(rr)
+                for rr in at[c]:
+                    if rr >= nc and mat[rr] is held[rr - nc]:
+                        mat[rr] = {off + b: x for b, x in mat[rr].items()}
+            _cancel(mat, at, r, c, src, tgt, path, mod)
+            gone.add(r)
+            cut.add(c)
+    terms, place = {}, {}
+    for u, src in summ.items():
+        gone = dead.get(u)
+        if not gone:
+            terms[u] = src
+            continue
+        keep = [p for p in range(len(src)) if p not in gone]
+        if keep:
+            terms[u] = tuple(src[p] for p in keep)
+            place[u] = {p: k for k, p in enumerate(keep)}
+    rows = {}
+    for u in terms:
+        if u + 1 not in terms:
+            continue
+        mat, gone, cols = work.get(u + 1, ()), dead.get(u, ()), place.get(u + 1)
+        nc, off = len(copies.get(u, ())), len(copies.get(u + 1, ()))
+        out = rows[u] = [
+            row if cols is None else {cols[c]: x for c, x in row.items() if c in cols}
+            for k, row in enumerate(mat[:nc]) if k not in gone]
+        held = M._rows.get(u) or [{}] * len(M.terms.get(u, ()))
+        for a, row in enumerate(mat[nc:] or held):
+            if nc + a in gone:
+                continue
+            if row is not held[a]:  # changed by a pivot, in the glued columns
+                out.append(row if cols is None else {cols[c]: x for c, x in row.items()})
+            elif cols is None:
+                out.append({off + b: x for b, x in row.items()})
+            else:
+                out.append({cols[off + b]: x for b, x in row.items()})
+    cone = ProjComplex._from_rows(alg, terms, rows)
+    if M._minimal:
+        cone._minimal = True
+        return cone
+    cone._fresh = True
+    return minimize(cone)
+
+
 def _twist(i, M, inverse):
     """The shared body of ``twist`` and (with ``inverse``) ``untwist``.
 
     One copy of P_i per vector (d, (r, key)) of H = RHom(P_i, M) on
     summand r of M^t, with differential -d_H, written once by
     ``_hom_into``.  Twist: P_i<d> in degree t - 1, the copies before M in
-    each degree, with evaluation entry 1 into r; ``_glue`` lays the cone
-    out.  Untwist: the copy of the vector's Frobenius dual in RHom(M, P_i),
+    each degree, with evaluation entry 1 into r (``_evaluation_cone``).
+    Untwist: the copy of the vector's Frobenius dual in RHom(M, P_i),
     P_i<d - N> in degree t + 1, after M, with co-evaluation entry -1 from
     r; each summand's vectors are listed in descending degree, the order
     ``hom_basis`` lists their duals in.  When M is minimal, each i-summand
@@ -67,25 +185,17 @@ def _twist(i, M, inverse):
     copy of r adds x . d_M(r, -) and -x at the copy of (r, e_i), one r at a
     time in ascending order, as ``minimize`` would.  What is left for
     ``minimize`` are the entries of -d_H between kept copies; without any,
-    the cone is minimal as built.  A letter with no vector is the cone of
-    0 -> M, or of M -> 0 shifted back: M.
+    the cone is minimal as built.  A letter with no summand of M within
+    distance 1 of i (``_meets``) has no vector, and returns M, minimized:
+    the cone of 0 -> M, or of M -> 0 shifted back.
     """
-    basis, index = _hom_vectors(i, M, descending=inverse)
-    if not basis:
-        return minimize(M)
     alg = M.algebra
+    alg.check_vertex(i)
+    if not _meets(i, M):
+        return minimize(M)
     if not inverse:
-        rows = {t: [{} for _ in vecs] for t, vecs in basis.items()}
-        _hom_into(M, index, rows, neg=True)
-        del index  # a letter peaks in _glue and minimize: free H's index, then basis
-        # the copies of the vectors of H^t sit in degree t - 1
-        copies = {t - 1: tuple((i, d) for d, _l in vecs) for t, vecs in basis.items()}
-        ev = {t - 1: [(k, r, 1) for k, (_d, (r, _key)) in enumerate(vecs)]
-              for t, vecs in basis.items()}
-        cone = _glue(alg, copies, {t - 1: rows[t] for t in basis}, ev, M.terms, M._rows)
-        del basis
-        cone._fresh = True
-        return minimize(cone)
+        return _evaluation_cone(i, M)
+    basis, index = _hom_vectors(i, M, descending=True)
     del basis
     N, mod = alg.params.N, alg.field.char or 0
     # place[t][r]: the index in the cone of summand r of M^t, None for a
@@ -118,7 +228,7 @@ def _twist(i, M, inverse):
                     out.append((i, d - N))
         copies[t + 1] = tuple(out)
     terms = {}
-    for t in M.terms.keys() | copies.keys():  # the degrees in the order _glue lists them
+    for t in M.terms.keys() | copies.keys():  # the degrees in the glued cone's order
         row = kept.get(t, ()) + copies.get(t, ())
         if row:
             terms[t] = row
@@ -191,9 +301,10 @@ def twist(i, M):
     contributes a summand P_i<deg(phi) + s> in homological degree t of the
     tensor, t - 1 of the cone; the evaluation entry for that copy is phi
     itself.  The copies' rows, -d_H, are written from the vectors of
-    RHom(P_i, M) without building that hom complex; ``_glue`` lays them
-    out with the evaluation entries and M's rows, and ``minimize`` reduces
-    the cone in place (``_twist``).
+    RHom(P_i, M) without building that hom complex.  For a minimal M the
+    cone is reduced before its layout, in the order ``minimize`` would
+    take its pivots, and each surviving row is written once at its final
+    columns; no ``minimize`` runs (``_evaluation_cone``).
     """
     return _twist(i, M, inverse=False)
 

@@ -21,7 +21,7 @@ from sphtwist import (
     chi_q,
     hom_from_projective,
 )
-from sphtwist.complexes import _glue, minimize
+from sphtwist.complexes import minimize
 from sphtwist.fields import raw
 from sphtwist.ktheory import imat_mul
 from sphtwist.laurent import LaurentPoly
@@ -344,7 +344,29 @@ def dense_untwist(i, M):
 
 # ----------------------------------------------------------------------
 # glued reference: the twists through the hom complex RHom(P_i, M), one
-# ``_glue`` of M and the copies of P_i, and ``minimize`` on copied rows
+# block-form ``_glue`` of M and the copies of P_i, and ``minimize`` on
+# copied rows
+
+
+def _glue(alg, A, dA, f, B, dB):
+    """The complex A (+) B with differential [[dA, f], [0, dB]], A's
+    summands first in each degree.  A and B map degrees to tuples of
+    summands, dA and dB degrees to dict rows, f degrees to the triples
+    (row, column, scalar) of A^t -> B^{t+1}.  The result takes over dA's
+    rows and writes f's entries into them; it writes B's rows anew, their
+    columns shifted past A's: the layout of ``cone``."""
+    terms = {t: A.get(t, ()) + B.get(t, ()) for t in A.keys() | B.keys()}
+    rows = {}
+    for t in terms:
+        if t + 1 not in terms:
+            continue
+        off = len(A.get(t + 1, ()))
+        mat = rows[t] = dA.get(t) or [{} for _ in A.get(t, ())]
+        for r, c, x in f.get(t, ()):
+            mat[r][off + c] = x
+        db = dB.get(t) or [{} for _ in B.get(t, ())]
+        mat.extend([{off + c: x for c, x in row.items()} for row in db])
+    return ProjComplex._from_rows(alg, terms, rows)
 
 
 def _glued(i, M, dual):

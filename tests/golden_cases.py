@@ -117,6 +117,21 @@ def scale_cases():
             code = main(argv)
         digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         out["sha256 " + name] = "exit %d\nsha256 %s" % (code, digest)
+    # the layout of twist images at scale, which act --json, sorting each
+    # row's columns, does not pin: the degree order and each row's entry
+    # order, which is_isomorphic meets its equations in
+    layouts = [("F=%s [1,-2]^10 P1" % fname, make_algebra(2, 2, char=char),
+                [1, -2] * 10, 1) for fname, char in FIELDS]
+    # 3,691 summands, most of the twist pivots between copies of P_i
+    layouts.append(("n=3 N=3 F=3 [1,-2,3]^6 P2", make_algebra(3, 3, char=3),
+                    [1, -2, 3] * 6, 2))
+    for name, alg, word, k in layouts:
+        X = apply_word(word, ProjComplex.projective(alg, k))
+        blob = repr((list(X.terms.items()),
+                     [(t, [list(row.items()) for row in mat])
+                      for t, mat in X._rows.items()]))
+        out["sha256 layout " + name] = (
+            "sha256 %s" % hashlib.sha256(blob.encode()).hexdigest())
     # 89 to 610 summands a side: the chain-map system and minimize at scale
     for fname, char in FIELDS:
         alg = make_algebra(2, 2, char=char)

@@ -902,9 +902,9 @@ def _contents(*objects):
 
 @pytest.mark.parametrize("char", [None, 7])
 def test_constructions_leave_their_inputs_unchanged(char):
-    # _glue takes over only rows made for its result: the fresh rows shift
-    # makes for M[1], the twists' copies of P_i and of M; a builder that
-    # handed it an input's rows would let minimize reduce them in place
+    # cone takes over only the fresh rows shift makes for M[1], and the
+    # twists copy a row of M before they change it; a builder that took
+    # over an input's rows would let minimize reduce them in place
     count = 0
     for n in (2, 3):
         alg = make_algebra(n, 2, char=char)

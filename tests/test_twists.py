@@ -265,6 +265,27 @@ def test_letters_with_no_vector_return_their_input(n, N, char):
     assert (checked or n == 2) and (grown or n < 4)
 
 
+def test_far_letters_build_no_hom_basis(monkeypatch):
+    # a letter with no summand of M within distance 1 of i returns M
+    # before the vectors of RHom(P_i, M) are enumerated, and an
+    # out-of-range letter still raises
+    def refuse(*args):
+        raise AssertionError("_hom_vectors called on a far letter")
+
+    alg = make_algebra(5, 2)
+    M = apply_word([1, -2, 1], ProjComplex.projective(alg, 1))
+    monkeypatch.setattr(twists, "_hom_vectors", refuse)
+    for i in (4, 5):
+        assert twist(i, M) is M and untwist(i, M) is M
+    for i in (0, 6, True, 1.0):
+        with pytest.raises(ValueError):
+            twist(i, M)
+        with pytest.raises(ValueError):
+            untwist(i, M)
+    with pytest.raises(AssertionError):
+        twist(3, M)
+
+
 def test_twists_build_one_hom_direction(monkeypatch):
     # both generators enumerate the vectors of RHom(P_i, M) through the
     # shared helper, twists in hom_basis order and untwists in descending
@@ -299,65 +320,58 @@ def test_twists_build_one_hom_direction(monkeypatch):
     assert set(calls) == {False, True}
 
 
-def test_twist_glues_and_untwist_writes_its_cone_in_place(monkeypatch):
-    # the twist glues its cone once, M's rows second, and the rows of -d_H
-    # that _hom_into wrote are the cone's rows, the same objects; the
-    # untwist glues nothing: _hom_into writes -d_H into the row lists of
-    # the cone that the untwist returns or hands to minimize, past M's rows
+def test_twists_write_their_cones_in_place(monkeypatch):
+    # no twist glues its cone: of a minimal input, the twist reduces the
+    # cone before its layout and hands nothing to cone or minimize; any
+    # other input gets the same layout, handed to minimize once to be
+    # reduced in place; the untwist's _hom_into writes -d_H into the row
+    # lists of the cone that it returns or hands to minimize, past M's rows
     assert list(inspect.signature(complexes._hom_into).parameters) == [
         "M", "index", "rows", "neg"]
-    assert list(inspect.signature(complexes._glue).parameters) == [
-        "alg", "A", "dA", "f", "B", "dB"]
-    written, calls, reduced = [], [], []
-    hom_into, glue, reduce = complexes._hom_into, complexes._glue, twists.minimize
+    assert not hasattr(complexes, "_glue")
+    written, reduced = [], []
+    hom_into, reduce = complexes._hom_into, twists.minimize
 
-    # the lists of rows themselves, and as they stand before the twist's
-    # _glue extends them and minimize reduces them in place
     def record_rows(M, index, rows, neg=False):
         hom_into(M, index, rows, neg)
-        written.append((rows, {t: list(mat) for t, mat in rows.items()}))
-
-    def record(alg, A, dA, f, B, dB):
-        C = glue(alg, A, dA, f, B, dB)
-        calls.append((A, B, {t: list(mat) for t, mat in C._rows.items()}))
-        return C
+        written.append(rows)
 
     def record_minimize(M):
         reduced.append(M)
         return reduce(M)
 
+    def refuse(f):
+        raise AssertionError("a twist built its cone through cone()")
+
     monkeypatch.setattr(twists, "_hom_into", record_rows)
-    monkeypatch.setattr(twists, "_glue", record)
     monkeypatch.setattr(twists, "minimize", record_minimize)
+    monkeypatch.setattr(complexes, "cone", refuse)
     alg = make_algebra(3, 2)
     held = 0
     for M in (apply_word([1, -2], ProjComplex.projective(alg, 1)),
               apply_word([2, -1, -3, 2], ProjComplex.projective(alg, 2))):
+        same = ProjComplex._from_rows(alg, M.terms, {
+            t: [dict(row) for row in mat] for t, mat in M._rows.items()})
         for i in (1, 2, 3):
             written.clear()
-            calls.clear()
-            twist(i, M)
-            assert [(A is M.terms, B is M.terms) for A, B, _ in calls] == [(False, True)]
-            glued = calls[0][2]
-            for t, mat in written[0][1].items():
-                # the copies of H^t sit in degree t - 1, before M
-                if t - 1 in glued:
-                    assert all(glued[t - 1][k] is row for k, row in enumerate(mat))
-                    held += len(mat)
+            reduced.clear()
+            X = twist(i, M)
+            assert len(written) == 1 and reduced == []
+            assert X._minimal and is_minimal(X)
+            assert twist(i, same) == X
+            assert len(reduced) == 1 and reduced[0]._fresh
             written.clear()
-            calls.clear()
             reduced.clear()
             X = untwist(i, M)
-            assert calls == []
             cone = reduced[0] if reduced else X
-            for t, mat in written[0][0].items():
+            for t, mat in written[0].items():
                 # the copies of H^t sit in degree t + 1, after M's
                 assert mat is cone._rows[t + 1]
                 held += len(mat)
-    assert held >= 40
-    calls.clear()
-    assert twist(3, ProjComplex.projective(alg, 1)) == ProjComplex.projective(alg, 1)
-    assert calls == []
+    assert held >= 20
+    reduced.clear()
+    P1 = ProjComplex.projective(alg, 1)
+    assert twist(3, P1) == P1 and reduced == [P1]
 
 
 def test_untwist_reads_minimal_input_either_way():
@@ -418,6 +432,50 @@ def test_ladder_untwists_leave_nothing_to_minimize(monkeypatch):
                     kept += X.total_summands()
                 M = X
     assert kept == 1204
+
+
+def test_twists_of_minimal_inputs_never_reach_minimize(monkeypatch):
+    # the twist reduces the cone of a minimal complex before its layout:
+    # minimize is handed no twist cone (a far letter hands it M itself,
+    # which it returns), and every image is minimal; on the ladder
+    # [1,-2]^m, m <= 6, applied to P1 and to P2 and unwound by [2,-1]^m,
+    # over Q and F_7, and on seeded words over Q, F_2, F_3 and F_7
+    reduced = []
+    reduce = twists.minimize
+
+    def record(M):
+        reduced.append(M)
+        return reduce(M)
+
+    monkeypatch.setattr(twists, "minimize", record)
+    count = 0
+
+    def apply(word, M):
+        nonlocal count
+        for g in word:
+            reduced.clear()
+            X = twists.apply_letter(g, M)
+            if g > 0:
+                assert reduced in ([], [M]) and X._minimal and is_minimal(X)
+                count += 1
+            M = X
+        return M
+
+    for char in (None, 7):
+        alg = make_algebra(2, 2, char=char)
+        for k in (1, 2):
+            P = ProjComplex.projective(alg, k)
+            for m in range(1, 7):
+                assert apply([2, -1] * m, apply([1, -2] * m, P)) == P
+    for n in (2, 3, 4):
+        for N in (2, 3):
+            for char in (None, 2, 3, 7):
+                alg = make_algebra(n, N, char=char)
+                rng = seeded(3200 + 100 * n + 10 * N + (char or 0))
+                for _ in range(10):
+                    apply(random_word(alg, rng, 8),
+                          ProjComplex.projective(alg, rng.randint(1, n)))
+    assert count >= 600
 
 
 def test_apply_word_builds_no_hom_complex(monkeypatch):
